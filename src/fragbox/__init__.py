@@ -24,7 +24,7 @@ from .growth import (GrownTree, MetricTree, delete_leaf, delete_uniform_leaf,
                      grow_alphagamma, leaf_depths, mean_depth, reduced_tree,
                      sample_fragmentation_tree, sample_markov_branching,
                      special_branch_count, spine_depth, tree_height)
-from .spine import (KnWindow, LevyAtoms, SubordinatorPath, crt_split_table,
+from .spine import (KnWindow, LevyAtoms, SubordinatorPath,
                     pjs_limit_functional, pjs_tail_statistic, renewal_moment,
                     sample_Kn, sample_reduced_crt, simulate_subordinator,
                     spinal_levy_measure)

@@ -7,7 +7,6 @@ k_j (full shatter of the complement).  Level j feeds exactly the cylinder
 class P^j of partitions whose restriction to [j+1] is {[j], {j+1}}.
 """
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -33,6 +32,8 @@ class DiscreteDislocation:
     def __post_init__(self):
         if len(self.levels) < 1:
             raise ArgumentError("need at least one level")
+        if any(x < 0 for x in self.c + self.k):
+            raise ArgumentError("c and k constants must be non-negative")
         for lv in self.levels:
             for s, w in lv:
                 if w <= 0:
@@ -189,32 +190,22 @@ def rate(d, n):
 def rate_closed_form(d, n):
     """lambda_n summed per mixture component instead of per partition.
 
-    Independent route used to cross-check rate(): the level-j component puts
-    total mass P(paintbox of [n] lands in class j) on P_n, which is
-    1 - sum s_i^2 for j = 1 and sum_i s_i^j (1 - s_i) for j >= 2.
+    Independent route used to cross-check rate(): the total of the component
+    masses that sample_split draws from.
     """
-    total = 0.0
-    for j in range(1, n):
-        for s, w in d.atoms_at(j):
-            if j == 1:
-                total += w * (1.0 - sum(si ** 2 for si in s.atoms))
-            else:
-                total += w * sum(si ** j * (1 - si) for si in s.atoms)
-        if _epsilon_restricted(j + 1, n) is not None:
-            total += d.c_at(j)
-        if _omega_restricted(j, n) is not None:
-            total += d.k_at(j)
-    total += d.c_at(1) if n >= 2 else 0.0
-    return total
+    if n < 2:
+        raise ArgumentError("rates start at n = 2")
+    return sum((mass for mass, _ in _split_components(d, n)), 0.0)
 
 
 def splitting_rule(d, n):
-    lam = rate(d, n)
+    if n < 2:
+        raise ArgumentError("rates start at n = 2")
+    weights = {p: kappa_cylinder(d, p) for p in all_partitions(n) if not p.is_trivial()}
+    lam = sum(weights.values())
     if lam <= 0:
         raise ModelError("zero splitting rate: degenerate dislocation")
-    probs = {p: kappa_cylinder(d, p) / lam
-             for p in all_partitions(n) if not p.is_trivial()}
-    t = SplittingRuleTable(n, probs)
+    t = SplittingRuleTable(n, {p: w / lam for p, w in weights.items()})
     t.validate()
     return t
 
@@ -265,6 +256,35 @@ def consistency_residual(d, n):
     return eppf_recursion_residual(splitting_rule(d, n), splitting_rule(d, n + 1))
 
 
+def _split_components(d, b):
+    """(mass, component) list of the root split of a block of size b >= 2.
+
+    A component is a level atom ("atom", j, s, bias) or a delta atom
+    ("fixed", p).  The level-j component puts total mass P(paintbox of [b]
+    lands in class j) on P_b, which is 1 - sum s_i^2 for j = 1 and
+    sum_i s_i^j (1 - s_i) for j >= 2; bias holds those per-colour terms
+    (None for j = 1).  Components of zero mass are dropped.
+    """
+    comps = []
+    for j in range(1, b):
+        for s, w in d.atoms_at(j):
+            if j == 1:
+                bias = None
+                q = 1.0 - sum(si ** 2 for si in s.atoms)
+            else:
+                bias = [si ** j * (1 - si) for si in s.atoms]
+                q = sum(bias)
+            if q > 0:
+                comps.append((w * q, ("atom", j, s, bias)))
+        if d.c_at(j) > 0 and _epsilon_restricted(j + 1, b) is not None:
+            comps.append((d.c_at(j), ("fixed", _epsilon_restricted(j + 1, b))))
+        if d.k_at(j) > 0 and _omega_restricted(j, b) is not None:
+            comps.append((d.k_at(j), ("fixed", _omega_restricted(j, b))))
+    if d.c_at(1) > 0:
+        comps.append((d.c_at(1), ("fixed", _epsilon_restricted(1, b))))
+    return comps
+
+
 def sample_split(d, b, rng):
     """Draw one root split of a block of size b >= 2, without building P_b tables.
 
@@ -274,21 +294,7 @@ def sample_split(d, b, rng):
     """
     if b < 2:
         raise ArgumentError("blocks of size 1 do not split")
-    comps = []
-    for j in range(1, b):
-        for s, w in d.atoms_at(j):
-            if j == 1:
-                q = 1.0 - sum(si ** 2 for si in s.atoms)
-            else:
-                q = sum(si ** j * (1 - si) for si in s.atoms)
-            if q > 0:
-                comps.append((w * q, ("atom", j, s)))
-        if d.c_at(j) > 0 and _epsilon_restricted(j + 1, b) is not None:
-            comps.append((d.c_at(j), ("fixed", _epsilon_restricted(j + 1, b))))
-        if d.k_at(j) > 0 and _omega_restricted(j, b) is not None:
-            comps.append((d.k_at(j), ("fixed", _omega_restricted(j, b))))
-    if d.c_at(1) > 0:
-        comps.append((d.c_at(1), ("fixed", _epsilon_restricted(1, b))))
+    comps = _split_components(d, b)
     weights = np.array([w for w, _ in comps])
     lam = weights.sum()
     if lam <= 0:
@@ -296,7 +302,7 @@ def sample_split(d, b, rng):
     _, comp = comps[rng.choice(len(comps), p=weights / lam)]
     if comp[0] == "fixed":
         return comp[1]
-    _, j, s = comp
+    _, j, s, bias = comp
     probs = np.array(list(s.atoms) + [s.s0])
     cum = np.cumsum(probs)
     colours = np.searchsorted(cum, rng.random(b))
@@ -309,7 +315,7 @@ def sample_split(d, b, rng):
     else:
         # paints 1..j share colour i (chosen by size-biasing s_i^j (1-s_i));
         # paint j+1 avoids colour i; the rest stay unconditioned
-        ws = np.array([si ** j * (1 - si) for si in s.atoms])
+        ws = np.array(bias)
         i = rng.choice(m, p=ws / ws.sum())
         colours[:j] = i
         other = np.delete(probs, i)

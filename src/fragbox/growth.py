@@ -16,6 +16,19 @@ from .partitions import Hierarchy
 _FMT = repr  # shortest round-trip decimal for golden files
 
 
+def _labels_below(children, leaf_label, v):
+    """Sorted leaf labels of the subtree at v; children lists internal nodes."""
+    out = []
+    stack = [v]
+    while stack:
+        u = stack.pop()
+        if u in leaf_label:
+            out.append(leaf_label[u])
+        else:
+            stack.extend(children.get(u, ()))
+    return sorted(out)
+
+
 @dataclass
 class GrownTree:
     """Rooted labelled tree: leaves carry labels 1..n, internal nodes >= 2 children."""
@@ -39,40 +52,27 @@ class GrownTree:
 
     def labels_under(self, v):
         """Sorted leaf labels below v (inclusive)."""
-        out = []
-        stack = [v]
-        while stack:
-            u = stack.pop()
-            if u in self.leaf_label:
-                out.append(self.leaf_label[u])
-            else:
-                stack.extend(self.children[u])
-        return sorted(out)
+        return _labels_below(self.children, self.leaf_label, v)
 
-    @property
-    def vertices(self):
-        """The hierarchy view: frozenset of leaf-label frozensets, root included."""
-        sets = {}
-        order = self._postorder()
-        for u in order:
-            if u in self.leaf_label:
-                sets[u] = frozenset({self.leaf_label[u]})
-            else:
-                acc = frozenset()
-                for c in self.children[u]:
-                    acc |= sets[c]
-                sets[u] = acc
-        return frozenset(sets.values())
-
-    @property
-    def parent(self):
-        """Vertex-set to parent-vertex-set mapping for every non-root vertex."""
+    def _label_sets(self):
+        """node id -> frozenset of the leaf labels below it."""
         sets = {}
         for u in self._postorder():
             if u in self.leaf_label:
                 sets[u] = frozenset({self.leaf_label[u]})
             else:
                 sets[u] = frozenset().union(*(sets[c] for c in self.children[u]))
+        return sets
+
+    @property
+    def vertices(self):
+        """The hierarchy view: frozenset of leaf-label frozensets, root included."""
+        return frozenset(self._label_sets().values())
+
+    @property
+    def parent(self):
+        """Vertex-set to parent-vertex-set mapping for every non-root vertex."""
+        sets = self._label_sets()
         return {sets[u]: sets[self.parent_of[u]] for u in sets if u != self.root}
 
     def _postorder(self):
@@ -330,6 +330,10 @@ class MetricTree:
 
     def leaves(self):
         return sorted(self.leaf_labels, key=lambda v: self.leaf_labels[v])
+
+    def labels_under(self, v):
+        """Sorted leaf labels below v (inclusive)."""
+        return _labels_below(self.children, self.leaf_labels, v)
 
     def validate(self):
         if any(l < 0 for l in self.length.values()):

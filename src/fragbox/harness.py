@@ -10,23 +10,22 @@ import io
 import json
 import math
 import time
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import stats
 
-from .errors import ArgumentError, ModelError
+from .errors import ArgumentError
 from . import __version__ as _version
 from .dislocation import (DiscreteDislocation, alphagamma_growth_split_oracle,
                           consistency_residual, sampling_consistency_residual,
                           skewed_pd_splitting_table, splitting_rule)
-from .growth import grow_alphagamma, reduced_tree, sample_fragmentation_tree
+from .growth import grow_alphagamma, reduced_tree
 from .paintbox import gnedin_constrained_run
 from .partitions import (FiniteMeasureOnPartitions, all_partitions,
                          classify_exchangeability)
 from .spine import (KnWindow, LevyAtoms, pjs_tail_statistic, renewal_moment,
-                    sample_reduced_crt, simulate_subordinator, sample_Kn,
-                    pjs_limit_functional)
+                    sample_reduced_crt)
 from .treemetric import gh_distance_rooted, scaling_exponent
 
 P_THRESHOLD = 1e-3
@@ -327,21 +326,11 @@ def _exp_reduced_crt(cfg):
             _w.simplefilter("ignore")
             mt = sample_reduced_crt(d, k, alpha, rng)
         for v, ell in mt.length.items():
-            labs = tuple(sorted(mt.leaf_labels.get(u, 0) for u in _collect(mt, v)))
-            acc.setdefault(labs, []).append(ell)
+            acc.setdefault(tuple(mt.labels_under(v)), []).append(ell)
     for labs, vals in sorted(acc.items()):
         rows.append((" ".join(map(str, labs)), repr(float(np.mean(vals))), len(vals)))
     return {"k": k, "alpha": alpha}, {
         "edges.csv": csv_text(rows, ("edge_leaves", "mean_length", "count"))}
-
-
-def _collect(mt, v):
-    out, stack = [], [v]
-    while stack:
-        u = stack.pop()
-        out.append(u)
-        stack.extend(mt.children.get(u, []))
-    return [u for u in out if u in mt.leaf_labels]
 
 
 def _exp_exponent(cfg):

@@ -10,7 +10,7 @@ from itertools import permutations
 import numpy as np
 
 from .errors import ArgumentError, ResourceBudgetError, UnsupportedCaseError
-from .partitions import Partition, block_size_multiset, restrict_partition
+from .partitions import Partition, restrict_partition
 
 REJECTION_BUDGET = 10_000_000
 

@@ -7,7 +7,6 @@ blocks with "|" and elements with spaces, e.g. "1 3|2".
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import permutations
 
 from .errors import ArgumentError
 
@@ -48,12 +47,6 @@ class Partition:
     @property
     def k(self):
         return len(self.blocks)
-
-    def block_of(self, x):
-        for b in self.blocks:
-            if x in b:
-                return b
-        raise ArgumentError(f"{x} not in ground set")
 
     def to_text(self):
         return "|".join(" ".join(str(x) for x in b) for b in self.blocks)

@@ -7,14 +7,13 @@ All paths are compound Poisson after truncation; the power tail x^(-a) on
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ArgumentError, ModelError, UnsupportedCaseError
+from .dislocation import sample_split
+from .errors import ArgumentError, UnsupportedCaseError
 from .growth import MetricTree
-from .paintbox import kingman_cylinder_prob
-from .partitions import all_partitions
 
 NEGLIGIBLE = 1e-8  # e^{-a xi} below this ends an infinite window
 
@@ -286,20 +285,6 @@ def renewal_moment(interarrival_sampler, t, p, reps, rng):
     return float(np.mean((counts / t) ** p))
 
 
-def _crt_shape_prob(d, pi):
-    m = pi.cylinder_class()
-    return sum(w * kingman_cylinder_prob(s, pi) for s, w in d.atoms_at(m))
-
-
-def _sample_crt_split(d, b, rng):
-    cands = [p for p in all_partitions(b) if not p.is_trivial()]
-    ws = np.array([_crt_shape_prob(d, p) for p in cands])
-    lam = ws.sum()
-    if lam <= 0:
-        raise ModelError("zero split mass for block size %d" % b)
-    return cands[int(rng.choice(len(cands), p=ws / lam))], lam
-
-
 def _edge_length(d, j, alpha, rng, leaf_cap):
     levy = spinal_levy_measure(d, j)
     lam = levy.kill_rate
@@ -322,8 +307,9 @@ def _edge_length(d, j, alpha, rng, leaf_cap):
 
 
 def sample_reduced_crt(d, k, alpha, rng, lengths=True, leaf_cap=100.0):
-    """Reduced tree on k leaves: recursive splits with level-m cylinder weights,
-    edge lengths as killed exponential functionals of fresh spinal paths.
+    """Reduced tree on k leaves: recursive splits drawn by sample_split (the
+    model's own splitting rule, so k is not capped), edge lengths as killed
+    exponential functionals of fresh spinal paths.
 
     Uncapped spines (killing rate 0, e.g. every leaf edge) are horizon-capped
     at leaf_cap with a warning.
@@ -355,7 +341,7 @@ def sample_reduced_crt(d, k, alpha, rng, lengths=True, leaf_cap=100.0):
             leaf_labels[v] = labs[0]
             return
         children[v] = []
-        pi, _ = _sample_crt_split(d, j, rng)
+        pi = sample_split(d, j, rng)
         for b in pi.blocks:
             mk(v, [labs[i - 1] for i in b])
 
@@ -363,15 +349,3 @@ def sample_reduced_crt(d, k, alpha, rng, lengths=True, leaf_cap=100.0):
     mt = MetricTree(children, length, leaf_labels, 0)
     return mt
 
-
-def crt_split_table(d, b):
-    """Exact shape-split law used by sample_reduced_crt, for cross-checks."""
-    from .dislocation import SplittingRuleTable
-    cands = [p for p in all_partitions(b) if not p.is_trivial()]
-    ws = {p: _crt_shape_prob(d, p) for p in cands}
-    lam = sum(ws.values())
-    if lam <= 0:
-        raise ModelError("zero split mass")
-    t = SplittingRuleTable(b, {p: w / lam for p, w in ws.items()})
-    t.validate()
-    return t

@@ -8,7 +8,7 @@ import numpy as np
 
 from .errors import ArgumentError, UnsupportedCaseError
 from .growth import (grow_alphagamma, mean_depth, reduced_tree,
-                     sample_fragmentation_tree, spine_depth, tree_height)
+                     sample_fragmentation_tree, tree_height)
 
 GH_LEAF_CAP = 10
 FOUR_POINT_TOL = 1e-9
@@ -201,22 +201,11 @@ def edge_convergence_experiment(model, k, n_grid, reps, rng):
             t = _sample_tree(model, n, rng)
             rt = reduced_tree(t, range(1, min(k, n) + 1))
             for v, ell in rt.length.items():
-                labs = tuple(sorted(rt.leaf_labels[u] for u in _subtree(rt, v)
-                                    if u in rt.leaf_labels))
-                acc.setdefault(labs, []).append(ell / scale)
+                acc.setdefault(tuple(rt.labels_under(v)), []).append(ell / scale)
         for labs, vals in sorted(acc.items()):
             arr = np.array(vals)
             out.append({"n": n, "edge": labs, "mean": float(arr.mean()),
                         "var": float(arr.var()), "count": len(vals)})
-    return out
-
-
-def _subtree(mt, v):
-    out, stack = [], [v]
-    while stack:
-        u = stack.pop()
-        out.append(u)
-        stack.extend(mt.children.get(u, []))
     return out
 
 

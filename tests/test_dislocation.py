@@ -52,6 +52,11 @@ def test_construction_exclusions():
                                             theorem2_mode=True)
     with pytest.raises(ArgumentError):
         DiscreteDislocation.from_level_dict({1: [((0.5, 0.5), -1.0)]})
+    # a negative delta atom is not a measure; the rate routes would disagree
+    with pytest.raises(ArgumentError):
+        DiscreteDislocation.from_level_dict({1: [((0.5, 0.5), 1.0)]}, c=(-0.3,))
+    with pytest.raises(ArgumentError):
+        DiscreteDislocation.from_level_dict({1: [((0.5, 0.5), 1.0)]}, k=(-0.1,))
 
 
 def test_nu_mixture_weight_examples():

@@ -132,6 +132,13 @@ def test_cli_success_exit_0(tmp_path):
     assert (tmp_path / "o" / "table.csv").exists()
 
 
+def test_cli_reduced_crt_beyond_enumeration_sizes():
+    # splits come from sample_split, so k has no enumeration cap
+    r = cli("reduced-crt", "--param", "k=13", "--reps", "2")
+    assert r.returncode == 0, r.stderr
+    assert json.loads(r.stdout)["k"] == 13
+
+
 def test_cli_csv_format():
     r = cli("split-table", "--param", "n=3", "--format", "csv")
     assert r.returncode == 0, r.stderr

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from fragbox import (ArgumentError, KnWindow, LevyAtoms, SubordinatorPath,
-                     UnsupportedCaseError, crt_split_table, Partition,
+                     UnsupportedCaseError, Partition,
                      pjs_limit_functional, pjs_tail_statistic, renewal_moment,
                      sample_Kn, sample_reduced_crt, simulate_subordinator,
                      spinal_levy_measure, splitting_rule)
@@ -182,60 +182,34 @@ def test_reduced_crt_shapes():
         mt = sample_reduced_crt(d, 2, 0.5, rng)
     assert sorted(mt.leaf_labels.values()) == [1, 2]
     assert mt.shape_text() == "(*,*)"
-    # exact shape table at k = 3 equals the splitting rule of the model
-    ct = crt_split_table(d, 3)
-    st = splitting_rule(d, 3)
-    for p in st.probs:
-        assert abs(ct.probs[p] - st.probs[p]) < 1e-12
 
 
-def test_reduced_crt_shape_law_general_models():
-    rng = np.random.default_rng(7)
-    for seed in range(5):
-        r2 = np.random.default_rng(100 + seed)
-        m_cap = int(r2.integers(1, 4))
-        levels = {}
-        for j in range(1, m_cap + 1):
-            atoms = []
-            for _ in range(int(r2.integers(1, 3))):
-                m = int(r2.integers(2, 4))
-                raw = r2.random(m) + 0.05
-                raw = raw / raw.sum()
-                atoms.append((tuple(np.sort(raw)[::-1]), float(r2.random() + 0.1)))
-            levels[j] = atoms
-        d = DiscreteDislocation.from_level_dict(levels, theorem2_mode=True)
-        for n in (3, 4, 5):
-            ct = crt_split_table(d, n)
-            st = splitting_rule(d, n)
-            for p in st.probs:
-                assert abs(ct.probs[p] - st.probs[p]) < 1e-12
+def _general_theorem2_model():
+    # m_cap = 3: levels 1 and 2 explicit, level 3 serves every j >= 3
+    return DiscreteDislocation.from_level_dict(
+        {1: [((0.6, 0.4), 1.0), ((0.5, 0.3, 0.2), 0.4)],
+         2: [((0.7, 0.3), 0.8)],
+         3: [((0.45, 0.35, 0.2), 0.6), ((0.8, 0.2), 0.3)]},
+        theorem2_mode=True)
 
 
 def test_reduced_crt_sampled_shape_frequencies():
-    d = single_atom_model()
-    counts = {}
+    # the root split of the reduced tree follows the model's splitting rule
     reps = 20_000
-    rng = np.random.default_rng(8)
-    for _ in range(reps):
-        mt = sample_reduced_crt(d, 3, 0.5, rng, lengths=False)
-        top = mt.children[mt.children[0][0]]
-        blocks = []
-        for c in top:
-            labs = []
-            stack = [c]
-            while stack:
-                u = stack.pop()
-                if u in mt.leaf_labels:
-                    labs.append(mt.leaf_labels[u])
-                stack.extend(mt.children.get(u, []))
-            blocks.append(labs)
-        p = Partition.from_blocks(3, blocks)
-        counts[p] = counts.get(p, 0) + 1
-    st = splitting_rule(d, 3)
-    cats = [p for p, v in st.probs.items() if v > 0]
-    rep = chi_square_gof([counts.get(c, 0) for c in cats],
-                         [st.probs[c] for c in cats])
-    assert rep.p_value > 1e-3
+    for d, k, seed in ((single_atom_model(), 3, 8),
+                       (_general_theorem2_model(), 4, 12)):
+        counts = {}
+        rng = np.random.default_rng(seed)
+        for _ in range(reps):
+            mt = sample_reduced_crt(d, k, 0.5, rng, lengths=False)
+            top = mt.children[mt.children[0][0]]
+            p = Partition.from_blocks(k, [mt.labels_under(c) for c in top])
+            counts[p] = counts.get(p, 0) + 1
+        st = splitting_rule(d, k)
+        cats = [p for p, v in st.probs.items() if v > 0]
+        rep = chi_square_gof([counts.get(c, 0) for c in cats],
+                             [st.probs[c] for c in cats])
+        assert rep.p_value > 1e-3, (k, rep.p_value)
 
 
 def test_reduced_crt_edge_length_oracle():
