@@ -7,8 +7,11 @@ k_j (full shatter of the complement).  Level j feeds exactly the cylinder
 class P^j of partitions whose restriction to [j+1] is {[j], {j+1}}.
 """
 
+import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate
 
 import numpy as np
 
@@ -191,7 +194,9 @@ def rate_closed_form(d, n):
     """lambda_n summed per mixture component instead of per partition.
 
     Independent route used to cross-check rate(): the total of the component
-    masses that sample_split draws from.
+    masses that sample_split draws from.  The capped level's classes
+    j >= m_cap enter as one geometric tail per atom, so the cost is
+    O(levels * atoms) for every n.
     """
     if n < 2:
         raise ArgumentError("rates start at n = 2")
@@ -259,64 +264,98 @@ def consistency_residual(d, n):
 def _split_components(d, b):
     """(mass, component) list of the root split of a block of size b >= 2.
 
-    A component is a level atom ("atom", j, s, bias) or a delta atom
-    ("fixed", p).  The level-j component puts total mass P(paintbox of [b]
-    lands in class j) on P_b, which is 1 - sum s_i^2 for j = 1 and
-    sum_i s_i^j (1 - s_i) for j >= 2; bias holds those per-colour terms
-    (None for j = 1).  Components of zero mass are dropped.
+    A level component ("atom", lo, hi, s, cum) covers the paintbox classes
+    j = lo..hi of one atom s: its mass is P(paintbox of [b] lands in one of
+    those classes) on P_b, and cum holds the running sum of its per-colour
+    masses (None for class 1, whose mass 1 - sum s_i^2 also lets the second
+    paint fall in dust).  Every class j < max(m_cap, 2) gets one component
+    per atom of nu_j, with per-colour masses s_i^j (1 - s_i).  The capped
+    level serves every class j in [max(m_cap, 2), b - 1] through one tail
+    component per atom, whose per-colour masses are the geometric sums
+    s_i^lo - s_i^b.  A delta atom ("delta", build, j) puts its constant on
+    the partition build(j, b), which is built only when drawn.  Components
+    of zero mass are dropped.  Whatever b is, the list holds at most one
+    entry per atom of each level (two per atom when m_cap = 1) and one per
+    c_j, k_j and c_1, so its cost does not depend on b.
     """
     comps = []
-    for j in range(1, b):
-        for s, w in d.atoms_at(j):
-            if j == 1:
-                bias = None
+
+    def add_atoms(atoms, lo, hi):
+        for s, w in atoms:
+            if lo == 1:
+                cum = None
                 q = 1.0 - sum(si ** 2 for si in s.atoms)
             else:
-                bias = [si ** j * (1 - si) for si in s.atoms]
-                q = sum(bias)
+                cum = list(accumulate(si ** lo * (1.0 - si ** (hi + 1 - lo))
+                                      for si in s.atoms))
+                q = cum[-1]
             if q > 0:
-                comps.append((w * q, ("atom", j, s, bias)))
-        if d.c_at(j) > 0 and _epsilon_restricted(j + 1, b) is not None:
-            comps.append((d.c_at(j), ("fixed", _epsilon_restricted(j + 1, b))))
-        if d.k_at(j) > 0 and _omega_restricted(j, b) is not None:
-            comps.append((d.k_at(j), ("fixed", _omega_restricted(j, b))))
+                comps.append((w * q, ("atom", lo, hi, s, cum)))
+
+    tail = max(d.m_cap, 2)
+    for j in range(1, min(tail, b)):
+        add_atoms(d.atoms_at(j), j, j)
+    if tail < b:
+        add_atoms(d.levels[-1], tail, b - 1)
+    for j, cj in enumerate(d.c[:b - 1], 1):
+        if cj > 0:
+            comps.append((cj, ("delta", _epsilon_restricted, j + 1)))
+    for j, kj in enumerate(d.k[:b - 1], 1):
+        if kj > 0:
+            comps.append((kj, ("delta", _omega_restricted, j)))
     if d.c_at(1) > 0:
-        comps.append((d.c_at(1), ("fixed", _epsilon_restricted(1, b))))
+        comps.append((d.c_at(1), ("delta", _epsilon_restricted, 1)))
     return comps
+
+
+def _pick(cum, u):
+    """Index drawn from running sums cum by one uniform u in [0, 1)."""
+    return min(bisect_right(cum, u * cum[-1]), len(cum) - 1)
+
+
+def _truncated_geometric(s, lo, hi, u):
+    """Inverse-CDF draw of j on lo..hi with P(j) proportional to s^j, 0 < s < 1."""
+    ls = math.log(s)
+    t = math.floor(math.log1p(u * math.expm1((hi + 1 - lo) * ls)) / ls)
+    return lo + min(max(t, 0), hi - lo)
 
 
 def sample_split(d, b, rng):
     """Draw one root split of a block of size b >= 2, without building P_b tables.
 
-    Picks a mixture component (level atom or delta constant) proportionally to
-    its total cylinder mass, then samples the conditioned paintbox directly:
-    only the first j+1 paints are constrained by the class-j event.
+    Picks a mixture component of _split_components by one uniform against
+    the running sums of their masses; for a level component, picks the colour
+    i by its per-colour mass and, for a tail, the class j by inverting the
+    truncated geometric law P(j) proportional to s_i^j on [lo, b - 1].  Then
+    samples the conditioned paintbox directly: only the first j+1 paints are
+    constrained by the class-j event.  Apart from the O(b) paints and the
+    returned partition, the cost does not grow with b.
     """
     if b < 2:
         raise ArgumentError("blocks of size 1 do not split")
     comps = _split_components(d, b)
-    weights = np.array([w for w, _ in comps])
-    lam = weights.sum()
-    if lam <= 0:
+    masses = list(accumulate(mass for mass, _ in comps))
+    if not masses or masses[-1] <= 0:
         raise ModelError("zero splitting rate: degenerate dislocation")
-    _, comp = comps[rng.choice(len(comps), p=weights / lam)]
-    if comp[0] == "fixed":
-        return comp[1]
-    _, j, s, bias = comp
+    comp = comps[_pick(masses, rng.random())][1]
+    if comp[0] == "delta":
+        _, build, j = comp
+        return build(j, b)
+    _, lo, hi, s, colour_cum = comp
     probs = np.array(list(s.atoms) + [s.s0])
     cum = np.cumsum(probs)
     colours = np.searchsorted(cum, rng.random(b))
     m = len(s.atoms)
-    if j == 1:
+    if lo == 1:
         # condition on paints 1 and 2 sitting in different blocks
         while colours[0] == colours[1] and colours[0] < m:
             colours[0] = np.searchsorted(cum, rng.random())
             colours[1] = np.searchsorted(cum, rng.random())
     else:
-        # paints 1..j share colour i (chosen by size-biasing s_i^j (1-s_i));
-        # paint j+1 avoids colour i; the rest stay unconditioned
-        ws = np.array(bias)
-        i = rng.choice(m, p=ws / ws.sum())
+        # paints 1..j share colour i (chosen by its mass over classes lo..hi,
+        # then j given i); paint j+1 avoids colour i; the rest stay free
+        i = _pick(colour_cum, rng.random())
+        j = lo if lo == hi else _truncated_geometric(s.atoms[i], lo, hi, rng.random())
         colours[:j] = i
         other = np.delete(probs, i)
         colours[j] = np.searchsorted(np.cumsum(other), rng.random() * other.sum())

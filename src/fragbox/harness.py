@@ -139,9 +139,33 @@ class ExperimentConfig:
         return cfg
 
 
+def _is_number(x):
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def _is_atom_entry(e):
+    """True for one [atoms, weight] entry of a level: a list of numbers and a number."""
+    return (isinstance(e, (list, tuple)) and len(e) == 2
+            and isinstance(e[0], (list, tuple)) and all(map(_is_number, e[0]))
+            and _is_number(e[1]))
+
+
 def dislocation_from_params(p):
-    levels = {int(k): [(tuple(a), w) for a, w in v]
-              for k, v in p.get("levels", {}).items()}
+    """Model from params["levels"] = {level: [[atoms, weight], ...]} plus c, k."""
+    raw = p.get("levels", {})
+    if not isinstance(raw, dict):
+        raise ArgumentError("levels must be an object {level: [[atoms, weight], ...]}")
+    levels = {}
+    for key, entries in raw.items():
+        try:
+            j = int(key)
+        except (TypeError, ValueError):
+            raise ArgumentError(f"level key {key!r} is not an integer") from None
+        if j < 1:
+            raise ArgumentError(f"level key {key!r} must be at least 1")
+        if not isinstance(entries, list) or not all(map(_is_atom_entry, entries)):
+            raise ArgumentError(f"level {key!r}: each entry must be [atoms, weight]")
+        levels[j] = [(tuple(a), w) for a, w in entries]
     return DiscreteDislocation.from_level_dict(
         levels, tuple(p.get("c", ())), tuple(p.get("k", ())),
         p.get("theorem2", False))

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fragbox import (ArgumentError, DiscreteDislocation, MassPartition,
                      ModelError, Partition, ResourceBudgetError,
@@ -13,6 +14,7 @@ from fragbox import (ArgumentError, DiscreteDislocation, MassPartition,
                      sampling_consistency_residual, skewed_pd_ranked_split,
                      skewed_pd_splitting_table, splitting_rule, table_to_eppf,
                      FiniteMeasureOnPartitions, classify_exchangeability)
+from fragbox.dislocation import _split_components
 from fragbox.harness import chi_square_gof, single_atom_model
 
 
@@ -202,6 +204,107 @@ def test_sample_split_large_block():
     p = sample_split(d, 64, rng)
     assert p.n == 64 and not p.is_trivial()
     assert p.cylinder_class() == 1
+
+
+# (atom part counts per level, len(c), len(k)): the benchmark's model shapes
+SPLIT_SHAPES = (
+    (((2,),), 0, 0),
+    (((2,), (3,)), 1, 0),
+    (((1,), (2, 3), (2,)), 2, 1),
+    (((3, 2), ()), 0, 2),
+    (((2,), (), (3,)), 1, 1),
+    (((3, 1),), 2, 2),
+)
+
+
+def shaped_model(rng, shape):
+    levels_spec, nc, nk = shape
+    levels = {}
+    for j, parts in enumerate(levels_spec, 1):
+        levels[j] = []
+        for m in parts:
+            raw = rng.random(m) + 0.05
+            raw = raw / (raw.sum() + rng.random())
+            levels[j].append((tuple(np.sort(raw)[::-1]), float(rng.random() + 0.1)))
+    return DiscreteDislocation.from_level_dict(
+        levels, tuple(rng.random(nc) * 0.3), tuple(rng.random(nk) * 0.3))
+
+
+def per_class_rate(d, n):
+    """lambda_n class by class, j = 1..n-1: the loop the tail closed form replaces."""
+    total = d.c_at(1)
+    for j in range(1, n):
+        for s, w in d.atoms_at(j):
+            if j == 1:
+                total += w * (1 - sum(si ** 2 for si in s.atoms))
+            else:
+                total += w * sum(si ** j * (1 - si) for si in s.atoms)
+        total += d.c_at(j) + d.k_at(j)
+    return total
+
+
+def test_split_components_independent_of_block_size():
+    rng = np.random.default_rng(18)
+    for shape in SPLIT_SHAPES:
+        for _ in range(3):
+            d = shaped_model(rng, shape)
+            assert (len(_split_components(d, d.m_cap + 2))
+                    == len(_split_components(d, 10 ** 6)))
+            oracle = per_class_rate(d, 200)
+            assert abs(rate_closed_form(d, 200) - oracle) <= 1e-12 * oracle
+
+
+def sampled_split_p_value(d, n, reps, seed):
+    rng = np.random.default_rng(seed)
+    table = splitting_rule(d, n)
+    counts = {}
+    for _ in range(reps):
+        p = sample_split(d, n, rng)
+        counts[p] = counts.get(p, 0) + 1
+    assert set(counts) <= set(table.probs)
+    cats = list(table.probs)
+    return chi_square_gof([counts.get(c, 0) for c in cats],
+                          [table.probs[c] for c in cats]).p_value
+
+
+def test_sample_split_tail_law_cap_one_with_dust():
+    # m_cap = 1: class 1 has its own component, the tail serves j = 2..4
+    d = DiscreteDislocation.from_level_dict(
+        {1: [((0.5, 0.3), 1.0), ((0.6,), 0.4)]}, c=(0.1,), k=(0.05,))
+    assert len(_split_components(d, 5)) == 7
+    assert sampled_split_p_value(d, 5, 40_000, 19) > 1e-3
+
+
+def test_sample_split_tail_law_cap_three():
+    # m_cap = 3 at n = 6: levels 1 and 2 explicit, the tail serves j = 3..5
+    d = DiscreteDislocation.from_level_dict(
+        {1: [((0.5, 0.3), 1.0)], 2: [((0.6, 0.2), 0.5)],
+         3: [((0.5, 0.4), 0.8), ((0.7,), 0.6)]}, c=(0.1, 0.05), k=(0.0, 0.1))
+    assert sampled_split_p_value(d, 6, 40_000, 20) > 1e-3
+
+
+@st.composite
+def dislocations(draw):
+    def atom():
+        m = draw(st.integers(1, 3))
+        raw = draw(st.lists(st.floats(0.05, 1.0), min_size=m, max_size=m))
+        total = sum(raw) + draw(st.floats(0.0 if m > 1 else 0.01, 1.0))
+        return tuple(sorted((x / total for x in raw), reverse=True))
+
+    levels = {j: [(atom(), draw(st.floats(0.1, 1.1)))
+                  for _ in range(draw(st.integers(0, 2)))]
+              for j in range(1, draw(st.integers(1, 3)) + 1)}
+    if not any(levels.values()):
+        levels[1] = [((0.5, 0.5), 1.0)]
+    c = draw(st.lists(st.floats(0.0, 0.3), max_size=2))
+    k = draw(st.lists(st.floats(0.0, 0.3), max_size=2))
+    return DiscreteDislocation.from_level_dict(levels, c, k)
+
+
+@settings(max_examples=60)
+@given(dislocations(), st.integers(2, 7))
+def test_rate_closed_form_matches_enumeration(d, n):
+    assert abs(rate(d, n) - rate_closed_form(d, n)) < 1e-10
 
 
 # ---------------------------------------------------------------------------

@@ -158,6 +158,16 @@ def test_cli_bad_input_exit_2(tmp_path):
     assert cli("grow", "--param", "nonsense").returncode == 2
 
 
+def test_cli_malformed_levels_exit_2():
+    # levels not an object, a level key not an integer, an entry not
+    # [atoms, weight], a level key below 1 (which would be dropped silently)
+    for levels in ('[1]', '{"a": [[[0.5, 0.5], 1.0]]}', '{"1": [[0.5, 0.5]]}',
+                   '{"0": [[[0.6], 1.0]], "1": [[[0.5, 0.5], 1.0]]}'):
+        r = cli("consistency", "--param", f"levels={levels}")
+        assert r.returncode == 2, (levels, r.stderr)
+        assert "Traceback" not in r.stderr
+
+
 def test_cli_gate_failure_exit_3():
     r = cli("grow", "--param", "n=3", "--param", "alpha=0.5",
             "--param", "gamma=0.3", "--param", "oracle_alpha=0.9",
