@@ -1,7 +1,8 @@
 """From a discrete dislocation model to splitting rules and consistency.
 
 The model assigns each cylinder class j its own atom list; the induced
-splitting rule P_n is the normalized cylinder measure.  The family is
+splitting rule P_n is the normalized cylinder measure, and its total mass
+lambda_n is the rate at which a block of size n splits.  The family is
 consistent: deleting label n+1 projects P_{n+1} back onto P_n.
 """
 
@@ -23,10 +24,10 @@ def main():
                 print(f"  {p.to_text():>12}  {v:.6f}")
 
     print()
-    print("== total rates, two routes ==")
+    print("== total rates: enumeration oracle and fast path ==")
     for n in (2, 3, 4, 5):
-        print(f"  lambda_{n}: per-partition sum {rate(d, n):.6f}, "
-              f"closed form {rate_closed_form(d, n):.6f}")
+        print(f"  lambda_{n}: sum over partitions {rate(d, n):.6f}, "
+              f"sum over mixture components {rate_closed_form(d, n):.6f}")
 
     print()
     print("== consistency residuals (should be ~ machine precision) ==")

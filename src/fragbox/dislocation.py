@@ -16,9 +16,9 @@ from itertools import accumulate
 import numpy as np
 
 from .errors import ArgumentError, ModelError, ResourceBudgetError
-from .paintbox import kingman_cylinder_prob
+from .paintbox import _paint_partition, _paints, kingman_cylinder_prob
 from .partitions import (Partition, all_partitions, block_size_multiset,
-                         MassPartition)
+                         csv_rows, csv_text, MassPartition)
 
 _EXCLUDED_TOL = 1e-12
 
@@ -109,39 +109,47 @@ def nu_mixture_weight(d, atom):
 
 
 def _epsilon_restricted(j, n):
-    """{{j}, [n] minus {j}} as a partition of [n]; trivial cases return None."""
-    if n < 2 or j > n:
-        return None
-    rest = [x for x in range(1, n + 1) if x != j]
-    return Partition.from_blocks(n, [rest, [j]])
+    """{{j}, [n] minus {j}} as a partition of [n], 1 <= j <= n."""
+    return Partition.from_blocks(n, [[x for x in range(1, n + 1) if x != j], [j]])
 
 
 def _omega_restricted(j, n):
-    """{[j], {j+1}, ..., {n}}; None when trivial."""
-    if j >= n:
-        return None
-    blocks = [list(range(1, j + 1))] + [[x] for x in range(j + 1, n + 1)]
-    return Partition.from_blocks(n, blocks)
+    """{[j], {j+1}, ..., {n}} as a partition of [n], 1 <= j < n."""
+    return Partition.from_blocks(n, [range(1, j + 1)] + [[x] for x in range(j + 1, n + 1)])
+
+
+def _delta_atoms(d, n):
+    """(mass, build, j) per delta atom of positive mass on P_n, n >= 2, whose
+    partition build(j, n) is left to callers that need it: c_j on
+    {{j+1}, rest} and k_j on {[j], {j+1}, ..., {n}} for j <= n - 1, then
+    c_1 once more on {{1}, rest}."""
+    atoms = [(cj, _epsilon_restricted, j + 1) for j, cj in enumerate(d.c[:n - 1], 1)]
+    atoms += [(kj, _omega_restricted, j) for j, kj in enumerate(d.k[:n - 1], 1)]
+    atoms.append((d.c_at(1), _epsilon_restricted, 1))
+    return [atom for atom in atoms if atom[0] > 0]
+
+
+def _level_cylinder(d, p):
+    """The paintbox part of kappa(P^p): the level-j atoms' cylinder masses."""
+    return sum(w * kingman_cylinder_prob(s, p) for s, w in d.atoms_at(p.cylinder_class()))
 
 
 def kappa_cylinder(d, p):
-    """kappa(P^p): delta-atom indicators plus the level-j paintbox cylinder mass."""
+    """kappa(P^p) of one non-trivial partition p: its level-j paintbox cylinder
+    plus the delta atoms on p.  splitting_rule and rate build each delta
+    partition once per table instead of once per cylinder."""
     if p.is_trivial():
         raise ArgumentError("trivial partition has no dislocation cylinder")
-    n = p.n
-    j = p.cylinder_class()
-    total = 0.0
-    if p == _epsilon_restricted(1, n):
-        total += d.c_at(1)
-    for jj in range(1, len(d.c) + 1):
-        if p == _epsilon_restricted(jj + 1, n):
-            total += d.c_at(jj)
-    for jj in range(1, len(d.k) + 1):
-        if p == _omega_restricted(jj, n):
-            total += d.k_at(jj)
-    for s, w in d.atoms_at(j):
-        total += w * kingman_cylinder_prob(s, p)
-    return total
+    return _level_cylinder(d, p) + sum(mass for mass, build, j in _delta_atoms(d, p.n)
+                                       if build(j, p.n) == p)
+
+
+def _cylinder_weights(d, n):
+    """{p: kappa(P^p)} over the non-trivial partitions of [n], n >= 2."""
+    weights = {p: _level_cylinder(d, p) for p in all_partitions(n) if not p.is_trivial()}
+    for mass, build, j in _delta_atoms(d, n):
+        weights[build(j, n)] += mass
+    return weights
 
 
 @dataclass
@@ -159,44 +167,48 @@ class SplittingRuleTable:
                 raise ArgumentError("trivial partition must carry no mass")
 
     def to_csv(self):
-        lines = ["partition,probability"]
-        for p in sorted(self.probs, key=lambda q: q.to_text()):
-            lines.append(f"{self.probs_key(p)},{self.probs[p]!r}")
-        return "\n".join(lines) + "\n"
+        rows = [(self.probs_key(p), repr(self.probs[p]))
+                for p in sorted(self.probs, key=self.probs_key)]
+        return csv_text(rows, ("partition", "probability"))
 
     def probs_key(self, p):
-        text = p.to_text()
-        return f'"{text}"' if "," in text else text
+        """The partition column of p's row: its canonical text form."""
+        return p.to_text()
 
     @staticmethod
     def from_csv(text):
-        rows = [r for r in text.strip().split("\n")[1:] if r]
-        probs = {}
-        n = 0
-        for row in rows:
-            part_text, prob = row.rsplit(",", 1)
-            p = Partition.from_text(part_text.strip('"'))
-            n = max(n, p.n)
-            probs[p] = float(prob)
+        probs = {Partition.from_text(key): float(prob) for key, prob in csv_rows(text)}
+        n = max(p.n for p in probs)
         probs = {Partition.from_blocks(n, p.blocks): v for p, v in probs.items()}
         return SplittingRuleTable(n, probs)
 
 
+def _full_table(n, probs):
+    """The validated table of probs on the non-trivial partitions of [n], 0 if absent."""
+    t = SplittingRuleTable(n, {p: probs.get(p, 0.0) for p in all_partitions(n)
+                               if not p.is_trivial()})
+    t.validate()
+    return t
+
+
 @lru_cache(maxsize=4096)
 def rate(d, n):
-    """lambda_n = kappa(all non-trivial cylinders of P_n); non-decreasing in n."""
+    """lambda_n = kappa(all non-trivial cylinders of P_n); non-decreasing in n.
+
+    This per-partition sum is the enumeration oracle of rate_closed_form.
+    """
     if n < 2:
         raise ArgumentError("rates start at n = 2")
-    return sum(kappa_cylinder(d, p) for p in all_partitions(n) if not p.is_trivial())
+    return sum(_cylinder_weights(d, n).values())
 
 
 def rate_closed_form(d, n):
     """lambda_n summed per mixture component instead of per partition.
 
-    Independent route used to cross-check rate(): the total of the component
-    masses that sample_split draws from.  The capped level's classes
-    j >= m_cap enter as one geometric tail per atom, so the cost is
-    O(levels * atoms) for every n.
+    The fast path of rate(), which stays its enumeration oracle: the total
+    of the component masses that sample_split draws from.  The capped
+    level's classes j >= m_cap enter as one geometric tail per atom, so the
+    cost is O(levels * atoms) for every n.
     """
     if n < 2:
         raise ArgumentError("rates start at n = 2")
@@ -206,13 +218,11 @@ def rate_closed_form(d, n):
 def splitting_rule(d, n):
     if n < 2:
         raise ArgumentError("rates start at n = 2")
-    weights = {p: kappa_cylinder(d, p) for p in all_partitions(n) if not p.is_trivial()}
+    weights = _cylinder_weights(d, n)
     lam = sum(weights.values())
     if lam <= 0:
         raise ModelError("zero splitting rate: degenerate dislocation")
-    t = SplittingRuleTable(n, {p: w / lam for p, w in weights.items()})
-    t.validate()
-    return t
+    return _full_table(n, {p: w / lam for p, w in weights.items()})
 
 
 def table_to_eppf(table, strict=True, tol=1e-9):
@@ -272,9 +282,9 @@ def _split_components(d, b):
     per atom of nu_j, with per-colour masses s_i^j (1 - s_i).  The capped
     level serves every class j in [max(m_cap, 2), b - 1] through one tail
     component per atom, whose per-colour masses are the geometric sums
-    s_i^lo - s_i^b.  A delta atom ("delta", build, j) puts its constant on
-    the partition build(j, b), which is built only when drawn.  Components
-    of zero mass are dropped.  Whatever b is, the list holds at most one
+    s_i^lo - s_i^b.  A delta atom ("delta", build, j) of _delta_atoms puts
+    its constant on the partition build(j, b), which is built only when
+    drawn.  Components of zero mass are dropped.  Whatever b is, the list holds at most one
     entry per atom of each level (two per atom when m_cap = 1) and one per
     c_j, k_j and c_1, so its cost does not depend on b.
     """
@@ -297,14 +307,7 @@ def _split_components(d, b):
         add_atoms(d.atoms_at(j), j, j)
     if tail < b:
         add_atoms(d.levels[-1], tail, b - 1)
-    for j, cj in enumerate(d.c[:b - 1], 1):
-        if cj > 0:
-            comps.append((cj, ("delta", _epsilon_restricted, j + 1)))
-    for j, kj in enumerate(d.k[:b - 1], 1):
-        if kj > 0:
-            comps.append((kj, ("delta", _omega_restricted, j)))
-    if d.c_at(1) > 0:
-        comps.append((d.c_at(1), ("delta", _epsilon_restricted, 1)))
+    comps += [(mass, ("delta", build, j)) for mass, build, j in _delta_atoms(d, b)]
     return comps
 
 
@@ -342,9 +345,7 @@ def sample_split(d, b, rng):
         _, build, j = comp
         return build(j, b)
     _, lo, hi, s, colour_cum = comp
-    probs = np.array(list(s.atoms) + [s.s0])
-    cum = np.cumsum(probs)
-    colours = np.searchsorted(cum, rng.random(b))
+    probs, cum, colours = _paints(s, b, rng)
     m = len(s.atoms)
     if lo == 1:
         # condition on paints 1 and 2 sitting in different blocks
@@ -361,12 +362,7 @@ def sample_split(d, b, rng):
         colours[j] = np.searchsorted(np.cumsum(other), rng.random() * other.sum())
         if colours[j] >= i:
             colours[j] += 1
-    blocks = {}
-    for r in range(1, b + 1):
-        ci = colours[r - 1]
-        key = int(ci) if ci < m else -r
-        blocks.setdefault(key, []).append(r)
-    return Partition.from_blocks(b, blocks.values())
+    return _paint_partition(colours, m)
 
 
 # ---------------------------------------------------------------------------
@@ -432,10 +428,7 @@ def alphagamma_growth_split_oracle(alpha, gamma, n):
     for t, pr in dist.items():
         pi = Partition.from_blocks(n, _hierarchy_children(t, root))
         probs[pi] = probs.get(pi, 0.0) + pr
-    full = {p: probs.get(p, 0.0) for p in all_partitions(n) if not p.is_trivial()}
-    t = SplittingRuleTable(n, full)
-    t.validate()
-    return t
+    return _full_table(n, probs)
 
 
 def alphagamma_eppf(alpha, gamma, sizes, cls):
@@ -528,7 +521,4 @@ def skewed_pd_splitting_table(alpha, theta, lam, n):
         z = sum(fac)
         for p, f in zip(members, fac):
             probs[p] = pr * f / z if z > 0 else 0.0
-    full = {p: probs.get(p, 0.0) for p in all_partitions(n) if not p.is_trivial()}
-    t = SplittingRuleTable(n, full)
-    t.validate()
-    return t
+    return _full_table(n, probs)

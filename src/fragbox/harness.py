@@ -4,9 +4,7 @@ Seeds derive from blake2b(master_seed, tag, replicate) so results never depend
 on wall clock or worker count.  JSON output sorts keys; CSV uses LF endings.
 """
 
-import csv
 import hashlib
-import io
 import json
 import math
 import time
@@ -23,7 +21,7 @@ from .dislocation import (DiscreteDislocation, alphagamma_growth_split_oracle,
 from .growth import grow_alphagamma, reduced_tree
 from .paintbox import gnedin_constrained_run
 from .partitions import (FiniteMeasureOnPartitions, all_partitions,
-                         classify_exchangeability)
+                         classify_exchangeability, csv_text)
 from .spine import (KnWindow, LevyAtoms, pjs_tail_statistic, renewal_moment,
                     sample_reduced_crt)
 from .treemetric import gh_distance_rooted, scaling_exponent
@@ -152,6 +150,10 @@ def _is_atom_entry(e):
 
 def dislocation_from_params(p):
     """Model from params["levels"] = {level: [[atoms, weight], ...]} plus c, k."""
+    for key in ("c", "k"):
+        consts = p.get(key, [])
+        if not isinstance(consts, (list, tuple)) or not all(map(_is_number, consts)):
+            raise ArgumentError(f"{key} must be a list of numbers")
     raw = p.get("levels", {})
     if not isinstance(raw, dict):
         raise ArgumentError("levels must be an object {level: [[atoms, weight], ...]}")
@@ -177,6 +179,16 @@ def single_atom_model():
         {1: [((0.5, 0.5), 1.0)], 2: []}, theorem2_mode=True)
 
 
+def _model_for(params):
+    """dislocation_from_params(params), or single_atom_model() without levels."""
+    if "levels" in params:
+        return dislocation_from_params(params)
+    stray = sorted({"c", "k", "theorem2"} & set(params))
+    if stray:
+        raise ArgumentError(f"{', '.join(stray)} given without levels")
+    return single_atom_model()
+
+
 def _table_for(params, n):
     family = params.get("family", "dislocation")
     if family == "alphagamma":
@@ -184,17 +196,7 @@ def _table_for(params, n):
     if family == "skewed-pd":
         return skewed_pd_splitting_table(params["alpha"], params["theta"],
                                          params["lambda"], n)
-    d = dislocation_from_params(params) if "levels" in params else single_atom_model()
-    return splitting_rule(d, n)
-
-
-def csv_text(rows, header):
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(header)
-    for r in rows:
-        w.writerow(r)
-    return buf.getvalue()
+    return splitting_rule(_model_for(params), n)
 
 
 # ---------------------------------------------------------------------------
@@ -204,10 +206,7 @@ def csv_text(rows, header):
 def _exp_split_table(cfg):
     n = cfg.params.get("n", 4)
     table = _table_for(cfg.params, n)
-    rows = [(p.to_text(), repr(v))
-            for p, v in sorted(table.probs.items(), key=lambda kv: kv[0].to_text())]
-    return {"n": n, "total": sum(table.probs.values())}, {
-        "table.csv": csv_text(rows, ("partition", "probability"))}
+    return {"n": n, "total": sum(table.probs.values())}, {"table.csv": table.to_csv()}
 
 
 def _exp_grow(cfg):
@@ -251,8 +250,7 @@ def _exp_grow(cfg):
 
 
 def _exp_consistency(cfg):
-    d = (dislocation_from_params(cfg.params) if "levels" in cfg.params
-         else single_atom_model())
+    d = _model_for(cfg.params)
     ns = cfg.params.get("n_grid", [2, 3, 4, 5])
     rows = [(n, repr(consistency_residual(d, n))) for n in ns]
     worst = max(float(r[1]) for r in rows)
@@ -338,7 +336,8 @@ def _exp_pjs(cfg):
 
 def _exp_reduced_crt(cfg):
     p = cfg.params
-    d = dislocation_from_params(p) if "levels" in p else single_atom_model()
+    # here k is the number of leaves, not the k_j constants of the model
+    d = _model_for({key: v for key, v in p.items() if key != "k"})
     k = p.get("k", 2)
     alpha = p.get("alpha", 0.0)
     rows = []
@@ -422,15 +421,18 @@ def run_experiment(cfg):
         "config": json.loads(cfg.to_json()),
         "library_version": _version,
         "summary": summary,
-        "wall_time_s": round(time.monotonic() - t0, 3),
     }
+    # the wall time varies run to run, so it stays out of summary.json
+    metrics = {"wall_time_s": round(time.monotonic() - t0, 3)}
     if cfg.out:
         import os
         os.makedirs(cfg.out, exist_ok=True)
-        with open(os.path.join(cfg.out, "summary.json"), "w") as f:
-            f.write(json.dumps(bundle, sort_keys=True, indent=2) + "\n")
+        for name, obj in (("summary.json", bundle), ("metrics.json", metrics)):
+            with open(os.path.join(cfg.out, name), "w") as f:
+                f.write(json.dumps(obj, sort_keys=True, indent=2) + "\n")
         for name, text in tables.items():
             with open(os.path.join(cfg.out, name), "w", newline="") as f:
                 f.write(text)
+    bundle["metrics"] = metrics
     bundle["tables"] = tables
     return bundle

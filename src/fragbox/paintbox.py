@@ -15,23 +15,31 @@ from .partitions import Partition, restrict_partition
 REJECTION_BUDGET = 10_000_000
 
 
+def _paints(s, n, rng):
+    """The colour probabilities (s_1, ..., s_m, s0), their running sums and
+    the colours of n iid paints (i < m for atom i, dust beyond), one uniform each."""
+    probs = np.array(list(s.atoms) + [s.s0])
+    cum = np.cumsum(probs)
+    return probs, cum, np.searchsorted(cum, rng.random(n))
+
+
+def _paint_partition(colours, m):
+    """The partition of [len(colours)] into equal colours below m; each dust
+    paint (colour >= m) is a singleton block."""
+    blocks = {}
+    for r, ci in enumerate(colours.tolist(), 1):
+        blocks.setdefault(ci if ci < m else -r, []).append(r)
+    return Partition.from_blocks(len(colours), blocks.values())
+
+
 def kingman_sample(s, n, rng):
     """Sample the value partition of n iid paints from s; dust draws are singletons.
 
-    Paint r gets colour i with probability s_i and its own negative colour -r
-    with probability s0, so dust indices come out as singleton blocks.
+    _paints draws the colours and _paint_partition maps them to blocks, the
+    two steps that dislocation.sample_split conditions in between.
     """
     assert n >= 1
-    probs = np.array(list(s.atoms) + [s.s0])
-    cum = np.cumsum(probs)
-    u = rng.random(n)
-    idx = np.searchsorted(cum, u)
-    blocks = {}
-    for r in range(1, n + 1):
-        i = idx[r - 1]
-        key = i if i < len(s.atoms) else -r
-        blocks.setdefault(key, []).append(r)
-    return Partition.from_blocks(n, blocks.values())
+    return _paint_partition(_paints(s, n, rng)[2], s.m)
 
 
 @lru_cache(maxsize=200_000)

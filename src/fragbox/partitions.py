@@ -5,6 +5,8 @@ listed in increasing order of least element.  The canonical text form joins
 blocks with "|" and elements with spaces, e.g. "1 3|2".
 """
 
+import csv
+import io
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -225,3 +227,15 @@ def classify_exchangeability(mu):
         "partially_exchangeable": partial,
         "restricted_exchangeable": restricted,
     }
+
+
+def csv_text(rows, header):
+    """CSV text of a header and rows, LF line endings."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows([header, *rows])
+    return buf.getvalue()
+
+
+def csv_rows(text):
+    """The data rows of CSV text as lists of strings; header and blank lines dropped."""
+    return [r for r in csv.reader(io.StringIO(text)) if r][1:]

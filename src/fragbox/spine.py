@@ -11,9 +11,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dislocation import sample_split
+from .dislocation import rate_closed_form, sample_split
 from .errors import ArgumentError, UnsupportedCaseError
 from .growth import MetricTree
+from .partitions import csv_rows, csv_text
 
 NEGLIGIBLE = 1e-8  # e^{-a xi} below this ends an infinite window
 
@@ -83,15 +84,11 @@ class SubordinatorPath:
         return v
 
     def to_csv(self):
-        lines = ["time,jump"]
-        for t, z in self.events:
-            lines.append(f"{t!r},{z!r}")
-        return "\n".join(lines) + "\n"
+        return csv_text([(repr(t), repr(z)) for t, z in self.events], ("time", "jump"))
 
     @staticmethod
     def from_csv(text, horizon):
-        rows = [r for r in text.strip().split("\n")[1:] if r]
-        events = [tuple(float(x) for x in r.split(",")) for r in rows]
+        events = [tuple(float(x) for x in r) for r in csv_rows(text)]
         p = SubordinatorPath(horizon, events)
         p.validate()
         return p
@@ -111,9 +108,11 @@ class KnWindow:
 def spinal_levy_measure(d, k):
     """Spinal jump intensity seen from a block of size k, plus the killing rate.
 
-    Atom sizes are -log s_i, aggregated over equal s_i; the level sums
-    sum_{l=a}^{b} s^l (1-s) collapse to s^a - s^{b+1} so the cap level's
-    geometric tail is exact.
+    The spine is killed when its block of size k splits, so the killing rate
+    is the total splitting rate lambda_k = rate_closed_form(d, k) (0 for
+    k = 1).  Level l >= k jumps by -log s_i at rate w s_i^l (1 - s_i),
+    aggregated over equal s_i; the capped level's geometric tail over
+    l >= max(k, m_cap) collapses to w s_i^max(k, m_cap).
     """
     if not d.theorem2_mode:
         raise UnsupportedCaseError("spinal measures need a conservative (theorem-2) model")
@@ -121,30 +120,15 @@ def spinal_levy_measure(d, k):
         raise ArgumentError("k must be positive")
     m_cap = d.m_cap
     rates = {}
-    kill = 0.0
-    # explicit levels below the cap
-    for l in range(1, m_cap):
-        for s, w in d.levels[l - 1]:
-            for si in s.atoms:
-                term = w * si ** l * (1 - si)
-                if l < k:
-                    kill += term
-                else:
-                    z = -math.log(si)
-                    rates[z] = rates.get(z, 0.0) + term
-    # capped level: all l >= m_cap share the same atom list
-    for s, w in d.levels[m_cap - 1]:
-        for si in s.atoms:
-            lo = max(k, m_cap)
-            if k > m_cap:
-                # levels m_cap..k-1 feed the killing rate
-                kill += w * (si ** m_cap - si ** k)
-            tail = w * si ** lo
-            if tail > 0:
-                z = -math.log(si)
-                rates[z] = rates.get(z, 0.0) + tail
+    # explicit levels l = k..m_cap-1, then the capped level's tail
+    terms = [(si, w * si ** l * (1 - si)) for l in range(k, m_cap)
+             for s, w in d.levels[l - 1] for si in s.atoms]
+    terms += [(si, w * si ** max(k, m_cap)) for s, w in d.levels[m_cap - 1] for si in s.atoms]
+    for si, r in terms:
+        z = -math.log(si)
+        rates[z] = rates.get(z, 0.0) + r
     jumps = tuple(sorted((z, r) for z, r in rates.items() if r > 0))
-    return LevyAtoms(jumps, kill_rate=kill)
+    return LevyAtoms(jumps, kill_rate=rate_closed_form(d, k) if k >= 2 else 0.0)
 
 
 def simulate_subordinator(l, horizon, rng):

@@ -307,6 +307,18 @@ def test_rate_closed_form_matches_enumeration(d, n):
     assert abs(rate(d, n) - rate_closed_form(d, n)) < 1e-10
 
 
+@settings(max_examples=60)
+@given(dislocations(), st.integers(2, 6))
+def test_kappa_cylinder_matches_table(d, n):
+    # the single-cylinder query against the table route; at n = 2 the
+    # c_1, c_2 and k_1 atoms all sit on {1|2}
+    lam = rate(d, n)
+    probs = splitting_rule(d, n).probs if lam > 0 else {}
+    for p in all_partitions(n):
+        if not p.is_trivial():
+            assert abs(kappa_cylinder(d, p) - lam * probs.get(p, 0.0)) < 1e-12
+
+
 # ---------------------------------------------------------------------------
 # alpha-gamma
 # ---------------------------------------------------------------------------

@@ -103,6 +103,13 @@ def test_run_outputs_byte_stable(tmp_path):
     assert t1 == t2
     s = run_experiment(cfg)["summary"]
     assert s == run_experiment(cfg)["summary"]
+    # on disk too: identical runs write identical summary.json bytes, and
+    # the wall time goes to metrics.json beside it
+    for out in ("a", "b"):
+        run_experiment(ExperimentConfig("grow", {"n": 3}, 500, 9, str(tmp_path / out)))
+    summary = (tmp_path / "a" / "summary.json").read_bytes()
+    assert summary == (tmp_path / "b" / "summary.json").read_bytes()
+    assert json.loads((tmp_path / "a" / "metrics.json").read_text())["wall_time_s"] >= 0
 
 
 def test_run_unknown_tag():
@@ -156,6 +163,13 @@ def test_cli_bad_input_exit_2(tmp_path):
     assert cli("split-table", "--param", "family=skewed-pd").returncode == 2
     # malformed --param
     assert cli("grow", "--param", "nonsense").returncode == 2
+    # c or k not a list of numbers; c, k or theorem2 without levels (which
+    # would be ignored silently)
+    levels = 'levels={"1": [[[0.5, 0.3], 1.0]]}'
+    for params in ((levels, "c=5"), (levels, 'c=["x"]'), (levels, "k=[0.1, true]"),
+                   ("c=[0.1]",), ("k=[0.1]",), ("theorem2=true",)):
+        r = cli("consistency", *[a for p in params for a in ("--param", p)])
+        assert r.returncode == 2 and "Traceback" not in r.stderr, (params, r.stderr)
 
 
 def test_cli_malformed_levels_exit_2():

@@ -39,6 +39,20 @@ def test_spinal_levy_measure_capped_tail():
     assert abs(r - 2 * 0.5 ** 3) < 1e-12
 
 
+def test_spinal_kill_rate_is_per_level_sum():
+    # the killing rate lambda_k against the level-by-level sum over l < k
+    rng = np.random.default_rng(21)
+    for _ in range(30):
+        levels = {j: [(tuple(np.sort(raw / raw.sum())[::-1]), float(rng.random() + 0.1))]
+                  for j in range(1, int(rng.integers(1, 4)) + 1)
+                  for raw in [rng.random(int(rng.integers(2, 4))) + 0.05]}
+        d = DiscreteDislocation.from_level_dict(levels, theorem2_mode=True)
+        for k in range(1, 9):
+            want = sum(w * sum(si ** l * (1 - si) for si in s.atoms)
+                       for l in range(1, k) for s, w in d.atoms_at(l))
+            assert abs(spinal_levy_measure(d, k).kill_rate - want) <= 1e-12 * max(want, 1.0)
+
+
 def test_spinal_levy_measure_requires_theorem2():
     d = DiscreteDislocation.from_level_dict({1: [((0.5, 0.3), 1.0)]})
     with pytest.raises(UnsupportedCaseError):
