@@ -274,33 +274,31 @@ def consistency_residual(d, n):
 def _split_components(d, b):
     """(mass, component) list of the root split of a block of size b >= 2.
 
-    A level component ("atom", lo, hi, s, cum) covers the paintbox classes
+    A level component ("atom", lo, hi, s) covers the paintbox classes
     j = lo..hi of one atom s: its mass is P(paintbox of [b] lands in one of
-    those classes) on P_b, and cum holds the running sum of its per-colour
-    masses (None for class 1, whose mass 1 - sum s_i^2 also lets the second
-    paint fall in dust).  Every class j < max(m_cap, 2) gets one component
-    per atom of nu_j, with per-colour masses s_i^j (1 - s_i).  The capped
-    level serves every class j in [max(m_cap, 2), b - 1] through one tail
-    component per atom, whose per-colour masses are the geometric sums
-    s_i^lo - s_i^b.  A delta atom ("delta", build, j) of _delta_atoms puts
-    its constant on the partition build(j, b), which is built only when
-    drawn.  Components of zero mass are dropped.  Whatever b is, the list holds at most one
-    entry per atom of each level (two per atom when m_cap = 1) and one per
-    c_j, k_j and c_1, so its cost does not depend on b.
+    those classes) on P_b, the sum of its _colour_masses (for class 1 it is
+    1 - sum s_i^2, which also lets the second paint fall in dust; sample_split
+    builds the running colour sums only for the component it draws).  Every
+    class j < max(m_cap, 2) gets one component per atom of nu_j, with
+    per-colour masses s_i^j (1 - s_i).  The capped level serves every class
+    j in [max(m_cap, 2), b - 1] through one tail component per atom, whose
+    per-colour masses are the geometric sums s_i^lo - s_i^b.  A delta atom
+    ("delta", build, j) of _delta_atoms puts its constant on the partition
+    build(j, b), which is built only when drawn.  Components of zero mass are
+    dropped.  Whatever b is, the list holds at most one entry per atom of
+    each level (two per atom when m_cap = 1) and one per c_j, k_j and c_1,
+    so its cost does not depend on b.
     """
     comps = []
 
     def add_atoms(atoms, lo, hi):
         for s, w in atoms:
             if lo == 1:
-                cum = None
                 q = 1.0 - sum(si ** 2 for si in s.atoms)
             else:
-                cum = list(accumulate(si ** lo * (1.0 - si ** (hi + 1 - lo))
-                                      for si in s.atoms))
-                q = cum[-1]
+                q = sum(_colour_masses(s, lo, hi))
             if q > 0:
-                comps.append((w * q, ("atom", lo, hi, s, cum)))
+                comps.append((w * q, ("atom", lo, hi, s)))
 
     tail = max(d.m_cap, 2)
     for j in range(1, min(tail, b)):
@@ -309,6 +307,11 @@ def _split_components(d, b):
         add_atoms(d.levels[-1], tail, b - 1)
     comps += [(mass, ("delta", build, j)) for mass, build, j in _delta_atoms(d, b)]
     return comps
+
+
+def _colour_masses(s, lo, hi):
+    """Per-colour masses s_i^lo (1 - s_i^(hi + 1 - lo)) of classes lo..hi of atom s."""
+    return (si ** lo * (1.0 - si ** (hi + 1 - lo)) for si in s.atoms)
 
 
 def _pick(cum, u):
@@ -344,7 +347,7 @@ def sample_split(d, b, rng):
     if comp[0] == "delta":
         _, build, j = comp
         return build(j, b)
-    _, lo, hi, s, colour_cum = comp
+    _, lo, hi, s = comp
     probs, cum, colours = _paints(s, b, rng)
     m = len(s.atoms)
     if lo == 1:
@@ -355,7 +358,7 @@ def sample_split(d, b, rng):
     else:
         # paints 1..j share colour i (chosen by its mass over classes lo..hi,
         # then j given i); paint j+1 avoids colour i; the rest stay free
-        i = _pick(colour_cum, rng.random())
+        i = _pick(list(accumulate(_colour_masses(s, lo, hi))), rng.random())
         j = lo if lo == hi else _truncated_geometric(s.atoms[i], lo, hi, rng.random())
         colours[:j] = i
         other = np.delete(probs, i)

@@ -54,42 +54,57 @@ class LevyAtoms:
         return sum(r * (1.0 - math.exp(-a * z)) for z, r in self.jumps)
 
 
-@dataclass
 class SubordinatorPath:
-    """Pure-jump path on [0, horizon]: time-ordered (time, jump size) events."""
+    """Pure-jump path on [0, horizon], held as two float arrays: the strictly
+    increasing jump times and the jump sizes.
 
-    horizon: float
-    events: list
+    SubordinatorPath(horizon, pairs) builds it from (time, jump size) pairs,
+    given as a list [(t, z), ...] or an (N, 2) array; .events lists them back.
+    """
+
+    def __init__(self, horizon, events=()):
+        pairs = np.array(events, dtype=float)
+        if pairs.size == 0:
+            pairs = pairs.reshape(0, 2)
+        if pairs.ndim != 2 or pairs.shape[1] != 2:
+            raise ArgumentError("events must be (time, jump size) pairs")
+        self.horizon = horizon
+        self.times = pairs[:, 0].copy()
+        self.jumps = pairs[:, 1].copy()
+
+    @classmethod
+    def _from_arrays(cls, horizon, times, jumps):
+        """The path with these times and jump sizes, arrays taken as they are."""
+        p = cls.__new__(cls)
+        p.horizon, p.times, p.jumps = horizon, times, jumps
+        return p
+
+    @property
+    def events(self):
+        return list(zip(self.times.tolist(), self.jumps.tolist()))
 
     def validate(self):
-        last = 0.0
-        for t, z in self.events:
-            if not (last < t <= self.horizon) or z <= 0:
-                raise ArgumentError("events must be strictly increasing in (0, horizon]")
-            last = t
+        t = np.concatenate(([0.0], self.times))
+        if not (np.all(t[:-1] < t[1:]) and np.all(t[1:] <= self.horizon)
+                and np.all(self.jumps > 0)):
+            raise ArgumentError("events must be strictly increasing in (0, horizon]")
 
     def xi_levels(self):
         """(times, xi right after each jump) as arrays."""
-        ts = np.array([t for t, _ in self.events])
-        xs = np.cumsum([z for _, z in self.events])
-        return ts, xs
+        return self.times, np.cumsum(self.jumps)
 
     def xi_at(self, t):
-        v = 0.0
-        for s, z in self.events:
-            if s <= t:
-                v += z
-            else:
-                break
-        return v
+        """xi at time t (a float, or an array of times)."""
+        xs = np.concatenate(([0.0], np.cumsum(self.jumps)))
+        v = xs[np.searchsorted(self.times, t, side="right")]
+        return float(v) if np.ndim(v) == 0 else v
 
     def to_csv(self):
         return csv_text([(repr(t), repr(z)) for t, z in self.events], ("time", "jump"))
 
     @staticmethod
     def from_csv(text, horizon):
-        events = [tuple(float(x) for x in r) for r in csv_rows(text)]
-        p = SubordinatorPath(horizon, events)
+        p = SubordinatorPath(horizon, [tuple(float(x) for x in r) for r in csv_rows(text)])
         p.validate()
         return p
 
@@ -132,40 +147,41 @@ def spinal_levy_measure(d, k):
 
 
 def simulate_subordinator(l, horizon, rng):
-    """Compound-Poisson path; tail jumps >= delta drawn by inverse transform."""
-    if horizon < 0:
-        raise ArgumentError("horizon must be non-negative")
-    rate = l.total_rate
-    events = []
-    if rate > 0:
-        t = 0.0
-        atom_rates = np.array([r for _, r in l.jumps])
-        tail_rate = rate - atom_rates.sum()
-        probs = np.append(atom_rates, tail_rate) / rate
-        cum = np.cumsum(probs)
-        a, delta = l.tail_alpha, l.tail_delta
-        while True:
-            t += rng.exponential(1.0 / rate)
-            if t > horizon:
-                break
-            i = int(np.searchsorted(cum, rng.random()))
-            if i < len(l.jumps):
-                events.append((t, l.jumps[i][0]))
-            else:
-                # tail mass on [delta, 1]: survival (x^-a - 1)/(delta^-a - 1)
-                u = rng.random()
-                lo = delta ** (-a)
-                x = (lo - u * (lo - 1.0)) ** (-1.0 / a)
-                events.append((t, x))
-    p = SubordinatorPath(horizon, events)
-    return p
+    """Compound-Poisson path on [0, horizon], drawn with one numpy call per step.
+
+    N ~ Poisson(rate * horizon) events at N sorted uniform times; the marks
+    pick an atom or the tail by their rates, and tail jumps >= delta come
+    from the inverse transform of the survival (x^-a - 1)/(delta^-a - 1).
+    """
+    if not (math.isfinite(horizon) and horizon >= 0):
+        raise ArgumentError("horizon must be finite and non-negative")
+    rates = [r for _, r in l.jumps]
+    if l.tail_alpha is not None:
+        rates.append(l.total_rate - sum(rates))
+    n = rng.poisson(sum(rates) * horizon) if rates else 0
+    if n == 0:
+        return SubordinatorPath._from_arrays(horizon, np.empty(0), np.empty(0))
+    cum = np.cumsum(rates)
+    times = horizon * (1.0 - rng.random(n))   # in (0, horizon]
+    times.sort()
+    marks = cum[:-1].searchsorted(rng.random(n) * cum[-1], side="right")
+    jumps = np.array([z for z, _ in l.jumps] + [np.nan])[marks]
+    tail = marks == len(l.jumps)
+    if tail.any():
+        a, lo = l.tail_alpha, l.tail_delta ** (-l.tail_alpha)
+        jumps[tail] = (lo - rng.random(int(tail.sum())) * (lo - 1.0)) ** (-1.0 / a)
+    return SubordinatorPath._from_arrays(horizon, times, jumps)
 
 
 def sample_Kn(path, w, n, rng):
     """Count distinct V-values in (tau, tau'] among n inverse-transform draws.
 
     Survival is e^{-eps - xi_v}, piecewise constant, so every V beyond tau
-    lands exactly on a jump time of the path.
+    lands exactly on a jump time of the path: on jump i with probability
+    p_i = level_{i-1} - level_i, where level_i = e^{-eps - xi} right after
+    jump i and level_{-1} = e^{-eps}.  The bin counts of the n draws are one
+    multinomial over the jumps in the window plus an "outside" bin, so the
+    cost is O(jumps), not O(n).
     """
     span = w.tau_prime - w.tau
     if np.isfinite(span) and path.horizon < span:
@@ -173,17 +189,28 @@ def sample_Kn(path, w, n, rng):
     if span == 0:
         return 0
     ts, xs = path.xi_levels()
-    levels = np.exp(-w.epsilon - xs)       # survival right after each jump, decreasing
-    surv0 = math.exp(-w.epsilon)
-    u = rng.random(n)
-    wv = 1.0 - u                            # target survival levels
-    live = wv <= surv0                      # otherwise V = tau, outside the window
-    if len(ts) == 0:
-        return 0
-    idx = np.searchsorted(-levels, -wv[live], side="left")
-    idx = idx[idx < len(ts)]                # beyond-horizon draws fall outside
-    idx = idx[ts[idx] <= span]
-    return int(len(np.unique(idx)))
+    m = int(np.searchsorted(ts, span, side="right"))    # jumps inside the window
+    levels = np.exp(-w.epsilon - np.concatenate(([0.0], xs[:m])))
+    p = -np.diff(levels)
+    counts = rng.multinomial(n, np.append(p, 1.0 - levels[0] + levels[-1]))
+    return int(np.count_nonzero(counts[:m]))
+
+
+def _exp_functional(path, alpha, end, start=1.0, truncate=True):
+    """Integral over (0, end) of start * e^{-alpha xi_v}, computed on the arrays.
+
+    With truncate, the integral stops at the first jump after which the
+    integrand is below NEGLIGIBLE, and the rest of the window is dropped.
+    """
+    k = int(path.times.searchsorted(end, side="left"))     # jumps before end
+    if k == 0:
+        return start * end
+    levels = np.cumprod(np.concatenate(([start], np.exp(-alpha * path.jumps[:k]))))
+    edges = np.concatenate(([0.0], path.times[:k], [end]))
+    if truncate:
+        low = np.flatnonzero(levels[1:] < NEGLIGIBLE)
+        k = low[0] if len(low) else k
+    return float(np.dot(levels[:k + 1], edges[1:k + 2] - edges[:k + 1]))
 
 
 def pjs_limit_functional(path, w, alpha):
@@ -194,19 +221,8 @@ def pjs_limit_functional(path, w, alpha):
     """
     span = w.tau_prime - w.tau
     end = min(span, path.horizon) if np.isfinite(span) else path.horizon
-    total = 0.0
-    cur = math.exp(-alpha * w.epsilon)
-    prev_t = 0.0
-    for t, z in path.events:
-        if t >= end:
-            break
-        total += cur * (t - prev_t)
-        prev_t = t
-        cur *= math.exp(-alpha * z)
-        if not np.isfinite(span) and cur < NEGLIGIBLE:
-            return total
-    total += cur * (end - prev_t)
-    return total
+    return _exp_functional(path, alpha, end, math.exp(-alpha * w.epsilon),
+                           truncate=not np.isfinite(span))
 
 
 def a_alpha_constant(alpha):
@@ -233,12 +249,10 @@ def pjs_tail_statistic(l, w, n, x, reps, rng, c_p=1.0, p=3.0):
     aa = a_alpha_constant(alpha)
     scale = n ** alpha * math.gamma(1 - alpha)
     exceed = 0
+    grid = np.arange(int(span) + 1, dtype=float)
     for _ in range(reps):
         path = simulate_subordinator(l, span, rng)
-        y = 1.0
-        for j in range(int(span) + 1):
-            y_term = math.exp(-alpha * (w.epsilon + path.xi_at(float(j))))
-            y += (1.0 + aa) * y_term
+        y = 1.0 + (1.0 + aa) * float(np.sum(np.exp(-alpha * (w.epsilon + path.xi_at(grid)))))
         kn = sample_Kn(path, w, n, rng)
         if kn > (1.0 + x) * y * scale:
             exceed += 1
@@ -251,21 +265,26 @@ def renewal_moment(interarrival_sampler, t, p, reps, rng):
     """Monte Carlo estimate of E[(N_t / t)^p], N_t = renewal count by time t.
 
     interarrival_sampler(rng, size) must return positive draws as an array.
+    Each round draws a chunk of inter-arrivals for the rows whose renewals
+    have not yet passed t; the chunk starts at 16 and doubles every round,
+    so a row draws at most about twice what it needs.
     """
     if t <= 0 or p < 1:
         raise ArgumentError("need t > 0 and p >= 1")
     counts = np.zeros(reps, dtype=np.int64)
     remaining = np.full(reps, float(t))
     active = np.arange(reps)
-    chunk = max(16, int(2 * t) if t < 1e4 else 64)
+    chunk = 16
     while len(active):
         draws = interarrival_sampler(rng, (len(active), chunk))
-        assert np.all(draws > 0)
+        if not np.all(draws > 0):
+            raise ArgumentError("inter-arrival draws must be positive")
         cs = np.cumsum(draws, axis=1)
         counts[active] += np.sum(cs <= remaining[active, None], axis=1)
         done = cs[:, -1] > remaining[active]
         remaining[active[~done]] -= cs[~done, -1]
         active = active[~done]
+        chunk *= 2
     return float(np.mean((counts / t) ** p))
 
 
@@ -279,15 +298,7 @@ def _edge_length(d, j, alpha, rng, leaf_cap):
         t_end = leaf_cap
         capped = True
     path = simulate_subordinator(levy, t_end, rng)
-    total, cur, prev = 0.0, 1.0, 0.0
-    for tt, z in path.events:
-        total += cur * (tt - prev)
-        prev = tt
-        cur *= math.exp(-alpha * z)
-        if cur < NEGLIGIBLE:
-            return total, capped
-    total += cur * (t_end - prev)
-    return total, capped
+    return _exp_functional(path, alpha, t_end), capped
 
 
 def sample_reduced_crt(d, k, alpha, rng, lengths=True, leaf_cap=100.0):

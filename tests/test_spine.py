@@ -3,6 +3,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
+from scipy import stats
 
 from fragbox import (ArgumentError, KnWindow, LevyAtoms, SubordinatorPath,
                      UnsupportedCaseError, Partition,
@@ -11,6 +13,7 @@ from fragbox import (ArgumentError, KnWindow, LevyAtoms, SubordinatorPath,
                      spinal_levy_measure, splitting_rule)
 from fragbox.dislocation import DiscreteDislocation
 from fragbox.harness import chi_square_gof, single_atom_model
+from fragbox.spine import NEGLIGIBLE, _edge_length, _exp_functional
 
 LOG2 = math.log(2)
 
@@ -82,10 +85,41 @@ def test_simulate_subordinator_compensation():
     assert abs(np.mean(vals) - want) < 3 * se
 
 
+def test_simulate_subordinator_rejects_non_finite_horizon():
+    l = LevyAtoms(((LOG2, 1.0),), tail_alpha=0.5, tail_delta=0.1)
+    for horizon in (math.inf, math.nan, -1.0):
+        with pytest.raises(ArgumentError):
+            simulate_subordinator(l, horizon, np.random.default_rng(0))
+    with pytest.raises(ArgumentError):
+        simulate_subordinator(LevyAtoms(()), math.inf, np.random.default_rng(0))
+
+
+def test_simulate_subordinator_tail_and_atoms():
+    # marks pick the atoms and the tail by their rates; tail jumps lie in
+    # [delta, 1] with survival (x^-a - 1)/(delta^-a - 1)
+    a, delta = 0.5, 0.01
+    l = LevyAtoms(((3.0, 2.0), (5.0, 1.0)), tail_alpha=a, tail_delta=delta)
+    p = simulate_subordinator(l, 2000.0, np.random.default_rng(13))
+    p.validate()
+    z = p.jumps
+    tail = z[z <= 1.0]
+    n = len(z)
+    assert abs(np.mean(z == 3.0) - 2.0 / l.total_rate) < 4 * math.sqrt(2.0 / l.total_rate / n)
+    assert abs(np.mean(z == 5.0) - 1.0 / l.total_rate) < 4 * math.sqrt(1.0 / l.total_rate / n)
+    assert tail.min() >= delta and tail.max() <= 1.0
+    surv = ((0.1 ** -a) - 1.0) / (delta ** -a - 1.0)
+    assert abs(np.mean(tail > 0.1) - surv) < 4 * math.sqrt(surv * (1 - surv) / len(tail))
+
+
 def test_path_csv_roundtrip():
     p = SubordinatorPath(5.0, [(1.0, 0.5), (2.5, 0.25)])
     q = SubordinatorPath.from_csv(p.to_csv(), 5.0)
     assert q.events == p.events
+    assert SubordinatorPath.from_csv(SubordinatorPath(5.0, []).to_csv(), 5.0).events == []
+    with pytest.raises(ArgumentError):
+        SubordinatorPath.from_csv(SubordinatorPath(5.0, [(2.5, 0.5), (1.0, 0.25)]).to_csv(), 5.0)
+    with pytest.raises(ArgumentError):
+        SubordinatorPath(5.0, [(1.0, 0.5, 2.0)])
 
 
 def test_sample_Kn_trivial_cases():
@@ -112,14 +146,129 @@ def test_sample_Kn_single_jump_law():
 
 
 def test_sample_Kn_monotone_in_n():
-    # coupling by shared prefix: more draws can only reveal more values
+    # the draws for different n are not coupled: K_n counts at most the 3
+    # jumps, and at n >= 100 all 3 bins (masses 0.26, 0.24, 0.31) are hit
+    # except with probability below 1e-12, so K_10 <= K_100 <= K_1000 = 3
     path = SubordinatorPath(10.0, [(0.5, 0.3), (1.5, 0.4), (3.0, 1.0)])
     w = KnWindow(0.0, 0.0, 10.0)
     for seed in range(30):
         ks = [sample_Kn(path, w, n, np.random.default_rng(seed))
               for n in (10, 100, 1000)]
-        # same seed means shared prefix of uniforms under default_rng
         assert ks[0] <= ks[1] <= ks[2]
+
+
+def _Kn_mean(path, w, n):
+    """Sum over the jumps i in the window of 1 - (1 - p_i)^n."""
+    ts, xs = path.xi_levels()
+    levels = np.exp(-w.epsilon - np.concatenate(([0.0], xs)))
+    p = -np.diff(levels)[ts <= w.tau_prime - w.tau]
+    return float(np.sum(1.0 - (1.0 - p) ** n))
+
+
+def test_sample_Kn_exact_mean():
+    fixed = SubordinatorPath(5.0, [(0.4, 0.3), (1.1, 0.5), (2.0, 0.2), (3.5, 1.0), (4.2, 0.7)])
+    drawn = simulate_subordinator(LevyAtoms(((0.1, 4.0), (0.6, 2.0))), 8.0,
+                                  np.random.default_rng(31))
+    reps = 20_000
+    for k, (path, w, n) in enumerate(((fixed, KnWindow(0.2, 0.0, 3.0), 5),
+                                      (fixed, KnWindow(0.5, 1.0, 5.5), 40),
+                                      (drawn, KnWindow(0.3, 0.5, 6.0), 50))):
+        rng = np.random.default_rng(70 + k)
+        vals = [sample_Kn(path, w, n, rng) for _ in range(reps)]
+        se = np.std(vals) / math.sqrt(reps)
+        assert abs(np.mean(vals) - _Kn_mean(path, w, n)) < 4 * se, k
+
+
+def _per_draw_Kn(path, w, n, rng):
+    """The per-draw counter: n inverse-transform draws, the jump each lands
+    on, and the number of distinct jumps in the window."""
+    span = w.tau_prime - w.tau
+    ts, xs = path.xi_levels()
+    levels = np.exp(-w.epsilon - xs)
+    wv = 1.0 - rng.random(n)
+    wv = wv[wv <= math.exp(-w.epsilon)]
+    idx = np.searchsorted(-levels, -wv, side="left")
+    idx = idx[idx < len(ts)]
+    return len(np.unique(idx[ts[idx] <= span]))
+
+
+def test_sample_Kn_law_matches_per_draw_counter():
+    path = simulate_subordinator(LevyAtoms(((0.15, 3.0), (0.5, 1.0))), 6.0,
+                                 np.random.default_rng(32))
+    reps = 20_000
+    for k, (w, n) in enumerate(((KnWindow(0.0, 0.0, 6.0), 4),
+                                (KnWindow(0.4, 1.0, 4.0), 8),
+                                (KnWindow(0.1, 0.0, math.inf), 15))):
+        rng = np.random.default_rng(80 + k)
+        new = np.array([sample_Kn(path, w, n, rng) for _ in range(reps)])
+        old = np.array([_per_draw_Kn(path, w, n, rng) for _ in range(reps)])
+        lo, hi = np.percentile(np.concatenate((new, old)), [1, 99])
+        cats = np.arange(lo, hi + 1)
+        table = [[np.sum(np.clip(x, lo, hi) == c) for c in cats] for x in (new, old)]
+        assert stats.chi2_contingency(table)[1] > 1e-3, k
+
+
+def _pjs_loop(path, w, alpha):
+    """The per-event integral of e^{-alpha (eps + xi_v)} over the window."""
+    span = w.tau_prime - w.tau
+    end = min(span, path.horizon) if np.isfinite(span) else path.horizon
+    total = 0.0
+    cur = math.exp(-alpha * w.epsilon)
+    prev_t = 0.0
+    for t, z in path.events:
+        if t >= end:
+            break
+        total += cur * (t - prev_t)
+        prev_t = t
+        cur *= math.exp(-alpha * z)
+        if not np.isfinite(span) and cur < NEGLIGIBLE:
+            return total
+    total += cur * (end - prev_t)
+    return total
+
+
+def _edge_loop(path, alpha):
+    """The per-event killed functional of a spine path up to its horizon."""
+    total, cur, prev = 0.0, 1.0, 0.0
+    for tt, z in path.events:
+        total += cur * (tt - prev)
+        prev = tt
+        cur *= math.exp(-alpha * z)
+        if cur < NEGLIGIBLE:
+            return total
+    return total + cur * (path.horizon - prev)
+
+
+def _close(got, want):
+    return abs(got - want) <= 1e-12 * abs(want)
+
+
+@given(gaps=st.lists(st.floats(1e-3, 2.0), max_size=40),
+       sizes=st.lists(st.floats(1e-3, 20.0), min_size=40, max_size=40),
+       alpha=st.floats(0.0, 2.0), epsilon=st.floats(0.0, 3.0),
+       tau=st.floats(0.0, 2.0), span=st.one_of(st.floats(0.0, 30.0), st.just(math.inf)),
+       extra=st.floats(0.0, 5.0))
+def test_exp_functional_matches_event_loop(gaps, sizes, alpha, epsilon, tau, span, extra):
+    times = np.cumsum(gaps)
+    horizon = max(times[-1] if len(times) else 0.0, span if np.isfinite(span) else 0.0) + extra
+    path = SubordinatorPath(horizon, list(zip(times.tolist(), sizes)))
+    w = KnWindow(epsilon, tau, tau + span)
+    assert _close(pjs_limit_functional(path, w, alpha), _pjs_loop(path, w, alpha))
+    assert _close(_exp_functional(path, alpha, horizon), _edge_loop(path, alpha))
+
+
+def test_edge_length_matches_event_loop():
+    # _edge_length draws the kill time, then the path: replaying that stream
+    # gives the path whose per-event functional it must return
+    d = DiscreteDislocation.from_level_dict({1: [((0.5, 0.3, 0.2), 1.0)], 2: [((0.7, 0.3), 2.0)]},
+                                            theorem2_mode=True)
+    for seed in range(200):
+        j, alpha = 2 + seed % 4, 0.1 + 0.2 * (seed % 5)
+        got, capped = _edge_length(d, j, alpha, np.random.default_rng(seed), 1.0)
+        rng = np.random.default_rng(seed)
+        levy = spinal_levy_measure(d, j)
+        path = simulate_subordinator(levy, rng.exponential(1.0 / levy.kill_rate), rng)
+        assert not capped and _close(got, _edge_loop(path, alpha))
 
 
 def test_pjs_limit_functional_examples():
@@ -186,6 +335,9 @@ def test_renewal_moment_examples():
         vals.append(renewal_moment(lambda r, s: r.random(s) ** -2.0, t, 2,
                                    4000, np.random.default_rng(60 + k)))
     assert vals[1] <= vals[0] * 1.2 and vals[2] <= vals[1] * 1.2
+    # a sampler with zero draws would never pass t: it is rejected, also under -O
+    with pytest.raises(ArgumentError):
+        renewal_moment(lambda r, s: np.zeros(s), 10.0, 2, 5, rng)
 
 
 def test_reduced_crt_shapes():
@@ -229,8 +381,6 @@ def test_reduced_crt_sampled_shape_frequencies():
 def test_reduced_crt_edge_length_oracle():
     # E[edge] = 1/(lambda + Phi(alpha)): the killed exponential functional of
     # an independent Exp(lambda) horizon integrates to that in closed form
-    from fragbox.spine import _edge_length
-
     d = DiscreteDislocation.from_level_dict({1: [((0.5, 0.5), 1.0)]},
                                             theorem2_mode=True)
     alpha = 0.5
