@@ -11,7 +11,6 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import stats
 
 from .errors import ArgumentError
 from . import __version__ as _version
@@ -48,6 +47,24 @@ class ChiSquareReport:
     statistic: float
     dof: int
     p_value: float
+
+
+def _chi2_sf(x, k):
+    """P(chi-square with k >= 1 degrees of freedom > x), from the finite
+    series of Q(k/2, x/2) for integer k (Abramowitz & Stegun 26.4.4-5):
+
+        Q = [erfc(sqrt(h)) if k is odd] + sum_j e^(-h) h^j / Gamma(j + 1),
+
+    with h = x/2 and j = k/2 - 1, k/2 - 2, ... down to 0 or 1/2.  Each term
+    is formed in log space, so e^(-h) cannot underflow while the p-value is
+    representable; a term is at most 1, so none can overflow.
+    """
+    if x <= 0:
+        return 1.0
+    h = x / 2.0
+    head = math.erfc(math.sqrt(h)) if k % 2 else 0.0
+    return head + math.fsum(math.exp(j * math.log(h) - math.lgamma(j + 1.0) - h)
+                            for j in (k / 2.0 - 1.0 - i for i in range(k // 2)))
 
 
 def chi_square_gof(observed, expected_probs, categories=None):
@@ -89,7 +106,7 @@ def chi_square_gof(observed, expected_probs, categories=None):
         return ChiSquareReport(pooled_cat, pooled_obs, pooled_exp, 0.0, 0, 1.0)
     stat = sum((o - e) ** 2 / e for o, e in zip(pooled_obs, pooled_exp))
     dof = len(pooled_obs) - 1
-    p = float(stats.chi2.sf(stat, dof))
+    p = _chi2_sf(stat, dof)
     return ChiSquareReport(pooled_cat, pooled_obs, pooled_exp, float(stat), dof, p)
 
 
@@ -395,18 +412,22 @@ def _exp_classify(cfg):
     return dict(flags), {}
 
 
+_MODEL_KEYS = frozenset({"levels", "c", "k", "theorem2"})     # _model_for
+_TABLE_KEYS = _MODEL_KEYS | {"family", "alpha", "gamma", "theta", "lambda"}  # _table_for
+
+# tag -> (experiment, the params keys it reads); any other key is an error
 _DISPATCH = {
-    "split-table": _exp_split_table,
-    "grow": _exp_grow,
-    "consistency": _exp_consistency,
-    "sampling-consistency": _exp_sampling_consistency,
-    "gnedin": _exp_gnedin,
-    "renewal": _exp_renewal,
-    "pjs": _exp_pjs,
-    "reduced-crt": _exp_reduced_crt,
-    "exponent": _exp_exponent,
-    "gh-stabilize": _exp_gh_stabilize,
-    "classify": _exp_classify,
+    "split-table": (_exp_split_table, _TABLE_KEYS | {"n"}),
+    "grow": (_exp_grow, {"alpha", "gamma", "n", "oracle_alpha", "oracle_gamma"}),
+    "consistency": (_exp_consistency, _MODEL_KEYS | {"n_grid"}),
+    "sampling-consistency": (_exp_sampling_consistency, {"alpha", "theta", "lambda"}),
+    "gnedin": (_exp_gnedin, {"exp_rate", "heavy_tail", "psi", "n_grid", "pareto_index"}),
+    "renewal": (_exp_renewal, {"kind", "t_grid", "p"}),
+    "pjs": (_exp_pjs, {"alpha", "n", "delta", "epsilon", "window", "x_grid", "c_p", "p"}),
+    "reduced-crt": (_exp_reduced_crt, _MODEL_KEYS | {"alpha"}),
+    "exponent": (_exp_exponent, {"model", "n_grid", "statistic"}),
+    "gh-stabilize": (_exp_gh_stabilize, {"alpha", "gamma", "k", "n_grid"}),
+    "classify": (_exp_classify, _TABLE_KEYS | {"n"}),
 }
 
 
@@ -415,8 +436,12 @@ def run_experiment(cfg):
     cfg.validate()
     if cfg.tag not in _DISPATCH:
         raise ArgumentError("unknown experiment tag %r" % cfg.tag)
+    run, known = _DISPATCH[cfg.tag]
+    stray = sorted(set(cfg.params) - known)
+    if stray:
+        raise ArgumentError(f"unknown parameter(s) for {cfg.tag}: {', '.join(stray)}")
     t0 = time.monotonic()
-    summary, tables = _DISPATCH[cfg.tag](cfg)
+    summary, tables = run(cfg)
     bundle = {
         "config": json.loads(cfg.to_json()),
         "library_version": _version,

@@ -118,8 +118,14 @@ def gh_upper_bound(a, b):
 
 
 def gh_distance_rooted(a, b):
-    """Exact rooted GH distance: min distortion/2 over correspondences of the
-    form graph(f) union graph(g) with roots matched.
+    """Exact rooted GH distance between the finite vertex sets of a and b
+    (with the path metric), not between the real trees they span: min
+    distortion/2 over correspondences of the form graph(f) union graph(g)
+    with roots matched.
+
+    The value depends on where the vertices sit.  A unit segment against the
+    same segment with its midpoint as a vertex gives 0.25, while the two real
+    trees are isometric (distance 0).
 
     Every correspondence contains one of this form and distortion is monotone
     under inclusion, so the restricted minimum is the true minimum.  Branch

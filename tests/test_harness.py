@@ -1,15 +1,18 @@
 import json
+import math
 import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy import stats
 
 from fragbox import ArgumentError
-from fragbox.harness import (ChiSquareReport, ExperimentConfig, chi_square_gof,
-                             csv_text, derive_seed, gof_gate, rng_for,
-                             run_experiment)
+from fragbox.harness import (ChiSquareReport, ExperimentConfig, _chi2_sf,
+                             chi_square_gof, csv_text, derive_seed, gof_gate,
+                             rng_for, run_experiment)
 
 
 def test_chi_square_exact_fit():
@@ -44,6 +47,40 @@ def test_chi_square_argument_errors():
         chi_square_gof([1, 2], [0.5, 0.3, 0.2])
     with pytest.raises(ArgumentError):
         chi_square_gof([10, 20], [0.5, 0.5])  # fewer than 100 observations
+
+
+@settings(max_examples=500)
+@given(st.integers(1, 400), st.floats(0.0, 1.0))
+def test_chi2_sf_matches_scipy(k, u):
+    x = u * (4 * k + 50)
+    want = stats.chi2.sf(x, k)
+    if want > 1e-300:
+        assert abs(_chi2_sf(x, k) - want) <= 1e-11 * want, (x, k)
+
+
+def test_chi2_sf_edge_cases():
+    for k in (1, 2, 7, 400):
+        assert _chi2_sf(0.0, k) == 1.0
+    for x in (1e-8, 0.3, 4.0, 50.0, 600.0):
+        assert _chi2_sf(x, 1) == pytest.approx(math.erfc(math.sqrt(x / 2)), rel=1e-14)
+        assert _chi2_sf(x, 2) == pytest.approx(math.exp(-x / 2), rel=1e-14)
+    # far in the tail e^(-x/2) alone underflows, but the p-value does not
+    x = 1800.0
+    assert math.exp(-x / 2) == 0.0
+    p = _chi2_sf(x, 210)
+    assert 1e-251 < p < 1e-249
+    assert p == pytest.approx(stats.chi2.sf(x, 210), rel=1e-11)
+
+
+def test_grow_gate_p_value_matches_scipy():
+    # the Tier-1 grow gate at its defaults: the closed form moves its p-value
+    # by at most 1e-12 relative against scipy on the same statistic
+    b = run_experiment(ExperimentConfig("grow"))
+    rows = b["tables"]["frequencies.csv"].strip().split("\n")[1:]
+    p, stat = b["summary"]["p_value"], b["summary"]["statistic"]
+    assert stat > 0 and len(rows) >= 2
+    want = stats.chi2.sf(stat, len(rows) - 1)
+    assert abs(p - want) <= 1e-12 * want
 
 
 def test_gof_gate_strikes():
@@ -163,6 +200,13 @@ def test_cli_bad_input_exit_2(tmp_path):
     assert cli("split-table", "--param", "family=skewed-pd").returncode == 2
     # malformed --param
     assert cli("grow", "--param", "nonsense").returncode == 2
+    # a misspelt key (which would run with the default alpha)
+    r = cli("grow", "--param", "alpah=0.9", "--param", "n=3")
+    assert r.returncode == 2 and "alpah" in r.stderr, r.stderr
+    typo = tmp_path / "typo.json"
+    typo.write_text(json.dumps({"params": {"n": 3, "gama": 0.2}}))
+    r = cli("grow", "--config", str(typo))
+    assert r.returncode == 2 and "gama" in r.stderr, r.stderr
     # c or k not a list of numbers; c, k or theorem2 without levels (which
     # would be ignored silently)
     levels = 'levels={"1": [[[0.5, 0.3], 1.0]]}'

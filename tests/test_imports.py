@@ -1,8 +1,11 @@
 """Every module in src/fragbox (the package __init__ aside) uses what it
-imports, and every module-level private function has a reference in the
-package."""
+imports, every module-level private function has a reference in the
+package, and nothing in the package imports scipy, a test-only dependency
+whose `scipy.stats` takes several times as long to import as fragbox."""
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -60,3 +63,34 @@ def test_unreferenced_private_functions_detected():
 def test_no_unreferenced_private_functions():
     sources = {p.name: p.read_text() for p in SRC.glob("*.py")}
     assert unreferenced_private_functions(sources) == []
+
+
+def imported_modules(source):
+    """Absolute module names named by the import statements, at any depth."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module)
+    return names
+
+
+def test_imported_modules_detected():
+    src = "import os.path\nfrom . import x\ndef f():\n    from scipy import stats\n"
+    assert imported_modules(src) == {"os.path", "scipy"}
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_scipy_import(path):
+    assert not {m for m in imported_modules(path.read_text())
+                if m.split(".")[0] == "scipy"}
+
+
+def test_import_loads_no_scipy():
+    code = ("import sys, fragbox\n"
+            "print(sorted(m for m in ('scipy', 'scipy.stats') if m in sys.modules))")
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                       cwd=SRC.parent)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.strip() == "[]"

@@ -37,6 +37,14 @@ def test_gh_single_edges():
             assert abs(got - abs(a - b) / 2.0) < 1e-12
 
 
+def test_gh_depends_on_vertex_placement():
+    # known behaviour: the distance is between vertex sets, so subdividing an
+    # edge moves it although the real trees are isometric (real-tree GH 0)
+    split = MetricTree({0: [1], 1: [2]}, {1: 0.5, 2: 0.5}, {2: 1}, 0)
+    assert abs(gh_distance_rooted(edge(1.0), split) - 0.25) < 1e-12
+    assert abs(gh_distance_rooted(split, edge(1.0)) - 0.25) < 1e-12
+
+
 def test_gh_doubled_lengths():
     rng = np.random.default_rng(1)
     t = random_metric_tree(rng)
