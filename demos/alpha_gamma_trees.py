@@ -8,9 +8,8 @@ with the growth law by a clean normalization factor -- all shown below.
 
 import numpy as np
 
-from fragbox import (Partition, alphagamma_eppf,
-                     alphagamma_growth_split_oracle, delete_uniform_leaf,
-                     grow_alphagamma, tree_height)
+from fragbox import (alphagamma_eppf, alphagamma_growth_split_oracle,
+                     delete_uniform_leaf, grow_alphagamma, tree_height)
 
 
 def main():
@@ -27,9 +26,7 @@ def main():
     counts = {}
     reps = 20_000
     for _ in range(reps):
-        t = grow_alphagamma(alpha, gamma, 3, rng)
-        kids = sorted(t.children[t.root], key=lambda c: t.labels_under(c)[0])
-        pi = Partition.from_blocks(3, [t.labels_under(c) for c in kids])
+        pi = grow_alphagamma(alpha, gamma, 3, rng).root_split()
         counts[pi] = counts.get(pi, 0) + 1
     for p, v in sorted(oracle.probs.items(), key=lambda kv: kv[0].to_text()):
         print(f"  {p.to_text():>6}  exact {v:.4f}  sampled {counts.get(p, 0) / reps:.4f}")

@@ -20,8 +20,8 @@ from .dislocation import (DiscreteDislocation, SplittingRuleTable,
                           sample_split, sampling_consistency_residual,
                           skewed_pd_ranked_split, skewed_pd_splitting_table,
                           splitting_rule, table_to_eppf)
-from .growth import (GrownTree, MetricTree, delete_leaf, delete_uniform_leaf,
-                     grow_alphagamma, leaf_depths, mean_depth, reduced_tree,
+from .growth import (Tree, delete_leaf, delete_uniform_leaf, grow_alphagamma,
+                     leaf_depths, mean_depth, reduced_tree,
                      sample_fragmentation_tree, sample_markov_branching,
                      special_branch_count, spine_depth, tree_height)
 from .spine import (KnWindow, LevyAtoms, SubordinatorPath,

@@ -11,11 +11,9 @@ import sys
 
 from .errors import (ArgumentError, ModelError, ResourceBudgetError,
                      UnsupportedCaseError)
-from .harness import ExperimentConfig, run_experiment
+from .harness import _DISPATCH, ExperimentConfig, run_experiment
 
-SUBCOMMANDS = ["split-table", "grow", "consistency", "sampling-consistency",
-               "gnedin", "renewal", "pjs", "reduced-crt", "exponent",
-               "gh-stabilize", "classify"]
+SUBCOMMANDS = list(_DISPATCH)
 
 
 def build_parser():
@@ -44,7 +42,12 @@ def main(argv=None):
         if args.config:
             with open(args.config) as f:
                 loaded = json.load(f)
-            params.update(loaded.get("params", loaded))
+            if not isinstance(loaded, dict):
+                raise ArgumentError("--config must hold a JSON object")
+            loaded = loaded.get("params", loaded)
+            if not isinstance(loaded, dict):
+                raise ArgumentError('"params" in --config must be a JSON object')
+            params.update(loaded)
         for item in args.param:
             if "=" not in item:
                 raise ArgumentError("--param expects KEY=JSONVALUE")

@@ -1,58 +1,89 @@
-"""Tree samplers and tree statistics.
+"""Tree samplers and tree statistics on the one tree type, Tree."""
 
-GrownTree holds a labelled leaf hierarchy in parent/children form; the
-set-of-subsets view demanded by the hierarchy formalism is derived lazily
-so that sequential growth stays O(1) amortized per insertion.
-"""
-
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ArgumentError
 from .dislocation import sample_split
-from .partitions import Hierarchy
+from .partitions import Hierarchy, Partition
 
 _FMT = repr  # shortest round-trip decimal for golden files
 
 
-def _labels_below(children, leaf_label, v):
-    """Sorted leaf labels of the subtree at v; children lists internal nodes."""
-    out = []
-    stack = [v]
-    while stack:
-        u = stack.pop()
-        if u in leaf_label:
-            out.append(leaf_label[u])
-        else:
-            stack.extend(children.get(u, ()))
-    return sorted(out)
-
-
 @dataclass
-class GrownTree:
-    """Rooted labelled tree: leaves carry labels 1..n, internal nodes >= 2 children."""
+class Tree:
+    """Rooted tree with labelled leaves: a hierarchy on [n], or the same
+    hierarchy embedded in a continuum tree.
+
+    Without `length` every edge has length 1 and every internal vertex has
+    >= 2 children (grown and branching trees).  With `length` (node -> length
+    of the edge to its parent) the tree is a reduced tree or a CRT sample,
+    hung below a degree-1 virtual root.  The set-of-subsets view demanded by
+    the hierarchy formalism is derived lazily, so that sequential growth
+    stays O(1) amortized per insertion.
+    """
 
     children: dict          # node id -> list of child ids (internal nodes only)
     leaf_label: dict        # node id -> leaf label
     root: int
-    parent_of: dict = field(default_factory=dict)
+    length: dict = None     # node id -> edge length; None: unit edges
+    _parent_of: dict = field(default=None, repr=False, compare=False)
 
-    def __post_init__(self):
-        if not self.parent_of:
-            self.parent_of = {c: v for v, cs in self.children.items() for c in cs}
+    @property
+    def parent_of(self):
+        """node id -> parent id, built on first use."""
+        if self._parent_of is None:
+            self._parent_of = {c: v for v, cs in self.children.items() for c in cs}
+        return self._parent_of
+
+    @property
+    def leaf_labels(self):
+        """Read-only alias of leaf_label, kept while the benchmark workloads
+        read this name; it goes with the next change to the benchmark."""
+        return self.leaf_label
 
     @property
     def n(self):
         return len(self.leaf_label)
 
-    @staticmethod
-    def single_leaf():
-        return GrownTree({}, {0: 1}, 0)
+    def _top(self):
+        """The root, or the vertex below a chain of degree-1 virtual roots."""
+        top = self.root
+        while top not in self.leaf_label and len(self.children[top]) == 1:
+            top = self.children[top][0]
+        return top
 
     def labels_under(self, v):
         """Sorted leaf labels below v (inclusive)."""
-        return _labels_below(self.children, self.leaf_label, v)
+        out = []
+        stack = [v]
+        while stack:
+            u = stack.pop()
+            if u in self.leaf_label:
+                out.append(self.leaf_label[u])
+            else:
+                stack.extend(self.children.get(u, ()))
+        return sorted(out)
+
+    def root_split(self):
+        """Partition of [n] by the root's children (a virtual root skipped)."""
+        top = self._top()
+        if top in self.leaf_label:
+            raise ArgumentError("a single leaf has no root split")
+        return Partition.from_blocks(self.n, [self.labels_under(c)
+                                              for c in self.children[top]])
+
+    def _postorder(self, start=None):
+        order, stack = [], [self.root if start is None else start]
+        while stack:
+            u = stack.pop()
+            order.append(u)
+            if u in self.children:
+                stack.extend(self.children[u])
+        order.reverse()
+        return order
 
     def _label_sets(self):
         """node id -> frozenset of the leaf labels below it."""
@@ -73,29 +104,41 @@ class GrownTree:
     def parent(self):
         """Vertex-set to parent-vertex-set mapping for every non-root vertex."""
         sets = self._label_sets()
-        return {sets[u]: sets[self.parent_of[u]] for u in sets if u != self.root}
-
-    def _postorder(self):
-        order, stack = [], [self.root]
-        while stack:
-            u = stack.pop()
-            order.append(u)
-            if u in self.children:
-                stack.extend(self.children[u])
-        order.reverse()
-        return order
+        par = self.parent_of
+        top = self._top()
+        return {sets[u]: sets[par[u]] for u in self._postorder(top) if u != top}
 
     def to_hierarchy(self):
         return Hierarchy.from_sets(self.n, self.vertices)
 
     def validate(self):
-        for v, cs in self.children.items():
-            if len(cs) < 2:
+        """Unit edges: internal vertices have >= 2 children, the leaves carry
+        1..n and the label sets form a hierarchy.  With lengths: no length is
+        negative and no vertex is reached twice."""
+        if self.length is None:
+            if any(len(cs) < 2 for cs in self.children.values()):
                 raise ArgumentError("internal vertex with fewer than 2 children")
-        labels = sorted(self.leaf_label.values())
-        if labels != list(range(1, self.n + 1)):
-            raise ArgumentError("leaf labels must be 1..n")
-        self.to_hierarchy()
+            if sorted(self.leaf_label.values()) != list(range(1, self.n + 1)):
+                raise ArgumentError("leaf labels must be 1..n")
+            self.to_hierarchy()
+            return
+        if any(l < 0 for l in self.length.values()):
+            raise ArgumentError("negative edge length")
+        seen = set()
+        stack = [self.root]
+        while stack:
+            v = stack.pop()
+            if v in seen:
+                raise ArgumentError("cycle in tree")
+            seen.add(v)
+            stack.extend(self.children.get(v, []))
+
+    def scaled(self, factor):
+        """The same tree with every edge length multiplied by factor."""
+        if self.length is None:
+            raise ArgumentError("only a tree with edge lengths can be scaled")
+        return Tree(self.children, self.leaf_label, self.root,
+                    {v: l * factor for v, l in self.length.items()})
 
     def leaf_node(self, label):
         for u, lab in self.leaf_label.items():
@@ -103,24 +146,30 @@ class GrownTree:
                 return u
         raise ArgumentError(f"no leaf labelled {label}")
 
-    def _node_text(self, u):
-        if u in self.leaf_label:
-            return str(self.leaf_label[u])
-        kids = sorted(self.children[u], key=lambda c: self.labels_under(c)[0])
-        return "(" + ",".join(self._node_text(c) for c in kids) + ")"
-
     def to_text(self):
-        """Parenthesized labelled form, children ordered by least label."""
-        return self._node_text(self.root)
-
-    def _shape(self, u):
-        if u in self.leaf_label:
-            return "*"
-        return "(" + ",".join(sorted(self._shape(c) for c in self.children[u])) + ")"
+        """Parenthesized labelled form, children ordered by least label, with
+        :length suffixes on every non-root vertex when the tree has lengths."""
+        least, text = {}, {}
+        for u in self._postorder():
+            if u in self.leaf_label:
+                least[u] = self.leaf_label[u]
+                head = str(least[u])
+            else:
+                kids = sorted(self.children[u], key=least.__getitem__)
+                least[u] = least[kids[0]]
+                head = "(" + ",".join(text.pop(c) for c in kids) + ")"
+            text[u] = head if self.length is None or u == self.root \
+                else head + ":" + _FMT(self.length[u])
+        return text[self.root]
 
     def shape_text(self):
-        """Canonical delabelled form (children sorted lexicographically)."""
-        return self._shape(self.root)
+        """Canonical delabelled form (children sorted lexicographically),
+        lengths dropped and a degree-1 virtual root not displayed."""
+        top, shape = self._top(), {}
+        for u in self._postorder(top):
+            shape[u] = "*" if u in self.leaf_label else \
+                "(" + ",".join(sorted(shape.pop(c) for c in self.children[u])) + ")"
+        return shape[top]
 
 
 def grow_alphagamma(alpha, gamma, n, rng):
@@ -182,7 +231,7 @@ def grow_alphagamma(alpha, gamma, n, rng):
             parent_of[leaf] = B
             leaves.append(leaf)
             tokens.append(B)
-    return GrownTree(children, leaf_label, root, parent_of)
+    return Tree(children, leaf_label, root, None, parent_of)
 
 
 def _split_block(labels, pi):
@@ -190,17 +239,21 @@ def _split_block(labels, pi):
     return [[labels[i - 1] for i in b] for b in pi.blocks]
 
 
-def _build_recursive(labels, split_fn, rng):
+def _build_recursive(labels, split_fn, rng, edge_fn=None):
+    """Tree of recursive splits of the sorted labels, node ids in pre-order.
+
+    With edge_fn, every vertex draws its edge length edge_fn(block size)
+    before its split, and the tree hangs below a degree-1 virtual root.
+    """
     children = {}
     leaf_label = {}
-    counter = [0]
-
-    def fresh():
-        counter[0] += 1
-        return counter[0] - 1
+    length = None if edge_fn is None else {}
+    fresh = itertools.count().__next__
 
     def build(labs):
         v = fresh()
+        if edge_fn is not None:
+            length[v] = edge_fn(len(labs))
         if len(labs) == 1:
             leaf_label[v] = labs[0]
             return v
@@ -208,8 +261,11 @@ def _build_recursive(labels, split_fn, rng):
         children[v] = [build(b) for b in _split_block(labs, pi)]
         return v
 
-    root = build(sorted(labels))
-    return GrownTree(children, leaf_label, root)
+    if edge_fn is None:
+        return Tree(children, leaf_label, build(sorted(labels)))
+    root = fresh()
+    children[root] = [build(sorted(labels))]
+    return Tree(children, leaf_label, root, length)
 
 
 def table_sampler(table, rng):
@@ -270,15 +326,16 @@ def delete_leaf(t, label):
     for v in leaf_label:
         if leaf_label[v] > label:
             leaf_label[v] -= 1
-    return GrownTree(children, leaf_label, root, parent_of)
+    return Tree(children, leaf_label, root, None, parent_of)
 
 
 def spine_depth(t, label):
     """Number of tree blocks containing the label; counts the added root edge."""
     u = t.leaf_node(label)
+    parent_of = t.parent_of
     depth = 1
     while u != t.root:
-        u = t.parent_of[u]
+        u = parent_of[u]
         depth += 1
     return depth
 
@@ -307,83 +364,6 @@ def mean_depth(t):
     return float(np.mean(list(leaf_depths(t).values())))
 
 
-@dataclass
-class MetricTree:
-    """Rooted tree with edge lengths; vertex 0 is the root."""
-
-    children: dict          # node -> list of children
-    length: dict            # node -> length of the edge to its parent
-    leaf_labels: dict       # node -> integer label (leaves only)
-    root: int = 0
-
-    @property
-    def parent(self):
-        return {c: v for v, cs in self.children.items() for c in cs}
-
-    def depth(self, v):
-        par = self.parent
-        d = 0.0
-        while v != self.root:
-            d += self.length[v]
-            v = par[v]
-        return d
-
-    def leaves(self):
-        return sorted(self.leaf_labels, key=lambda v: self.leaf_labels[v])
-
-    def labels_under(self, v):
-        """Sorted leaf labels below v (inclusive)."""
-        return _labels_below(self.children, self.leaf_labels, v)
-
-    def validate(self):
-        if any(l < 0 for l in self.length.values()):
-            raise ArgumentError("negative edge length")
-        seen = set()
-        stack = [self.root]
-        while stack:
-            v = stack.pop()
-            if v in seen:
-                raise ArgumentError("cycle in tree")
-            seen.add(v)
-            stack.extend(self.children.get(v, []))
-
-    def scaled(self, factor):
-        return MetricTree(self.children, {v: l * factor for v, l in self.length.items()},
-                          self.leaf_labels, self.root)
-
-    def _min_label(self, v):
-        if v in self.leaf_labels:
-            return self.leaf_labels[v]
-        return min(self._min_label(c) for c in self.children[v])
-
-    def _node_text(self, v, labelled=True):
-        if v in self.leaf_labels:
-            head = str(self.leaf_labels[v]) if labelled else "*"
-        else:
-            kids = sorted(self.children[v], key=self._min_label)
-            texts = [self._node_text(c, labelled) for c in kids]
-            head = "(" + ",".join(sorted(texts) if not labelled else texts) + ")"
-        if v == self.root:
-            return head
-        return head + ":" + _FMT(self.length[v])
-
-    def to_text(self):
-        """Parenthesized form with :length suffixes on every non-root vertex."""
-        return self._node_text(self.root)
-
-    def shape_text(self):
-        """Delabelled combinatorial shape, lengths dropped; the degree-1
-        virtual root is not displayed."""
-        def sh(v):
-            if v in self.leaf_labels:
-                return "*"
-            return "(" + ",".join(sorted(sh(c) for c in self.children[v])) + ")"
-        top = self.root
-        while top not in self.leaf_labels and len(self.children[top]) == 1:
-            top = self.children[top][0]
-        return sh(top)
-
-
 def reduced_tree(t, labels):
     """Subtree spanning the root and the given leaves, degree-2 vertices suppressed.
 
@@ -395,50 +375,42 @@ def reduced_tree(t, labels):
     if not labels:
         raise ArgumentError("need at least one label")
     targets = {t.leaf_node(lab): lab for lab in labels}
+    parent_of, root = t.parent_of, t.root
     in_union = set(targets)
     for u in targets:
         v = u
-        while v != t.root:
-            v = t.parent_of[v]
+        while v != root:
+            v = parent_of[v]
             in_union.add(v)
     kids_in = {v: [c for c in t.children.get(v, []) if c in in_union]
                for v in in_union}
     retained = {v for v in in_union if len(kids_in[v]) >= 2} | set(targets)
     children = {0: []}
     length = {}
-    leaf_labels = {}
+    leaf_label = {}
     ids = {}
-    next_id = [1]
-
-    def new_id(v):
-        ids[v] = next_id[0]
-        next_id[0] += 1
-        return ids[v]
-
     order = [v for v in t._postorder() if v in retained][::-1]  # root side first
-    for v in order:
-        vid = new_id(v)
+    for vid, v in enumerate(order, 1):
+        ids[v] = vid
         if v in targets:
-            leaf_labels[vid] = targets[v]
+            leaf_label[vid] = targets[v]
+        else:
+            children[vid] = []
         # walk up to the nearest retained ancestor (or the virtual root)
         steps = 1
         u = v
-        while u != t.root:
-            u = t.parent_of[u]
+        while u != root:
+            u = parent_of[u]
             if u in retained:
                 children[ids[u]].append(vid)
-                length[vid] = float(steps)
                 break
             steps += 1
         else:
             children[0].append(vid)
-            length[vid] = float(steps)
-        if v not in targets or v in t.children:
-            children.setdefault(vid, [])
-    mt = MetricTree({v: cs for v, cs in children.items() if cs or v == 0},
-                    length, leaf_labels, 0)
-    mt.validate()
-    return mt
+        length[vid] = float(steps)
+    rt = Tree(children, leaf_label, 0, length)
+    rt.validate()
+    return rt
 
 
 def special_branch_count(t, j, m):
@@ -446,9 +418,10 @@ def special_branch_count(t, j, m):
     if m < 1:
         raise ArgumentError("m must be positive")
     u = t.leaf_node(j)
+    parent_of = t.parent_of
     path = [u]
     while path[-1] != t.root:
-        path.append(t.parent_of[path[-1]])
+        path.append(parent_of[path[-1]])
     count = 0
     below = u
     for v in path[1:]:

@@ -245,12 +245,9 @@ def _exp_grow(cfg):
     oa, og = p.get("oracle_alpha", alpha), p.get("oracle_gamma", gamma)
 
     def run_once(rng):
-        from .partitions import Partition
         counts = {}
         for _ in range(cfg.reps):
-            t = grow_alphagamma(alpha, gamma, n, rng)
-            root_kids = sorted(t.children[t.root], key=lambda c: t.labels_under(c)[0])
-            pi = Partition.from_blocks(n, [t.labels_under(c) for c in root_kids])
+            pi = grow_alphagamma(alpha, gamma, n, rng).root_split()
             counts[pi] = counts.get(pi, 0) + 1
         oracle = alphagamma_growth_split_oracle(oa, og, n)
         cats = sorted(oracle.probs, key=lambda q: q.to_text())

@@ -13,7 +13,7 @@ import numpy as np
 
 from .dislocation import rate_closed_form, sample_split
 from .errors import ArgumentError, UnsupportedCaseError
-from .growth import MetricTree
+from .growth import _build_recursive
 from .partitions import csv_rows, csv_text
 
 NEGLIGIBLE = 1e-8  # e^{-a xi} below this ends an infinite window
@@ -307,40 +307,21 @@ def sample_reduced_crt(d, k, alpha, rng, lengths=True, leaf_cap=100.0):
     exponential functionals of fresh spinal paths.
 
     Uncapped spines (killing rate 0, e.g. every leaf edge) are horizon-capped
-    at leaf_cap with a warning.
+    at leaf_cap with a warning.  With lengths=False every edge has length 1.0
+    and only the splits are drawn.
     """
     if not d.theorem2_mode:
         raise UnsupportedCaseError("reduced-tree sampling needs a theorem-2 model")
     if k < 1:
         raise ArgumentError("k must be positive")
-    children = {0: []}
-    length = {}
-    leaf_labels = {}
-    next_id = [1]
     warned = [False]
 
-    def mk(parent, labs):
-        v = next_id[0]
-        next_id[0] += 1
-        children[parent].append(v)
-        j = len(labs)
-        if lengths:
-            ell, capped = _edge_length(d, j, alpha, rng, leaf_cap)
-            if capped and not warned[0]:
-                warned[0] = True
-                warnings.warn("zero killing rate: spine horizon-capped")
-            length[v] = ell
-        else:
-            length[v] = 1.0
-        if j == 1:
-            leaf_labels[v] = labs[0]
-            return
-        children[v] = []
-        pi = sample_split(d, j, rng)
-        for b in pi.blocks:
-            mk(v, [labs[i - 1] for i in b])
+    def edge(j):
+        ell, capped = _edge_length(d, j, alpha, rng, leaf_cap)
+        if capped and not warned[0]:
+            warned[0] = True
+            warnings.warn("zero killing rate: spine horizon-capped")
+        return ell
 
-    mk(0, list(range(1, k + 1)))
-    mt = MetricTree(children, length, leaf_labels, 0)
-    return mt
-
+    return _build_recursive(range(1, k + 1), lambda j, r: sample_split(d, j, r), rng,
+                            edge if lengths else lambda j: 1.0)

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ArgumentError, UnsupportedCaseError
-from .growth import (grow_alphagamma, mean_depth, reduced_tree,
+from .growth import (Tree, grow_alphagamma, mean_depth, reduced_tree,
                      sample_fragmentation_tree, tree_height)
 
 GH_LEAF_CAP = 10
@@ -45,18 +45,19 @@ class DistanceMatrix:
 
 
 def _tree_points(mt):
-    """All vertices of a MetricTree with depths and the pairwise path metric."""
+    """All vertices of a tree with lengths, with depths and the pairwise path
+    metric; the root comes first."""
     verts = [mt.root]
+    par = {}
+    depth = {mt.root: 0.0}
     stack = [mt.root]
     while stack:
         v = stack.pop()
         for c in mt.children.get(v, []):
             verts.append(c)
+            par[c] = v
+            depth[c] = depth[v] + mt.length[c]
             stack.append(c)
-    par = mt.parent
-    depth = {mt.root: 0.0}
-    for v in verts[1:]:
-        depth[v] = depth[par[v]] + mt.length[v]
     anc = {}
     for v in verts:
         chain = {}
@@ -131,7 +132,7 @@ def gh_distance_rooted(a, b):
     under inclusion, so the restricted minimum is the true minimum.  Branch
     and bound over interleaved assignments, seeded by gh_upper_bound.
     """
-    if len(a.leaf_labels) > GH_LEAF_CAP or len(b.leaf_labels) > GH_LEAF_CAP:
+    if a.n > GH_LEAF_CAP or b.n > GH_LEAF_CAP:
         raise UnsupportedCaseError("exact GH capped at %d leaves" % GH_LEAF_CAP)
     va, da = _tree_points(a)
     vb, db = _tree_points(b)
@@ -182,8 +183,7 @@ def _sample_tree(model, n, rng):
         # debug model: deterministic star, height 2 for every n
         children = {0: list(range(1, n + 1))}
         labels = {i: i for i in range(1, n + 1)}
-        from .growth import GrownTree
-        return GrownTree(children, labels, 0)
+        return Tree(children, labels, 0)
     raise ArgumentError("unknown model family %r" % fam)
 
 
@@ -241,19 +241,20 @@ def fill_fraction(t, k):
     ready for 'mass within radius' queries.
     """
     node_of = {lab: u for u, lab in t.leaf_label.items()}
+    parent_of = t.parent_of
     targets = {node_of[lab] for lab in range(1, min(k, t.n) + 1)}
     spanning = set(targets)
     for u in list(targets):
         v = u
         while v != t.root:
-            v = t.parent_of[v]
+            v = parent_of[v]
             spanning.add(v)
     counts = {}
     for lab in range(1, t.n + 1):
         u = node_of[lab]
         dist = 0
         while u not in spanning:
-            u = t.parent_of[u]
+            u = parent_of[u]
             dist += 1
         counts[dist] = counts.get(dist, 0) + 1
     return {d: c / t.n for d, c in sorted(counts.items())}

@@ -94,10 +94,7 @@ def test_criterion_03_alphagamma_n3_law(capsys):
         def run_once(rng):
             counts = {c: 0 for c in cats}
             for _ in range(10 ** 5):
-                t = grow_alphagamma(alpha, gamma, 3, rng)
-                kids = sorted(t.children[t.root], key=lambda c: t.labels_under(c)[0])
-                pi = Partition.from_blocks(3, [t.labels_under(c) for c in kids])
-                counts[pi] += 1
+                counts[grow_alphagamma(alpha, gamma, 3, rng).root_split()] += 1
             return chi_square_gof([counts[c] for c in cats],
                                   [law[c] for c in cats])
 

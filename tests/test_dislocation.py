@@ -353,7 +353,6 @@ def test_alphagamma_oracle_restricted():
 
 def test_alphagamma_sampling_consistency_of_histories():
     # deleting leaf n from the n-leaf tree law reproduces the (n-1)-leaf law
-    from fragbox.growth import GrownTree
     for n in (4, 5, 6):
         dist_n = alphagamma_tree_distribution(0.5, 0.3, n)
         dist_m = alphagamma_tree_distribution(0.5, 0.3, n - 1)

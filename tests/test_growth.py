@@ -3,30 +3,24 @@ import os
 import numpy as np
 import pytest
 
-from fragbox import (ArgumentError, Partition, alphagamma_growth_split_oracle,
+from fragbox import (ArgumentError, Tree, alphagamma_growth_split_oracle,
                      alphagamma_tree_distribution, delete_leaf,
                      delete_uniform_leaf, grow_alphagamma, reduced_tree,
                      restrict_hierarchy, sample_fragmentation_tree,
                      sample_markov_branching, skewed_pd_splitting_table,
                      special_branch_count, spine_depth, splitting_rule,
                      tree_height)
-from fragbox.growth import GrownTree
 from fragbox.harness import chi_square_gof, gof_gate, single_atom_model
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
 
 
-def root_split(t):
-    kids = sorted(t.children[t.root], key=lambda c: t.labels_under(c)[0])
-    return Partition.from_blocks(t.n, [t.labels_under(c) for c in kids])
-
-
 def cherry():
-    return GrownTree({0: [1, 2]}, {1: 1, 2: 2}, 0)
+    return Tree({0: [1, 2]}, {1: 1, 2: 2}, 0)
 
 
 def star(n):
-    return GrownTree({0: list(range(1, n + 1))}, {i: i for i in range(1, n + 1)}, 0)
+    return Tree({0: list(range(1, n + 1))}, {i: i for i in range(1, n + 1)}, 0)
 
 
 def chain(n):
@@ -44,7 +38,7 @@ def chain(n):
         children[cur] = [inner, leaf] if lab > 2 else [inner, leaf]
         cur = inner
     leaf_label[cur] = 1
-    return GrownTree(children, leaf_label, 0)
+    return Tree(children, leaf_label, 0)
 
 
 def test_grow_trivial_sizes():
@@ -60,7 +54,7 @@ def test_grow_root_split_law():
         counts = {}
         for _ in range(20_000):
             t = grow_alphagamma(0.5, 0.3, 3, rng)
-            p = root_split(t)
+            p = t.root_split()
             counts[p] = counts.get(p, 0) + 1
         oracle = alphagamma_growth_split_oracle(0.5, 0.3, 3)
         cats = sorted(oracle.probs, key=lambda q: q.to_text())
@@ -106,7 +100,7 @@ def test_markov_branching_examples():
     counts = {}
     for _ in range(20_000):
         t = sample_markov_branching(rule, 3, rng)
-        p = root_split(t)
+        p = t.root_split()
         counts[p] = counts.get(p, 0) + 1
     cats = sorted(counts, key=lambda q: q.to_text())
     assert [c.to_text() for c in cats] == ["1 3|2", "1|2 3"]
@@ -146,9 +140,9 @@ def test_delete_leaf_examples():
     rng = np.random.default_rng(4)
     assert delete_uniform_leaf(cherry(), rng).to_text() == "1"
     with pytest.raises(ArgumentError):
-        delete_uniform_leaf(GrownTree({}, {0: 1}, 0), rng)
+        delete_uniform_leaf(Tree({}, {0: 1}, 0), rng)
     # degree-2 suppression: ((1,2),3) minus leaf 3 -> (1,2)
-    t = GrownTree({0: [1, 4], 1: [2, 3]}, {2: 1, 3: 2, 4: 3}, 0)
+    t = Tree({0: [1, 4], 1: [2, 3]}, {2: 1, 3: 2, 4: 3}, 0)
     assert delete_leaf(t, 3).to_text() == "(1,2)"
     # relabelling preserves order
     assert delete_leaf(t, 1).to_text() == "(1,2)"
@@ -189,7 +183,7 @@ def _tree_from_sets(n, sets):
         strict = [a for a in sets if a < s]
         maximal = [a for a in strict if not any(a < b for b in strict)]
         children[ids[s]] = [ids[a] for a in maximal]
-    return GrownTree(children, leaf_label, ids[sets[0]])
+    return Tree(children, leaf_label, ids[sets[0]])
 
 
 def test_delete_leaf_skewed_pd_off_curve_fails():
@@ -231,7 +225,7 @@ def test_spine_depth_examples():
     assert spine_depth(cherry(), 1) == 2
     for lab in range(1, 5):
         assert spine_depth(star(4), lab) == 2
-    single = GrownTree({}, {0: 1}, 0)
+    single = Tree({}, {0: 1}, 0)
     assert spine_depth(single, 1) == 1
     with pytest.raises(ArgumentError):
         spine_depth(cherry(), 3)
@@ -253,6 +247,28 @@ def test_reduced_tree_examples():
     assert list(rc.length.values()) == [2.0]
     with pytest.raises(ArgumentError):
         reduced_tree(t, [])
+
+
+def test_tree_with_and_without_lengths():
+    # one tree type: the :length suffixes and the degree-1 virtual root only
+    # appear on a tree with lengths, and validate keys on the same thing
+    rc = reduced_tree(cherry(), [1, 2])
+    assert rc.to_text() == "((1:1.0,2:1.0):1.0)"
+    assert rc.shape_text() == cherry().shape_text() == "(*,*)"
+    assert rc.vertices == cherry().vertices
+    assert rc.root_split() == cherry().root_split()
+    assert rc.scaled(2.0).to_text() == "((1:2.0,2:2.0):2.0)"
+    with pytest.raises(ArgumentError):
+        cherry().scaled(2.0)
+    with pytest.raises(ArgumentError):
+        Tree({}, {0: 1}, 0).root_split()
+    Tree({0: [1]}, {1: 1}, 0, {1: 1.0}).validate()
+    for bad in (Tree({0: [1]}, {1: 1}, 0),                  # one child, unit edges
+                Tree({0: [1, 2]}, {1: 1, 2: 3}, 0),         # labels not 1..n
+                Tree({0: [1]}, {1: 1}, 0, {1: -1.0}),       # negative length
+                Tree({0: [1], 1: [0]}, {}, 0, {0: 1.0, 1: 1.0})):  # cycle
+        with pytest.raises(ArgumentError):
+            bad.validate()
 
 
 def test_special_branch_count_examples():

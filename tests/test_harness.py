@@ -207,6 +207,12 @@ def test_cli_bad_input_exit_2(tmp_path):
     typo.write_text(json.dumps({"params": {"n": 3, "gama": 0.2}}))
     r = cli("grow", "--config", str(typo))
     assert r.returncode == 2 and "gama" in r.stderr, r.stderr
+    # a config that is not an object, or whose params are not one
+    for i, shape in enumerate(([1], {"params": [1, 2]})):
+        bad_shape = tmp_path / f"shape{i}.json"
+        bad_shape.write_text(json.dumps(shape))
+        r = cli("grow", "--config", str(bad_shape))
+        assert r.returncode == 2 and "Traceback" not in r.stderr, (shape, r.stderr)
     # c or k not a list of numbers; c, k or theorem2 without levels (which
     # would be ignored silently)
     levels = 'levels={"1": [[[0.5, 0.3], 1.0]]}'

@@ -7,10 +7,10 @@ from hypothesis import given, strategies as st
 from scipy import stats
 
 from fragbox import (ArgumentError, KnWindow, LevyAtoms, SubordinatorPath,
-                     UnsupportedCaseError, Partition,
-                     pjs_limit_functional, pjs_tail_statistic, renewal_moment,
-                     sample_Kn, sample_reduced_crt, simulate_subordinator,
-                     spinal_levy_measure, splitting_rule)
+                     UnsupportedCaseError, pjs_limit_functional,
+                     pjs_tail_statistic, renewal_moment, sample_Kn,
+                     sample_fragmentation_tree, sample_reduced_crt,
+                     simulate_subordinator, spinal_levy_measure, splitting_rule)
 from fragbox.dislocation import DiscreteDislocation
 from fragbox.harness import chi_square_gof, single_atom_model
 from fragbox.spine import NEGLIGIBLE, _edge_length, _exp_functional
@@ -367,15 +367,29 @@ def test_reduced_crt_sampled_shape_frequencies():
         counts = {}
         rng = np.random.default_rng(seed)
         for _ in range(reps):
-            mt = sample_reduced_crt(d, k, 0.5, rng, lengths=False)
-            top = mt.children[mt.children[0][0]]
-            p = Partition.from_blocks(k, [mt.labels_under(c) for c in top])
+            p = sample_reduced_crt(d, k, 0.5, rng, lengths=False).root_split()
             counts[p] = counts.get(p, 0) + 1
         st = splitting_rule(d, k)
         cats = [p for p, v in st.probs.items() if v > 0]
         rep = chi_square_gof([counts.get(c, 0) for c in cats],
                              [st.probs[c] for c in cats])
         assert rep.p_value > 1e-3, (k, rep.p_value)
+
+
+def test_reduced_crt_without_lengths_is_the_fragmentation_tree():
+    # one recursive builder: with lengths=False the reduced-tree sampler draws
+    # nothing but splits, so at one seed it spans the same hierarchy as the
+    # fragmentation-tree sampler, hung below its virtual root with unit edges
+    for d in (single_atom_model(), _general_theorem2_model()):
+        for k in range(1, 9):
+            for seed in range(5):
+                mt = sample_reduced_crt(d, k, 0.5, np.random.default_rng(seed),
+                                        lengths=False)
+                t = sample_fragmentation_tree(d, k, np.random.default_rng(seed))
+                assert mt.vertices == t.vertices
+                if k > 1:
+                    assert mt.root_split() == t.root_split()
+                assert set(mt.length.values()) == {1.0}
 
 
 def test_reduced_crt_edge_length_oracle():
