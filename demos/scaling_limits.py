@@ -6,13 +6,12 @@ reduced-tree edge lengths, the height-scaling exponent, and shrinking GH
 distance along the growth chain.
 """
 
-import math
 import warnings
 
 import numpy as np
 
-from fragbox import (delete_leaf, gh_distance_rooted, grow_alphagamma,
-                     reduced_tree, sample_fragmentation_tree,
+from fragbox import (crt_scale, gh_distance_rooted, grow_alphagamma,
+                     reduced_ladder, reduced_tree, sample_fragmentation_tree,
                      sample_reduced_crt, scaling_exponent)
 from fragbox.harness import single_atom_model
 
@@ -53,19 +52,16 @@ def main():
     print()
     print("== GH stabilization along the growth chain ==")
     gamma, k = 0.4, 4
-    for n in (16, 64, 256):
-        gaps = []
-        for _ in range(10):
-            big = grow_alphagamma(0.5, gamma, 4 * n, rng)
-            small = big
-            for lab in range(4 * n, n, -1):
-                small = delete_leaf(small, lab)
-            r_small = reduced_tree(small, range(1, k + 1)).scaled(
-                1.0 / (n ** gamma * math.gamma(1 - gamma)))
-            r_big = reduced_tree(big, range(1, k + 1)).scaled(
-                1.0 / ((4 * n) ** gamma * math.gamma(1 - gamma)))
-            gaps.append(gh_distance_rooted(r_small, r_big))
-        print(f"  n = {n:3d} vs {4 * n:4d}: median GH gap {np.median(gaps):.4f}")
+    sizes = [16, 64, 256, 1024]
+    gaps = {n: [] for n in sizes[:-1]}
+    for _ in range(10):
+        t = grow_alphagamma(0.5, gamma, sizes[-1], rng)
+        at = {n: rt.scaled(1.0 / crt_scale(n, gamma))
+              for n, rt in zip(sizes, reduced_ladder(t, k, sizes))}
+        for n in gaps:
+            gaps[n].append(gh_distance_rooted(at[n], at[4 * n]))
+    for n, g in gaps.items():
+        print(f"  n = {n:3d} vs {4 * n:4d}: median GH gap {np.median(g):.4f}")
 
 
 if __name__ == "__main__":

@@ -21,10 +21,10 @@ from .dislocation import (DiscreteDislocation, SplittingRuleTable,
                           skewed_pd_ranked_split, skewed_pd_splitting_table,
                           splitting_rule, table_to_eppf)
 from .growth import (Tree, delete_leaf, delete_uniform_leaf, grow_alphagamma,
-                     leaf_depths, mean_depth, reduced_tree,
+                     leaf_depths, mean_depth, reduced_ladder, reduced_tree,
                      sample_fragmentation_tree, sample_markov_branching,
                      special_branch_count, spine_depth, tree_height)
-from .spine import (KnWindow, LevyAtoms, SubordinatorPath,
+from .spine import (KnWindow, LevyAtoms, SubordinatorPath, crt_scale,
                     pjs_limit_functional, pjs_tail_statistic, renewal_moment,
                     sample_Kn, sample_reduced_crt, simulate_subordinator,
                     spinal_levy_measure)

@@ -17,8 +17,8 @@ import numpy as np
 
 from .errors import ArgumentError, ModelError, ResourceBudgetError
 from .paintbox import _paint_partition, _paints, kingman_cylinder_prob
-from .partitions import (Partition, all_partitions, block_size_multiset,
-                         csv_rows, csv_text, MassPartition)
+from .partitions import (Partition, _maximal_strict_subsets, all_partitions,
+                         block_size_multiset, csv_rows, csv_text, MassPartition)
 
 _EXCLUDED_TOL = 1e-12
 
@@ -372,11 +372,6 @@ def sample_split(d, b, rng):
 # alpha-gamma model
 # ---------------------------------------------------------------------------
 
-def _hierarchy_children(t, B):
-    strict = [a for a in t if a < B]
-    return [a for a in strict if not any(a < c for c in strict)]
-
-
 @lru_cache(maxsize=256)
 def alphagamma_tree_distribution(alpha, gamma, n):
     """Exact law of the labelled n-leaf tree, by exhausting insertion histories.
@@ -411,7 +406,7 @@ def alphagamma_tree_distribution(alpha, gamma, n):
                     if w_edge > 0:
                         res = grown_anc | {B, new}
                         nxt[res] = nxt.get(res, 0.0) + pr * w_edge
-                    kb = len(_hierarchy_children(t, B))
+                    kb = len(_maximal_strict_subsets(t, B))
                     w_vert = ((kb - 1) * alpha - gamma) / denom
                     assert w_vert > -1e-12
                     if w_vert > 0:
@@ -429,7 +424,7 @@ def alphagamma_growth_split_oracle(alpha, gamma, n):
     root = frozenset(range(1, n + 1))
     probs = {}
     for t, pr in dist.items():
-        pi = Partition.from_blocks(n, _hierarchy_children(t, root))
+        pi = Partition.from_blocks(n, _maximal_strict_subsets(t, root))
         probs[pi] = probs.get(pi, 0.0) + pr
     return _full_table(n, probs)
 

@@ -413,6 +413,40 @@ def reduced_tree(t, labels):
     return rt
 
 
+def reduced_ladder(t, k, ns):
+    """reduced_tree(T_n, 1..k) for every n in ns, all read off t = T_N, one
+    tree grown by grow_alphagamma (k <= n <= N).
+
+    grow_alphagamma hands out node ids in birth order and growth only
+    subdivides edges or adds leaves, so T_n is the subtree of the T_N nodes
+    whose id is at most that of leaf n (the tree delete_leaf leaves after
+    removing leaves N, ..., n+1).  The reduced topology on [k] is therefore
+    the same for every n, and at size n an edge is as long as the number of
+    T_n nodes on its T_N path.  Costs one reduced_tree of t plus one
+    searchsorted per (edge, n).
+    """
+    ns = list(ns)
+    if k < 1 or any(not k <= n <= t.n for n in ns):
+        raise ArgumentError(f"need 1 <= k <= n <= {t.n} for every n")
+    rt = reduced_tree(t, range(1, k + 1))
+    node_of = {lab: u for u, lab in t.leaf_label.items()}
+    parent_of, rt_parent = t.parent_of, rt.parent_of
+    path_ids = {}       # reduced vertex -> sorted T_N ids on its edge's path
+    for leaf, lab in rt.leaf_label.items():
+        path = [node_of[lab]]       # T_N ancestors of the leaf, leaf first
+        while path[-1] != t.root:
+            path.append(parent_of[path[-1]])
+        v, pos = leaf, 0
+        while v != rt.root and v not in path_ids:
+            end = pos + int(rt.length[v])
+            path_ids[v] = np.sort(path[pos:end])
+            v, pos = rt_parent[v], end
+    return [Tree(rt.children, rt.leaf_label, rt.root,
+                 {v: float(np.searchsorted(ids, node_of[n], side="right"))
+                  for v, ids in path_ids.items()})
+            for n in ns]
+
+
 def special_branch_count(t, j, m):
     """Vertices on the root-to-j path whose m least labels escape j's child."""
     if m < 1:

@@ -17,12 +17,12 @@ from . import __version__ as _version
 from .dislocation import (DiscreteDislocation, alphagamma_growth_split_oracle,
                           consistency_residual, sampling_consistency_residual,
                           skewed_pd_splitting_table, splitting_rule)
-from .growth import grow_alphagamma, reduced_tree
+from .growth import grow_alphagamma, reduced_ladder
 from .paintbox import gnedin_constrained_run
 from .partitions import (FiniteMeasureOnPartitions, all_partitions,
                          classify_exchangeability, csv_text)
-from .spine import (KnWindow, LevyAtoms, pjs_tail_statistic, renewal_moment,
-                    sample_reduced_crt)
+from .spine import (KnWindow, LevyAtoms, crt_scale, pjs_tail_statistic,
+                    renewal_moment, sample_reduced_crt)
 from .treemetric import gh_distance_rooted, scaling_exponent
 
 P_THRESHOLD = 1e-3
@@ -382,20 +382,21 @@ def _exp_exponent(cfg):
 
 
 def _exp_gh_stabilize(cfg):
+    """Median GH gap between the rescaled reduced trees on leaves 1..k of
+    T_n and T_4n, both read off one grown tree per replicate."""
     p = cfg.params
     alpha, gamma = p.get("alpha", 0.5), p.get("gamma", 0.4)
     k = p.get("k", 4)
-    rows = []
-    for n in p.get("n_grid", [256, 1024]):
-        dists = []
-        for i in range(cfg.reps):
-            rng = rng_for(cfg.master_seed, f"{cfg.tag}:n{n}", i)
-            t1 = grow_alphagamma(alpha, gamma, n, rng)
-            t2 = grow_alphagamma(alpha, gamma, 4 * n, rng)
-            r1 = reduced_tree(t1, range(1, k + 1)).scaled(n ** -gamma)
-            r2 = reduced_tree(t2, range(1, k + 1)).scaled((4 * n) ** -gamma)
-            dists.append(gh_distance_rooted(r1, r2))
-        rows.append((n, repr(float(np.median(dists)))))
+    ns = p.get("n_grid", [256, 1024])
+    sizes = sorted(set(ns) | {4 * n for n in ns})
+    dists = {n: [] for n in ns}
+    for i in range(cfg.reps):
+        t = grow_alphagamma(alpha, gamma, sizes[-1], rng_for(cfg.master_seed, cfg.tag, i))
+        at = {n: rt.scaled(1.0 / crt_scale(n, gamma))
+              for n, rt in zip(sizes, reduced_ladder(t, k, sizes))}
+        for n in ns:
+            dists[n].append(gh_distance_rooted(at[n], at[4 * n]))
+    rows = [(n, repr(float(np.median(dists[n])))) for n in ns]
     return {"medians": {str(n): float(v) for n, v in rows}}, {
         "gh.csv": csv_text(rows, ("n", "median_gh"))}
 
@@ -409,22 +410,43 @@ def _exp_classify(cfg):
     return dict(flags), {}
 
 
-_MODEL_KEYS = frozenset({"levels", "c", "k", "theorem2"})     # _model_for
-_TABLE_KEYS = _MODEL_KEYS | {"family", "alpha", "gamma", "theta", "lambda"}  # _table_for
+# the JSON kind of each value; a tuple passes for a list
+_KINDS = {
+    "integer": lambda v: isinstance(v, int) and not isinstance(v, bool),
+    "number": _is_number,
+    "bool": lambda v: isinstance(v, bool),
+    "string": lambda v: isinstance(v, str),
+    "list": lambda v: isinstance(v, (list, tuple)),
+    "object": lambda v: isinstance(v, dict),
+}
 
-# tag -> (experiment, the params keys it reads); any other key is an error
+_MODEL_KEYS = {"levels": "object", "c": "list", "k": "list",       # _model_for
+               "theorem2": "bool"}
+_TABLE_KEYS = {**_MODEL_KEYS, "family": "string", "alpha": "number",  # _table_for
+               "gamma": "number", "theta": "number", "lambda": "number"}
+
+# tag -> (experiment, the kind of each params key it reads); any other key
+# is an error
 _DISPATCH = {
-    "split-table": (_exp_split_table, _TABLE_KEYS | {"n"}),
-    "grow": (_exp_grow, {"alpha", "gamma", "n", "oracle_alpha", "oracle_gamma"}),
-    "consistency": (_exp_consistency, _MODEL_KEYS | {"n_grid"}),
-    "sampling-consistency": (_exp_sampling_consistency, {"alpha", "theta", "lambda"}),
-    "gnedin": (_exp_gnedin, {"exp_rate", "heavy_tail", "psi", "n_grid", "pareto_index"}),
-    "renewal": (_exp_renewal, {"kind", "t_grid", "p"}),
-    "pjs": (_exp_pjs, {"alpha", "n", "delta", "epsilon", "window", "x_grid", "c_p", "p"}),
-    "reduced-crt": (_exp_reduced_crt, _MODEL_KEYS | {"alpha"}),
-    "exponent": (_exp_exponent, {"model", "n_grid", "statistic"}),
-    "gh-stabilize": (_exp_gh_stabilize, {"alpha", "gamma", "k", "n_grid"}),
-    "classify": (_exp_classify, _TABLE_KEYS | {"n"}),
+    "split-table": (_exp_split_table, {**_TABLE_KEYS, "n": "integer"}),
+    "grow": (_exp_grow, {"alpha": "number", "gamma": "number", "n": "integer",
+                         "oracle_alpha": "number", "oracle_gamma": "number"}),
+    "consistency": (_exp_consistency, {**_MODEL_KEYS, "n_grid": "list"}),
+    "sampling-consistency": (_exp_sampling_consistency,
+                             {"alpha": "number", "theta": "number", "lambda": "number"}),
+    "gnedin": (_exp_gnedin, {"exp_rate": "number", "heavy_tail": "bool", "psi": "list",
+                             "n_grid": "list", "pareto_index": "number"}),
+    "renewal": (_exp_renewal, {"kind": "string", "t_grid": "list", "p": "number"}),
+    "pjs": (_exp_pjs, {"alpha": "number", "n": "integer", "delta": "number",
+                       "epsilon": "number", "window": "number", "x_grid": "list",
+                       "c_p": "number", "p": "number"}),
+    # here k is the number of leaves, not the k_j constants of the model
+    "reduced-crt": (_exp_reduced_crt, {**_MODEL_KEYS, "k": "integer", "alpha": "number"}),
+    "exponent": (_exp_exponent, {"model": "object", "n_grid": "list",
+                                 "statistic": "string"}),
+    "gh-stabilize": (_exp_gh_stabilize, {"alpha": "number", "gamma": "number",
+                                         "k": "integer", "n_grid": "list"}),
+    "classify": (_exp_classify, {**_TABLE_KEYS, "n": "integer"}),
 }
 
 
@@ -433,10 +455,13 @@ def run_experiment(cfg):
     cfg.validate()
     if cfg.tag not in _DISPATCH:
         raise ArgumentError("unknown experiment tag %r" % cfg.tag)
-    run, known = _DISPATCH[cfg.tag]
-    stray = sorted(set(cfg.params) - known)
+    run, kinds = _DISPATCH[cfg.tag]
+    stray = sorted(set(cfg.params) - set(kinds))
     if stray:
         raise ArgumentError(f"unknown parameter(s) for {cfg.tag}: {', '.join(stray)}")
+    for key in sorted(cfg.params):
+        if not _KINDS[kinds[key]](cfg.params[key]):
+            raise ArgumentError(f"parameter {key} of {cfg.tag} must be a JSON {kinds[key]}")
     t0 = time.monotonic()
     summary, tables = run(cfg)
     bundle = {

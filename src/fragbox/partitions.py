@@ -183,9 +183,14 @@ def children_of(h, B):
     B = frozenset(B)
     if B not in h.members or len(B) < 2:
         raise ArgumentError("B must be a non-singleton member of the hierarchy")
-    strict = [a for a in h.members if a and a < B]
-    maximal = [a for a in strict if not any(a < b for b in strict)]
-    return _partition_of_set(B, maximal)
+    return _partition_of_set(B, _maximal_strict_subsets(h.members, B))
+
+
+def _maximal_strict_subsets(sets, B):
+    """The maximal non-empty strict subsets of B among sets: B's children
+    in a hierarchy."""
+    strict = [a for a in sets if a and a < B]
+    return [a for a in strict if not any(a < b for b in strict)]
 
 
 def _partition_of_set(B, blocks):

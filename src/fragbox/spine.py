@@ -225,6 +225,15 @@ def pjs_limit_functional(path, w, alpha):
                            truncate=not np.isfinite(span))
 
 
+def crt_scale(n, a):
+    """n^a Gamma(1-a): what a count at size n is divided by to meet its
+    continuum limit, the killed exponential functional of the spine.  The
+    count is K_n for a power tail of index a, or an edge length of a reduced
+    tree on n leaves whose scaling exponent is a (gamma for alpha-gamma
+    trees).  a is held below 1, where Gamma(1-a) has its pole."""
+    return n ** a * math.gamma(1.0 - min(a, 0.999999))
+
+
 def a_alpha_constant(alpha):
     """2 sum_{j>=1} (j+1)^sqrt(alpha) / (j (j+1)), summed to a fixed horizon."""
     j = np.arange(1, A_ALPHA_TERMS + 1, dtype=float)
@@ -247,7 +256,7 @@ def pjs_tail_statistic(l, w, n, x, reps, rng, c_p=1.0, p=3.0):
     if not np.isfinite(span):
         raise ArgumentError("finite window required here")
     aa = a_alpha_constant(alpha)
-    scale = n ** alpha * math.gamma(1 - alpha)
+    scale = crt_scale(n, alpha)
     exceed = 0
     grid = np.arange(int(span) + 1, dtype=float)
     for _ in range(reps):

@@ -9,6 +9,7 @@ import numpy as np
 from .errors import ArgumentError, UnsupportedCaseError
 from .growth import (Tree, grow_alphagamma, mean_depth, reduced_tree,
                      sample_fragmentation_tree, tree_height)
+from .spine import crt_scale
 
 GH_LEAF_CAP = 10
 FOUR_POINT_TOL = 1e-9
@@ -102,14 +103,17 @@ def _correspondence_distortion(da, db, fa, gb):
 
 def gh_upper_bound(a, b):
     """Distortion/2 of a greedy depth-profile correspondence (roots paired)."""
-    va, da = _tree_points(a)
-    vb, db = _tree_points(b)
+    return _greedy_bound(_tree_points(a)[1], _tree_points(b)[1])
+
+
+def _greedy_bound(da, db):
+    """gh_upper_bound on the path metrics of the two trees, roots first."""
     deptha = da[0]
     depthb = db[0]
     order_a = np.argsort(deptha, kind="stable")
     order_b = np.argsort(depthb, kind="stable")
-    fa = np.zeros(len(va), dtype=int)
-    gb = np.zeros(len(vb), dtype=int)
+    fa = np.zeros(len(deptha), dtype=int)
+    gb = np.zeros(len(depthb), dtype=int)
     for i in order_a:
         fa[i] = order_b[np.argmin(np.abs(depthb[order_b] - deptha[i]))]
     for j in order_b:
@@ -137,7 +141,7 @@ def gh_distance_rooted(a, b):
     va, da = _tree_points(a)
     vb, db = _tree_points(b)
     na, nb = len(va), len(vb)
-    best = [2.0 * gh_upper_bound(a, b) + 1e-15]
+    best = [2.0 * _greedy_bound(da, db) + 1e-15]
     # items: ('a', i) needs an image in B, ('b', j) needs a preimage in A;
     # index 0 on both sides is the root, pinned to the root.  Deep vertices
     # are the most constrained, so assign them first, and try candidate
@@ -197,11 +201,11 @@ def edge_convergence_experiment(model, k, n_grid, reps, rng):
     """Rescaled reduced-tree edge statistics per n, grouped by edge identity.
 
     Edges are keyed by the sorted leaf labels below them; lengths are divided
-    by n^a Gamma(1-a) with a the model's scaling exponent.
+    by crt_scale(n, a) with a the model's scaling exponent.
     """
     out = []
     for n in n_grid:
-        scale = n ** _scaling_alpha(model) * math.gamma(1.0 - min(_scaling_alpha(model), 0.999999))
+        scale = crt_scale(n, _scaling_alpha(model))
         acc = {}
         for _ in range(reps):
             t = _sample_tree(model, n, rng)

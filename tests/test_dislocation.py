@@ -1,12 +1,10 @@
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fragbox import (ArgumentError, DiscreteDislocation, MassPartition,
-                     ModelError, Partition, ResourceBudgetError,
-                     SplittingRuleTable, all_partitions, alphagamma_eppf,
+from fragbox import (ArgumentError, DiscreteDislocation, ModelError,
+                     Partition, ResourceBudgetError, SplittingRuleTable,
+                     all_partitions, alphagamma_eppf,
                      alphagamma_growth_split_oracle,
                      alphagamma_tree_distribution, consistency_residual,
                      eppf_recursion_residual, kappa_cylinder,

@@ -2,14 +2,14 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fragbox import (ArgumentError, Tree, alphagamma_growth_split_oracle,
                      alphagamma_tree_distribution, delete_leaf,
-                     delete_uniform_leaf, grow_alphagamma, reduced_tree,
-                     restrict_hierarchy, sample_fragmentation_tree,
+                     delete_uniform_leaf, grow_alphagamma, reduced_ladder,
+                     reduced_tree, sample_fragmentation_tree,
                      sample_markov_branching, skewed_pd_splitting_table,
-                     special_branch_count, spine_depth, splitting_rule,
-                     tree_height)
+                     special_branch_count, spine_depth, splitting_rule)
 from fragbox.harness import chi_square_gof, gof_gate, single_atom_model
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
@@ -247,6 +247,28 @@ def test_reduced_tree_examples():
     assert list(rc.length.values()) == [2.0]
     with pytest.raises(ArgumentError):
         reduced_tree(t, [])
+
+
+@settings(max_examples=100)
+@given(st.floats(0, 1), st.floats(0, 1), st.integers(1, 150), st.integers(1, 6),
+       st.data())
+def test_reduced_ladder_is_the_delete_leaf_chain(alpha, gamma_frac, big_n, k, data):
+    # T_n is T_N after deleting leaves N, ..., n+1; the ladder reads every
+    # reduced tree off T_N alone
+    k = min(k, big_n)
+    ns = data.draw(st.lists(st.integers(k, big_n), min_size=1, max_size=6))
+    seed = data.draw(st.integers(0, 2 ** 32 - 1))
+    t = grow_alphagamma(alpha, alpha * gamma_frac, big_n, np.random.default_rng(seed))
+    want, small = {}, t
+    for lab in range(big_n, k - 1, -1):
+        if lab in ns:
+            want[lab] = reduced_tree(small, range(1, k + 1)).to_text()
+        if lab > k:
+            small = delete_leaf(small, lab)
+    assert [rt.to_text() for rt in reduced_ladder(t, k, ns)] == [want[n] for n in ns]
+    for bad_k, bad_ns in ((k, [big_n + 1]), (k + 1, [k]), (0, [k])):
+        with pytest.raises(ArgumentError):
+            reduced_ladder(t, bad_k, bad_ns)
 
 
 def test_tree_with_and_without_lengths():

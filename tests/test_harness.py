@@ -183,6 +183,17 @@ def test_cli_reduced_crt_beyond_enumeration_sizes():
     assert json.loads(r.stdout)["k"] == 13
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_cli_gh_stabilize_gap_shrinks(seed):
+    # T_n and T_4n come from one growth chain, so their rescaled reduced
+    # trees draw together as n grows (two independent trees would not)
+    r = cli("gh-stabilize", "--param", "n_grid=[16, 256]", "--param", "k=2",
+            "--reps", "40", "--seed", str(seed))
+    assert r.returncode == 0, r.stderr
+    medians = json.loads(r.stdout)["medians"]
+    assert medians["256"] < 0.8 * medians["16"], medians
+
+
 def test_cli_csv_format():
     r = cli("split-table", "--param", "n=3", "--format", "csv")
     assert r.returncode == 0, r.stderr
@@ -220,6 +231,11 @@ def test_cli_bad_input_exit_2(tmp_path):
                    ("c=[0.1]",), ("k=[0.1]",), ("theorem2=true",)):
         r = cli("consistency", *[a for p in params for a in ("--param", p)])
         assert r.returncode == 2 and "Traceback" not in r.stderr, (params, r.stderr)
+    # a value of the wrong JSON kind for its key
+    for cmd, param in (("grow", 'n="x"'), ("gh-stabilize", 'alpha="x"'),
+                       ("renewal", "t_grid=5")):
+        r = cli(cmd, "--param", param)
+        assert r.returncode == 2 and "Traceback" not in r.stderr, (cmd, r.stderr)
 
 
 def test_cli_malformed_levels_exit_2():

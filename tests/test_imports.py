@@ -1,7 +1,8 @@
-"""Every module in src/fragbox (the package __init__ aside) uses what it
-imports, every module-level private function has a reference in the
-package, and nothing in the package imports scipy, a test-only dependency
-whose `scipy.stats` takes several times as long to import as fragbox."""
+"""Every module in src/fragbox (the package __init__ aside), tests/ and
+demos/ uses what it imports, every module-level private function in the
+package has a reference in it, and nothing in the package imports scipy, a
+test-only dependency whose `scipy.stats` takes several times as long to
+import as fragbox."""
 
 import ast
 import subprocess
@@ -10,8 +11,10 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "fragbox"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "fragbox"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+LINTED = MODULES + sorted(ROOT.glob("tests/*.py")) + sorted(ROOT.glob("demos/*.py"))
 
 
 def unused_imports(source):
@@ -32,7 +35,8 @@ def test_unused_imports_detected():
     assert unused_imports(src) == [(1, "os"), (3, "d")]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", LINTED, ids=lambda p: p.name if p.parent == SRC
+                         else f"{p.parent.name}/{p.name}")
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
 

@@ -1,13 +1,11 @@
-import math
-
 import numpy as np
 import pytest
 
-from fragbox import (ArgumentError, Tree, UnsupportedCaseError,
+from fragbox import (ArgumentError, Tree, UnsupportedCaseError, crt_scale,
                      distance_matrix, edge_convergence_experiment,
                      fill_fraction, gh_distance_rooted, gh_upper_bound,
-                     grow_alphagamma, mass_within, reduced_tree,
-                     scaling_exponent)
+                     grow_alphagamma, mass_within, reduced_ladder,
+                     reduced_tree, scaling_exponent)
 from fragbox.treemetric import _tree_points
 
 
@@ -157,22 +155,14 @@ def test_fill_fraction_monotone():
 def test_gh_stabilization_across_scales():
     # growth-chain coupling: the same tree seen at n and 4n leaves gives
     # rescaled k-leaf reduced trees whose GH gap shrinks as n grows
-    from fragbox import delete_leaf
-
     rng = np.random.default_rng(13)
     alpha, gamma, k = 0.5, 0.4, 4
-
-    def rescale(t, n):
-        rt = reduced_tree(t, range(1, k + 1))
-        return rt.scaled(1.0 / (n ** gamma * math.gamma(1.0 - gamma)))
-
-    def gap(n):
-        big = grow_alphagamma(alpha, gamma, 4 * n, rng)
-        small = big
-        for lab in range(4 * n, n, -1):
-            small = delete_leaf(small, lab)
-        return gh_distance_rooted(rescale(small, n), rescale(big, 4 * n))
-
-    g_small = float(np.median([gap(16) for _ in range(25)]))
-    g_big = float(np.median([gap(256) for _ in range(25)]))
-    assert g_big < g_small
+    sizes = [16, 64, 256, 1024]
+    gaps = {16: [], 256: []}
+    for _ in range(25):
+        t = grow_alphagamma(alpha, gamma, sizes[-1], rng)
+        at = {n: rt.scaled(1.0 / crt_scale(n, gamma))
+              for n, rt in zip(sizes, reduced_ladder(t, k, sizes))}
+        for n in gaps:
+            gaps[n].append(gh_distance_rooted(at[n], at[4 * n]))
+    assert np.median(gaps[256]) < np.median(gaps[16])
