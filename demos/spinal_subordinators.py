@@ -5,12 +5,11 @@ killed subordinator whose jump atoms and killing rate come straight from the
 dislocation model.  Block counts in a survival window scale like n^alpha.
 """
 
-import math
-
 import numpy as np
 
-from fragbox import (KnWindow, LevyAtoms, pjs_limit_functional, renewal_moment,
-                     sample_Kn, simulate_subordinator, spinal_levy_measure)
+from fragbox import (KnWindow, LevyAtoms, crt_scale, pjs_limit_functional,
+                     renewal_moment, sample_Kn, simulate_subordinator,
+                     spinal_levy_measure)
 from fragbox.harness import single_atom_model
 
 
@@ -35,7 +34,7 @@ def main():
     alpha, n = 0.5, 10 ** 6
     l = LevyAtoms((), tail_alpha=alpha, tail_delta=1.0 / (10 * n))
     w = KnWindow(0.0, 0.0, 5.0)
-    scale = n ** alpha * math.gamma(1 - alpha)
+    scale = crt_scale(n, alpha)
     for seed in range(5):
         r = np.random.default_rng(30 + seed)
         p = simulate_subordinator(l, 5.0, r)

@@ -30,6 +30,7 @@ class Tree:
     root: int
     length: dict = None     # node id -> edge length; None: unit edges
     _parent_of: dict = field(default=None, repr=False, compare=False)
+    _node_of: dict = field(default=None, repr=False, compare=False)
 
     @property
     def parent_of(self):
@@ -37,6 +38,22 @@ class Tree:
         if self._parent_of is None:
             self._parent_of = {c: v for v, cs in self.children.items() for c in cs}
         return self._parent_of
+
+    @property
+    def node_of(self):
+        """leaf label -> node id, built on first use."""
+        if self._node_of is None:
+            self._node_of = {lab: u for u, lab in self.leaf_label.items()}
+        return self._node_of
+
+    def path_to_root(self, u):
+        """[u, parent of u, ..., root]."""
+        parent_of, root = self.parent_of, self.root
+        path = [u]
+        while u != root:
+            u = parent_of[u]
+            path.append(u)
+        return path
 
     @property
     def leaf_labels(self):
@@ -57,15 +74,8 @@ class Tree:
 
     def labels_under(self, v):
         """Sorted leaf labels below v (inclusive)."""
-        out = []
-        stack = [v]
-        while stack:
-            u = stack.pop()
-            if u in self.leaf_label:
-                out.append(self.leaf_label[u])
-            else:
-                stack.extend(self.children.get(u, ()))
-        return sorted(out)
+        leaf_label = self.leaf_label
+        return sorted([leaf_label[u] for u in self._postorder(v) if u in leaf_label])
 
     def root_split(self):
         """Partition of [n] by the root's children (a virtual root skipped)."""
@@ -76,12 +86,13 @@ class Tree:
                                               for c in self.children[top]])
 
     def _postorder(self, start=None):
+        children = self.children
         order, stack = [], [self.root if start is None else start]
         while stack:
             u = stack.pop()
             order.append(u)
-            if u in self.children:
-                stack.extend(self.children[u])
+            if u in children:
+                stack.extend(children[u])
         order.reverse()
         return order
 
@@ -141,10 +152,11 @@ class Tree:
                     {v: l * factor for v, l in self.length.items()})
 
     def leaf_node(self, label):
-        for u, lab in self.leaf_label.items():
-            if lab == label:
-                return u
-        raise ArgumentError(f"no leaf labelled {label}")
+        """The node carrying this leaf label."""
+        try:
+            return self.node_of[label]
+        except KeyError:
+            raise ArgumentError(f"no leaf labelled {label}") from None
 
     def to_text(self):
         """Parenthesized labelled form, children ordered by least label, with
@@ -331,13 +343,7 @@ def delete_leaf(t, label):
 
 def spine_depth(t, label):
     """Number of tree blocks containing the label; counts the added root edge."""
-    u = t.leaf_node(label)
-    parent_of = t.parent_of
-    depth = 1
-    while u != t.root:
-        u = parent_of[u]
-        depth += 1
-    return depth
+    return len(t.path_to_root(t.leaf_node(label)))
 
 
 def leaf_depths(t):
@@ -371,46 +377,47 @@ def reduced_tree(t, labels):
     by delabelling is included, so a single selected leaf gives one path of
     total length spine_depth.
     """
+    return _reduced(t, labels)[0]
+
+
+def _reduced(t, labels):
+    """reduced_tree(t, labels), and for each of its vertices the segment of
+    t it stands for: the retained node, then the suppressed ancestors above
+    it, so that the segment's length is the edge length."""
     labels = sorted(set(labels))
     if not labels:
         raise ArgumentError("need at least one label")
-    targets = {t.leaf_node(lab): lab for lab in labels}
-    parent_of, root = t.parent_of, t.root
-    in_union = set(targets)
-    for u in targets:
-        v = u
-        while v != root:
-            v = parent_of[v]
-            in_union.add(v)
-    kids_in = {v: [c for c in t.children.get(v, []) if c in in_union]
-               for v in in_union}
-    retained = {v for v in in_union if len(kids_in[v]) >= 2} | set(targets)
-    children = {0: []}
+    paths = [t.path_to_root(t.leaf_node(lab)) for lab in labels]
+    in_union = set().union(*paths)
+    retained = {v for v in in_union
+                if sum(c in in_union for c in t.children.get(v, ())) >= 2}
+    retained.update(path[0] for path in paths)
+    segment = {}        # retained node -> [it, the suppressed ancestors above it]
+    for path in paths:
+        cuts = [i for i, v in enumerate(path) if v in retained] + [len(path)]
+        for i, j in zip(cuts, cuts[1:]):
+            if path[i] in segment:
+                break
+            segment[path[i]] = path[i:j]
+    parent_of = t.parent_of
+    children = {0: []}  # 0 is the virtual root above t's root
     length = {}
     leaf_label = {}
     ids = {}
     order = [v for v in t._postorder() if v in retained][::-1]  # root side first
     for vid, v in enumerate(order, 1):
         ids[v] = vid
-        if v in targets:
-            leaf_label[vid] = targets[v]
+        if v in t.leaf_label:
+            leaf_label[vid] = t.leaf_label[v]
         else:
             children[vid] = []
-        # walk up to the nearest retained ancestor (or the virtual root)
-        steps = 1
-        u = v
-        while u != root:
-            u = parent_of[u]
-            if u in retained:
-                children[ids[u]].append(vid)
-                break
-            steps += 1
-        else:
-            children[0].append(vid)
-        length[vid] = float(steps)
+        top = segment[v][-1]
+        children[0 if top == t.root else ids[parent_of[top]]].append(vid)
+        length[vid] = float(len(segment[v]))
+    segments = {vid: segment[v] for vid, v in enumerate(order, 1)}
     rt = Tree(children, leaf_label, 0, length)
     rt.validate()
-    return rt
+    return rt, segments
 
 
 def reduced_ladder(t, k, ns):
@@ -422,28 +429,18 @@ def reduced_ladder(t, k, ns):
     whose id is at most that of leaf n (the tree delete_leaf leaves after
     removing leaves N, ..., n+1).  The reduced topology on [k] is therefore
     the same for every n, and at size n an edge is as long as the number of
-    T_n nodes on its T_N path.  Costs one reduced_tree of t plus one
+    T_n nodes in its T_N segment.  Costs one reduced tree of t plus one
     searchsorted per (edge, n).
     """
     ns = list(ns)
     if k < 1 or any(not k <= n <= t.n for n in ns):
         raise ArgumentError(f"need 1 <= k <= n <= {t.n} for every n")
-    rt = reduced_tree(t, range(1, k + 1))
-    node_of = {lab: u for u, lab in t.leaf_label.items()}
-    parent_of, rt_parent = t.parent_of, rt.parent_of
-    path_ids = {}       # reduced vertex -> sorted T_N ids on its edge's path
-    for leaf, lab in rt.leaf_label.items():
-        path = [node_of[lab]]       # T_N ancestors of the leaf, leaf first
-        while path[-1] != t.root:
-            path.append(parent_of[path[-1]])
-        v, pos = leaf, 0
-        while v != rt.root and v not in path_ids:
-            end = pos + int(rt.length[v])
-            path_ids[v] = np.sort(path[pos:end])
-            v, pos = rt_parent[v], end
+    rt, segments = _reduced(t, range(1, k + 1))
+    sorted_ids = {v: np.sort(seg) for v, seg in segments.items()}
+    node_of = t.node_of
     return [Tree(rt.children, rt.leaf_label, rt.root,
                  {v: float(np.searchsorted(ids, node_of[n], side="right"))
-                  for v, ids in path_ids.items()})
+                  for v, ids in sorted_ids.items()})
             for n in ns]
 
 
@@ -451,17 +448,11 @@ def special_branch_count(t, j, m):
     """Vertices on the root-to-j path whose m least labels escape j's child."""
     if m < 1:
         raise ArgumentError("m must be positive")
-    u = t.leaf_node(j)
-    parent_of = t.parent_of
-    path = [u]
-    while path[-1] != t.root:
-        path.append(parent_of[path[-1]])
+    path = t.path_to_root(t.leaf_node(j))
     count = 0
-    below = u
-    for v in path[1:]:
+    for below, v in zip(path, path[1:]):
         labs = t.labels_under(v)
         child_labs = set(t.labels_under(below))
         if any(x not in child_labs for x in labs[:m]):
             count += 1
-        below = v
     return count

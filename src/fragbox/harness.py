@@ -158,6 +158,10 @@ def _is_number(x):
     return isinstance(x, (int, float)) and not isinstance(x, bool)
 
 
+def _is_integer(x):
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _is_atom_entry(e):
     """True for one [atoms, weight] entry of a level: a list of numbers and a number."""
     return (isinstance(e, (list, tuple)) and len(e) == 2
@@ -356,12 +360,8 @@ def _exp_reduced_crt(cfg):
     alpha = p.get("alpha", 0.0)
     rows = []
     acc = {}
-    import warnings as _w
     for i in range(cfg.reps):
-        rng = rng_for(cfg.master_seed, cfg.tag, i)
-        with _w.catch_warnings():
-            _w.simplefilter("ignore")
-            mt = sample_reduced_crt(d, k, alpha, rng)
+        mt = sample_reduced_crt(d, k, alpha, rng_for(cfg.master_seed, cfg.tag, i))
         for v, ell in mt.length.items():
             acc.setdefault(tuple(mt.labels_under(v)), []).append(ell)
     for labs, vals in sorted(acc.items()):
@@ -410,14 +410,22 @@ def _exp_classify(cfg):
     return dict(flags), {}
 
 
+def _is_grid(v, ok):
+    """True for a non-empty list whose every element passes ok."""
+    return isinstance(v, (list, tuple)) and len(v) > 0 and all(map(ok, v))
+
+
 # the JSON kind of each value; a tuple passes for a list
+_INTS, _NUMS = "non-empty list of integers", "non-empty list of numbers"
 _KINDS = {
-    "integer": lambda v: isinstance(v, int) and not isinstance(v, bool),
+    "integer": _is_integer,
     "number": _is_number,
     "bool": lambda v: isinstance(v, bool),
     "string": lambda v: isinstance(v, str),
     "list": lambda v: isinstance(v, (list, tuple)),
     "object": lambda v: isinstance(v, dict),
+    _INTS: lambda v: _is_grid(v, _is_integer),
+    _NUMS: lambda v: _is_grid(v, _is_number),
 }
 
 _MODEL_KEYS = {"levels": "object", "c": "list", "k": "list",       # _model_for
@@ -431,21 +439,21 @@ _DISPATCH = {
     "split-table": (_exp_split_table, {**_TABLE_KEYS, "n": "integer"}),
     "grow": (_exp_grow, {"alpha": "number", "gamma": "number", "n": "integer",
                          "oracle_alpha": "number", "oracle_gamma": "number"}),
-    "consistency": (_exp_consistency, {**_MODEL_KEYS, "n_grid": "list"}),
+    "consistency": (_exp_consistency, {**_MODEL_KEYS, "n_grid": _INTS}),
     "sampling-consistency": (_exp_sampling_consistency,
                              {"alpha": "number", "theta": "number", "lambda": "number"}),
-    "gnedin": (_exp_gnedin, {"exp_rate": "number", "heavy_tail": "bool", "psi": "list",
-                             "n_grid": "list", "pareto_index": "number"}),
-    "renewal": (_exp_renewal, {"kind": "string", "t_grid": "list", "p": "number"}),
+    "gnedin": (_exp_gnedin, {"exp_rate": "number", "heavy_tail": "bool", "psi": _INTS,
+                             "n_grid": _INTS, "pareto_index": "number"}),
+    "renewal": (_exp_renewal, {"kind": "string", "t_grid": _NUMS, "p": "number"}),
     "pjs": (_exp_pjs, {"alpha": "number", "n": "integer", "delta": "number",
-                       "epsilon": "number", "window": "number", "x_grid": "list",
+                       "epsilon": "number", "window": "number", "x_grid": _NUMS,
                        "c_p": "number", "p": "number"}),
     # here k is the number of leaves, not the k_j constants of the model
     "reduced-crt": (_exp_reduced_crt, {**_MODEL_KEYS, "k": "integer", "alpha": "number"}),
-    "exponent": (_exp_exponent, {"model": "object", "n_grid": "list",
+    "exponent": (_exp_exponent, {"model": "object", "n_grid": _INTS,
                                  "statistic": "string"}),
     "gh-stabilize": (_exp_gh_stabilize, {"alpha": "number", "gamma": "number",
-                                         "k": "integer", "n_grid": "list"}),
+                                         "k": "integer", "n_grid": _INTS}),
     "classify": (_exp_classify, {**_TABLE_KEYS, "n": "integer"}),
 }
 

@@ -6,7 +6,6 @@ All paths are compound Poisson after truncation; the power tail x^(-a) on
 """
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -300,14 +299,9 @@ def renewal_moment(interarrival_sampler, t, p, reps, rng):
 def _edge_length(d, j, alpha, rng, leaf_cap):
     levy = spinal_levy_measure(d, j)
     lam = levy.kill_rate
-    capped = False
-    if lam > 0:
-        t_end = rng.exponential(1.0 / lam)
-    else:
-        t_end = leaf_cap
-        capped = True
+    t_end = rng.exponential(1.0 / lam) if lam > 0 else leaf_cap
     path = simulate_subordinator(levy, t_end, rng)
-    return _exp_functional(path, alpha, t_end), capped
+    return _exp_functional(path, alpha, t_end)
 
 
 def sample_reduced_crt(d, k, alpha, rng, lengths=True, leaf_cap=100.0):
@@ -315,22 +309,14 @@ def sample_reduced_crt(d, k, alpha, rng, lengths=True, leaf_cap=100.0):
     model's own splitting rule, so k is not capped), edge lengths as killed
     exponential functionals of fresh spinal paths.
 
-    Uncapped spines (killing rate 0, e.g. every leaf edge) are horizon-capped
-    at leaf_cap with a warning.  With lengths=False every edge has length 1.0
-    and only the splits are drawn.
+    A spine whose killing rate is 0 runs to the horizon leaf_cap.  Every
+    leaf edge is one (spinal_levy_measure(d, 1) is never killed), so a leaf
+    edge is at most leaf_cap long.  With lengths=False every edge has length
+    1.0 and only the splits are drawn.
     """
     if not d.theorem2_mode:
         raise UnsupportedCaseError("reduced-tree sampling needs a theorem-2 model")
     if k < 1:
         raise ArgumentError("k must be positive")
-    warned = [False]
-
-    def edge(j):
-        ell, capped = _edge_length(d, j, alpha, rng, leaf_cap)
-        if capped and not warned[0]:
-            warned[0] = True
-            warnings.warn("zero killing rate: spine horizon-capped")
-        return ell
-
-    return _build_recursive(range(1, k + 1), lambda j, r: sample_split(d, j, r), rng,
-                            edge if lengths else lambda j: 1.0)
+    edge = (lambda j: _edge_length(d, j, alpha, rng, leaf_cap)) if lengths else (lambda j: 1.0)
+    return _build_recursive(range(1, k + 1), lambda j, r: sample_split(d, j, r), rng, edge)

@@ -244,15 +244,10 @@ def fill_fraction(t, k):
     Returns a dict distance -> fraction of leaves at that unit-edge distance,
     ready for 'mass within radius' queries.
     """
-    node_of = {lab: u for u, lab in t.leaf_label.items()}
-    parent_of = t.parent_of
-    targets = {node_of[lab] for lab in range(1, min(k, t.n) + 1)}
-    spanning = set(targets)
-    for u in list(targets):
-        v = u
-        while v != t.root:
-            v = parent_of[v]
-            spanning.add(v)
+    node_of, parent_of = t.node_of, t.parent_of
+    spanning = set()
+    for lab in range(1, min(k, t.n) + 1):
+        spanning.update(t.path_to_root(node_of[lab]))
     counts = {}
     for lab in range(1, t.n + 1):
         u = node_of[lab]

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fragbox import (ArgumentError, Tree, alphagamma_growth_split_oracle,
+from fragbox import (ArgumentError, DiscreteDislocation, Tree,
+                     alphagamma_growth_split_oracle,
                      alphagamma_tree_distribution, delete_leaf,
-                     delete_uniform_leaf, grow_alphagamma, reduced_ladder,
-                     reduced_tree, sample_fragmentation_tree,
+                     delete_uniform_leaf, grow_alphagamma, leaf_depths,
+                     reduced_ladder, reduced_tree, sample_fragmentation_tree,
                      sample_markov_branching, skewed_pd_splitting_table,
                      special_branch_count, spine_depth, splitting_rule)
 from fragbox.harness import chi_square_gof, gof_gate, single_atom_model
@@ -247,6 +248,29 @@ def test_reduced_tree_examples():
     assert list(rc.length.values()) == [2.0]
     with pytest.raises(ArgumentError):
         reduced_tree(t, [])
+
+
+@settings(max_examples=100)
+@given(st.integers(0, 2), st.integers(1, 120), st.data())
+def test_reduced_tree_on_any_label_set(source, n, data):
+    # reduced_tree(t, S) has the traces A & S of the vertices A of t as its
+    # vertices, and the lengths on a leaf's reduced path add up to its spine
+    # depth, which two independent walks of t agree on
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    if source == 0:
+        alpha = data.draw(st.floats(0, 1))
+        t = grow_alphagamma(alpha, alpha * data.draw(st.floats(0, 1)), n, rng)
+    else:
+        d = single_atom_model() if source == 1 else DiscreteDislocation.from_level_dict(
+            {1: [((0.6, 0.4), 1.0), ((0.5, 0.3, 0.2), 0.4)], 2: [((0.7, 0.3), 0.8)]})
+        t = sample_fragmentation_tree(d, n, rng)
+    labels = data.draw(st.sets(st.integers(1, n), min_size=1))
+    rt = reduced_tree(t, labels)
+    assert rt.vertices == {a & labels for a in t.vertices if a & labels}
+    depths = leaf_depths(t)
+    for leaf, lab in rt.leaf_label.items():
+        reduced_path = rt.path_to_root(leaf)[:-1]    # the virtual root has no edge
+        assert sum(rt.length[u] for u in reduced_path) == spine_depth(t, lab) == depths[lab]
 
 
 @settings(max_examples=100)

@@ -231,9 +231,15 @@ def test_cli_bad_input_exit_2(tmp_path):
                    ("c=[0.1]",), ("k=[0.1]",), ("theorem2=true",)):
         r = cli("consistency", *[a for p in params for a in ("--param", p)])
         assert r.returncode == 2 and "Traceback" not in r.stderr, (params, r.stderr)
-    # a value of the wrong JSON kind for its key
+    # a value of the wrong JSON kind for its key; a grid that is empty or
+    # holds an element of the wrong kind
     for cmd, param in (("grow", 'n="x"'), ("gh-stabilize", 'alpha="x"'),
-                       ("renewal", "t_grid=5")):
+                       ("renewal", "t_grid=5"),
+                       ("gh-stabilize", "n_grid=[]"), ("gh-stabilize", 'n_grid=["x"]'),
+                       ("consistency", "n_grid=[2.5]"), ("consistency", "n_grid=[]"),
+                       ("renewal", 't_grid=["a"]'), ("exponent", 'n_grid=[16, "a", 64]'),
+                       ("gnedin", 'psi=["a"]'), ("pjs", "x_grid=[]"),
+                       ("gnedin", "n_grid=[]")):
         r = cli(cmd, "--param", param)
         assert r.returncode == 2 and "Traceback" not in r.stderr, (cmd, r.stderr)
 

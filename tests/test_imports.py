@@ -1,5 +1,5 @@
-"""Every module in src/fragbox (the package __init__ aside), tests/ and
-demos/ uses what it imports, every module-level private function in the
+"""Every module in src/fragbox (the package __init__ aside), tests/, demos/
+and bench/ uses what it imports, every module-level private function in the
 package has a reference in it, and nothing in the package imports scipy, a
 test-only dependency whose `scipy.stats` takes several times as long to
 import as fragbox."""
@@ -14,7 +14,8 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "fragbox"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
-LINTED = MODULES + sorted(ROOT.glob("tests/*.py")) + sorted(ROOT.glob("demos/*.py"))
+LINTED = MODULES + [p for folder in ("tests", "demos", "bench")
+                    for p in sorted(ROOT.glob(f"{folder}/*.py"))]
 
 
 def unused_imports(source):

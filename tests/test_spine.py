@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 from scipy import stats
 
 from fragbox import (ArgumentError, KnWindow, LevyAtoms, SubordinatorPath,
-                     UnsupportedCaseError, pjs_limit_functional,
+                     UnsupportedCaseError, crt_scale, pjs_limit_functional,
                      pjs_tail_statistic, renewal_moment, sample_Kn,
                      sample_fragmentation_tree, sample_reduced_crt,
                      simulate_subordinator, spinal_levy_measure, splitting_rule)
@@ -264,11 +264,12 @@ def test_edge_length_matches_event_loop():
                                             theorem2_mode=True)
     for seed in range(200):
         j, alpha = 2 + seed % 4, 0.1 + 0.2 * (seed % 5)
-        got, capped = _edge_length(d, j, alpha, np.random.default_rng(seed), 1.0)
+        got = _edge_length(d, j, alpha, np.random.default_rng(seed), 1.0)
         rng = np.random.default_rng(seed)
         levy = spinal_levy_measure(d, j)
+        assert levy.kill_rate > 0
         path = simulate_subordinator(levy, rng.exponential(1.0 / levy.kill_rate), rng)
-        assert not capped and _close(got, _edge_loop(path, alpha))
+        assert _close(got, _edge_loop(path, alpha))
 
 
 def test_pjs_limit_functional_examples():
@@ -294,7 +295,7 @@ def test_pjs_first_part_desk_scale():
         path = simulate_subordinator(l, 5.0, rng)
         lim = pjs_limit_functional(path, w, alpha)
         kn = sample_Kn(path, w, n, rng)
-        errs.append(abs(kn / (n ** alpha * math.gamma(1 - alpha)) - lim) / lim)
+        errs.append(abs(kn / crt_scale(n, alpha) - lim) / lim)
     assert np.median(errs) <= 0.15
 
 
@@ -343,9 +344,7 @@ def test_renewal_moment_examples():
 def test_reduced_crt_shapes():
     rng = np.random.default_rng(6)
     d = single_atom_model()
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        mt = sample_reduced_crt(d, 2, 0.5, rng)
+    mt = sample_reduced_crt(d, 2, 0.5, rng)
     assert sorted(mt.leaf_labels.values()) == [1, 2]
     assert mt.shape_text() == "(*,*)"
 
@@ -402,7 +401,7 @@ def test_reduced_crt_edge_length_oracle():
     assert levy.kill_rate > 0 and len(levy.jumps) == 1
     want = 1.0 / (levy.kill_rate + levy.laplace_exponent(alpha))
     rng = np.random.default_rng(9000)
-    vals = [_edge_length(d, 2, alpha, rng, 1.0)[0] for _ in range(20_000)]
+    vals = [_edge_length(d, 2, alpha, rng, 1.0) for _ in range(20_000)]
     se = np.std(vals) / math.sqrt(len(vals))
     assert abs(np.mean(vals) - want) < 4 * se
 
@@ -413,17 +412,26 @@ def test_reduced_crt_killing_identity():
     d = single_atom_model()
     rng = np.random.default_rng(10)
     vals = []
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        for _ in range(4000):
-            mt = sample_reduced_crt(d, 2, 0.0, rng, leaf_cap=1.0)
-            vals.append(mt.length[1])  # alpha = 0: length equals the kill time
+    for _ in range(4000):
+        mt = sample_reduced_crt(d, 2, 0.0, rng, leaf_cap=1.0)
+        vals.append(mt.length[1])  # alpha = 0: length equals the kill time
     se = np.std(vals) / math.sqrt(len(vals))
     assert abs(np.mean(vals) - 2.0) < 3 * se
 
 
-def test_reduced_crt_warns_on_leaf_edges():
-    d = single_atom_model()
+def test_reduced_crt_leaf_edges_run_to_leaf_cap():
+    # a leaf's spine is never killed, so its edge is the functional over the
+    # whole horizon leaf_cap: at most leaf_cap, and leaf_cap itself at
+    # alpha = 0; this is the rule, so it raises no warning
     rng = np.random.default_rng(11)
-    with pytest.warns(UserWarning):
-        sample_reduced_crt(d, 1, 0.5, rng, leaf_cap=1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for d in (single_atom_model(), _general_theorem2_model()):
+            assert spinal_levy_measure(d, 1).kill_rate == 0.0
+            for k in (1, 2, 5):
+                for alpha, cap in ((0.5, 1.0), (0.5, 3.0), (0.0, 2.0)):
+                    mt = sample_reduced_crt(d, k, alpha, rng, leaf_cap=cap)
+                    leaves = [mt.length[u] for u in mt.leaf_label]
+                    assert len(leaves) == k and all(0 < ell <= cap for ell in leaves)
+                    if alpha == 0.0:
+                        assert leaves == pytest.approx([cap] * k)
