@@ -383,7 +383,10 @@ def reduced_tree(t, labels):
 def _reduced(t, labels):
     """reduced_tree(t, labels), and for each of its vertices the segment of
     t it stands for: the retained node, then the suppressed ancestors above
-    it, so that the segment's length is the edge length."""
+    it, so that the segment's length is the edge length.
+
+    Walks the root paths of the labels and then the reduced structure, never
+    the rest of t, so it costs O(len(labels) * depth)."""
     labels = sorted(set(labels))
     if not labels:
         raise ArgumentError("need at least one label")
@@ -393,28 +396,33 @@ def _reduced(t, labels):
                 if sum(c in in_union for c in t.children.get(v, ())) >= 2}
     retained.update(path[0] for path in paths)
     segment = {}        # retained node -> [it, the suppressed ancestors above it]
+    below = {}          # retained node (None: t's root) -> those hung from it
     for path in paths:
         cuts = [i for i, v in enumerate(path) if v in retained] + [len(path)]
         for i, j in zip(cuts, cuts[1:]):
             if path[i] in segment:
                 break
             segment[path[i]] = path[i:j]
-    parent_of = t.parent_of
+            below.setdefault(path[j] if j < len(path) else None, []).append(path[i])
+    # ids follow t's pre-order with the last child first, as in _postorder
     children = {0: []}  # 0 is the virtual root above t's root
     length = {}
     leaf_label = {}
-    ids = {}
-    order = [v for v in t._postorder() if v in retained][::-1]  # root side first
-    for vid, v in enumerate(order, 1):
-        ids[v] = vid
+    segments = {}
+    stack = [(0, below[None][0])]
+    while stack:
+        pid, v = stack.pop()
+        vid = len(segments) + 1
+        children[pid].append(vid)
+        segments[vid] = segment[v]
+        length[vid] = float(len(segment[v]))
         if v in t.leaf_label:
             leaf_label[vid] = t.leaf_label[v]
         else:
             children[vid] = []
-        top = segment[v][-1]
-        children[0 if top == t.root else ids[parent_of[top]]].append(vid)
-        length[vid] = float(len(segment[v]))
-    segments = {vid: segment[v] for vid, v in enumerate(order, 1)}
+            rank = t.children[v].index
+            hung = sorted(below[v], key=lambda w: rank(segment[w][-1]))
+            stack.extend((vid, w) for w in hung)
     rt = Tree(children, leaf_label, 0, length)
     rt.validate()
     return rt, segments
@@ -445,14 +453,23 @@ def reduced_ladder(t, k, ns):
 
 
 def special_branch_count(t, j, m):
-    """Vertices on the root-to-j path whose m least labels escape j's child."""
+    """Vertices on the root-to-j path whose m least labels escape j's child.
+
+    The m least labels of v escape its child `below` on the path exactly
+    when they differ from the m least labels of `below`; one post-order pass
+    keeps the m least labels of every vertex, so this costs O(n m)."""
     if m < 1:
         raise ArgumentError("m must be positive")
     path = t.path_to_root(t.leaf_node(j))
-    count = 0
-    for below, v in zip(path, path[1:]):
-        labs = t.labels_under(v)
-        child_labs = set(t.labels_under(below))
-        if any(x not in child_labs for x in labs[:m]):
-            count += 1
-    return count
+    leaf_label, children = t.leaf_label, t.children
+    least = {}
+    for u in t._postorder():
+        if u in leaf_label:
+            least[u] = [leaf_label[u]]
+        else:
+            labs = []
+            for c in children[u]:
+                labs += least[c]
+            labs.sort()
+            least[u] = labs[:m]
+    return sum(least[v] != least[below] for below, v in zip(path, path[1:]))

@@ -90,36 +90,41 @@ def distance_matrix(mt):
 
 
 def _correspondence_distortion(da, db, fa, gb):
-    """Distortion of graph(f) union graph(g); fa maps A-index -> B-index, gb B -> A."""
-    pairs = [(i, fa[i]) for i in range(len(fa))] + [(gb[j], j) for j in range(len(gb))]
-    worst = 0.0
-    for x in range(len(pairs)):
-        ax, bx = pairs[x]
-        for y in range(x + 1, len(pairs)):
-            ay, by = pairs[y]
-            worst = max(worst, abs(da[ax, ay] - db[bx, by]))
-    return worst
+    """Distortion of graph(f) union graph(g); fa maps A-index -> B-index, gb B -> A.
+
+    The pairs are (i, fa[i]) then (gb[j], j); their distortion is the largest
+    entry of |da - db| restricted to them, diagonal (0) included."""
+    ia = np.concatenate([np.arange(len(fa)), gb])
+    ib = np.concatenate([fa, np.arange(len(gb))])
+    diff = da[ia][:, ia] - db[ib][:, ib]
+    return float(np.abs(diff, out=diff).max())
 
 
 def gh_upper_bound(a, b):
-    """Distortion/2 of a greedy depth-profile correspondence (roots paired)."""
+    """Distortion/2 of a greedy depth-profile correspondence (roots paired).
+
+    Costs the two path metrics plus a few array operations on them: no
+    search."""
     return _greedy_bound(_tree_points(a)[1], _tree_points(b)[1])
 
 
 def _greedy_bound(da, db):
-    """gh_upper_bound on the path metrics of the two trees, roots first."""
+    """gh_upper_bound on the path metrics of the two trees, roots first:
+    one (na, nb) argmin each way and one distortion matrix per tree pair."""
+    return _correspondence_distortion(da, db, *_greedy_correspondence(da, db)) / 2.0
+
+
+def _greedy_correspondence(da, db):
+    """(fa, gb): every vertex goes to the vertex of the other tree nearest in
+    depth, the first in stable depth order on a tie; the roots to each other."""
     deptha = da[0]
     depthb = db[0]
     order_a = np.argsort(deptha, kind="stable")
     order_b = np.argsort(depthb, kind="stable")
-    fa = np.zeros(len(deptha), dtype=int)
-    gb = np.zeros(len(depthb), dtype=int)
-    for i in order_a:
-        fa[i] = order_b[np.argmin(np.abs(depthb[order_b] - deptha[i]))]
-    for j in order_b:
-        gb[j] = order_a[np.argmin(np.abs(deptha[order_a] - depthb[j]))]
+    fa = order_b[np.abs(depthb[order_b][None, :] - deptha[:, None]).argmin(axis=1)]
+    gb = order_a[np.abs(deptha[order_a][None, :] - depthb[:, None]).argmin(axis=1)]
     fa[0], gb[0] = 0, 0
-    return _correspondence_distortion(da, db, fa, gb) / 2.0
+    return fa, gb
 
 
 def gh_distance_rooted(a, b):
@@ -138,16 +143,16 @@ def gh_distance_rooted(a, b):
     """
     if a.n > GH_LEAF_CAP or b.n > GH_LEAF_CAP:
         raise UnsupportedCaseError("exact GH capped at %d leaves" % GH_LEAF_CAP)
-    va, da = _tree_points(a)
-    vb, db = _tree_points(b)
-    na, nb = len(va), len(vb)
+    da, db = _tree_points(a)[1], _tree_points(b)[1]
     best = [2.0 * _greedy_bound(da, db) + 1e-15]
+    da, db = da.tolist(), db.tolist()   # the search reads single entries
+    na, nb = len(da), len(db)
     # items: ('a', i) needs an image in B, ('b', j) needs a preimage in A;
     # index 0 on both sides is the root, pinned to the root.  Deep vertices
     # are the most constrained, so assign them first, and try candidate
     # matches cheapest-first so `best` tightens early.
     items = [("a", i) for i in range(1, na)] + [("b", j) for j in range(1, nb)]
-    items.sort(key=lambda it: -(da[0, it[1]] if it[0] == "a" else db[0, it[1]]))
+    items.sort(key=lambda it: -(da[0][it[1]] if it[0] == "a" else db[0][it[1]]))
     pairs = [(0, 0)]
 
     def recurse(idx, cur):
@@ -160,8 +165,9 @@ def gh_distance_rooted(a, b):
         for c in choices:
             pa, pb = (i, c) if side == "a" else (c, i)
             worst = cur
+            rowa, rowb = da[pa], db[pb]
             for (qa, qb) in pairs:
-                worst = max(worst, abs(da[pa, qa] - db[pb, qb]))
+                worst = max(worst, abs(rowa[qa] - rowb[qb]))
                 if worst >= best[0]:
                     break
             scored.append((worst, pa, pb))

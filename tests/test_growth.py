@@ -11,6 +11,7 @@ from fragbox import (ArgumentError, DiscreteDislocation, Tree,
                      reduced_ladder, reduced_tree, sample_fragmentation_tree,
                      sample_markov_branching, skewed_pd_splitting_table,
                      special_branch_count, spine_depth, splitting_rule)
+from fragbox.growth import _reduced
 from fragbox.harness import chi_square_gof, gof_gate, single_atom_model
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
@@ -40,6 +41,47 @@ def chain(n):
         cur = inner
     leaf_label[cur] = 1
     return Tree(children, leaf_label, 0)
+
+
+def _reduced_by_postorder(t, labels):
+    # reference: the reduced vertices numbered in a post-order of all of t
+    labels = sorted(set(labels))
+    paths = [t.path_to_root(t.leaf_node(lab)) for lab in labels]
+    in_union = set().union(*paths)
+    retained = {v for v in in_union
+                if sum(c in in_union for c in t.children.get(v, ())) >= 2}
+    retained.update(path[0] for path in paths)
+    segment = {}
+    for path in paths:
+        cuts = [i for i, v in enumerate(path) if v in retained] + [len(path)]
+        for i, j in zip(cuts, cuts[1:]):
+            if path[i] in segment:
+                break
+            segment[path[i]] = path[i:j]
+    children, length, leaf_label, ids = {0: []}, {}, {}, {}
+    order = [v for v in t._postorder() if v in retained][::-1]
+    for vid, v in enumerate(order, 1):
+        ids[v] = vid
+        if v in t.leaf_label:
+            leaf_label[vid] = t.leaf_label[v]
+        else:
+            children[vid] = []
+        top = segment[v][-1]
+        children[0 if top == t.root else ids[t.parent_of[top]]].append(vid)
+        length[vid] = float(len(segment[v]))
+    return children, leaf_label, length, {vid: segment[v] for vid, v in enumerate(order, 1)}
+
+
+def _special_branch_count_by_labels_under(t, j, m):
+    # reference: two sorted label sets per vertex on the path
+    path = t.path_to_root(t.leaf_node(j))
+    count = 0
+    for below, v in zip(path, path[1:]):
+        labs = t.labels_under(v)
+        child_labs = set(t.labels_under(below))
+        if any(x not in child_labs for x in labs[:m]):
+            count += 1
+    return count
 
 
 def test_grow_trivial_sizes():
@@ -267,6 +309,9 @@ def test_reduced_tree_on_any_label_set(source, n, data):
     labels = data.draw(st.sets(st.integers(1, n), min_size=1))
     rt = reduced_tree(t, labels)
     assert rt.vertices == {a & labels for a in t.vertices if a & labels}
+    # node ids as a post-order of all of t numbers them
+    rt, segments = _reduced(t, labels)
+    assert (rt.children, rt.leaf_label, rt.length, segments) == _reduced_by_postorder(t, labels)
     depths = leaf_depths(t)
     for leaf, lab in rt.leaf_label.items():
         reduced_path = rt.path_to_root(leaf)[:-1]    # the virtual root has no edge
@@ -328,6 +373,22 @@ def test_special_branch_count_examples():
     assert special_branch_count(cherry(), 2, 1) == 1
     with pytest.raises(ArgumentError):
         special_branch_count(cherry(), 1, 0)
+
+
+@settings(max_examples=100)
+@given(st.integers(0, 2), st.integers(1, 120), st.data())
+def test_special_branch_count_matches_labels_under(source, n, data):
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    if source == 0:
+        alpha = data.draw(st.floats(0, 1))
+        t = grow_alphagamma(alpha, alpha * data.draw(st.floats(0, 1)), n, rng)
+    elif source == 1:
+        t = sample_fragmentation_tree(single_atom_model(), n, rng)
+    else:
+        t = star(n) if n > 1 else Tree({}, {0: 1}, 0)
+    j = data.draw(st.integers(1, n))
+    for m in range(1, 5):
+        assert special_branch_count(t, j, m) == _special_branch_count_by_labels_under(t, j, m)
 
 
 def test_special_branch_count_growth():

@@ -1,12 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fragbox import (ArgumentError, Tree, UnsupportedCaseError, crt_scale,
                      distance_matrix, edge_convergence_experiment,
                      fill_fraction, gh_distance_rooted, gh_upper_bound,
                      grow_alphagamma, mass_within, reduced_ladder,
                      reduced_tree, scaling_exponent)
-from fragbox.treemetric import _tree_points
+from fragbox.treemetric import (GH_LEAF_CAP, _correspondence_distortion,
+                                _greedy_bound, _greedy_correspondence,
+                                _tree_points)
 
 
 def edge(a):
@@ -19,6 +22,136 @@ def random_metric_tree(rng, leaves=3):
     rt = reduced_tree(t, range(1, leaves + 1))
     length = {v: float(rng.exponential(1.0)) for v in rt.length}
     return Tree(rt.children, rt.leaf_label, rt.root, length)
+
+
+def _correspondence_distortion_loop(da, db, fa, gb):
+    # reference: the distortion as a double loop over the pairs
+    pairs = [(i, fa[i]) for i in range(len(fa))] + [(gb[j], j) for j in range(len(gb))]
+    worst = 0.0
+    for x in range(len(pairs)):
+        ax, bx = pairs[x]
+        for y in range(x + 1, len(pairs)):
+            ay, by = pairs[y]
+            worst = max(worst, abs(da[ax, ay] - db[bx, by]))
+    return worst
+
+
+def _greedy_correspondence_loop(da, db):
+    # reference: one argmin per vertex, first minimum in stable depth order
+    deptha = da[0]
+    depthb = db[0]
+    order_a = np.argsort(deptha, kind="stable")
+    order_b = np.argsort(depthb, kind="stable")
+    fa = np.zeros(len(deptha), dtype=int)
+    gb = np.zeros(len(depthb), dtype=int)
+    for i in order_a:
+        fa[i] = order_b[np.argmin(np.abs(depthb[order_b] - deptha[i]))]
+    for j in order_b:
+        gb[j] = order_a[np.argmin(np.abs(deptha[order_a] - depthb[j]))]
+    fa[0], gb[0] = 0, 0
+    return fa, gb
+
+
+def _greedy_bound_loop(da, db):
+    return _correspondence_distortion_loop(da, db, *_greedy_correspondence_loop(da, db)) / 2.0
+
+
+def _gh_search_loop(a, b):
+    # reference: the branch and bound reading single numpy entries, seeded
+    # by the loop bound
+    va, da = _tree_points(a)
+    vb, db = _tree_points(b)
+    na, nb = len(va), len(vb)
+    best = [2.0 * _greedy_bound_loop(da, db) + 1e-15]
+    items = [("a", i) for i in range(1, na)] + [("b", j) for j in range(1, nb)]
+    items.sort(key=lambda it: -(da[0, it[1]] if it[0] == "a" else db[0, it[1]]))
+    pairs = [(0, 0)]
+
+    def recurse(idx, cur):
+        if idx == len(items):
+            best[0] = min(best[0], cur)
+            return
+        side, i = items[idx]
+        choices = range(nb) if side == "a" else range(na)
+        scored = []
+        for c in choices:
+            pa, pb = (i, c) if side == "a" else (c, i)
+            worst = cur
+            for (qa, qb) in pairs:
+                worst = max(worst, abs(da[pa, qa] - db[pb, qb]))
+                if worst >= best[0]:
+                    break
+            scored.append((worst, pa, pb))
+        scored.sort()
+        for worst, pa, pb in scored:
+            if worst >= best[0]:
+                break
+            pairs.append((pa, pb))
+            recurse(idx + 1, worst)
+            pairs.pop()
+
+    recurse(0, 0.0)
+    return best[0] / 2.0
+
+
+@st.composite
+def metric_trees(draw, max_leaves):
+    """A reduced alpha-gamma tree on a random label set, with its own
+    lengths (small integers), unit lengths, exponential lengths, or its
+    own lengths and one edge subdivided in two; the integer and unit
+    lengths tie many depths."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    n = draw(st.integers(1, 40))
+    alpha = draw(st.sampled_from([0.3, 0.5, 1.0]))
+    t = grow_alphagamma(alpha, alpha * draw(st.floats(0, 1)), n, rng)
+    k = draw(st.integers(1, min(n, max_leaves)))
+    rt = reduced_tree(t, draw(st.sets(st.integers(1, n), min_size=k, max_size=k)))
+    children = {v: list(cs) for v, cs in rt.children.items()}
+    kind = draw(st.sampled_from(["own", "unit", "exponential", "subdivided"]))
+    if kind == "unit":
+        length = dict.fromkeys(rt.length, 1.0)
+    elif kind == "exponential":
+        length = {v: float(rng.exponential(1.0)) for v in rt.length}
+    else:
+        length = dict(rt.length)
+    if kind == "subdivided":
+        v = draw(st.sampled_from(sorted(rt.length)))
+        mid = max(rt.length) + 1
+        p = rt.parent_of[v]
+        children[p][children[p].index(v)] = mid
+        children[mid] = [v]
+        length[mid] = length[v] = length[v] / 2.0
+    scale = draw(st.sampled_from([1.0, 0.37]))
+    return Tree(children, rt.leaf_label, rt.root,
+                {v: ell * scale for v, ell in length.items()})
+
+
+@settings(max_examples=300)
+@given(metric_trees(GH_LEAF_CAP), metric_trees(GH_LEAF_CAP), st.data())
+def test_greedy_bound_matches_loop(a, b, data):
+    # the array forms return the loops' correspondence and floats exactly,
+    # ties in depth included
+    da, db = _tree_points(a)[1], _tree_points(b)[1]
+    for got, want in zip(_greedy_correspondence(da, db), _greedy_correspondence_loop(da, db)):
+        assert got.tolist() == want.tolist()
+    assert _greedy_bound(da, db) == _greedy_bound_loop(da, db)
+    assert gh_upper_bound(a, b) == _greedy_bound_loop(da, db)
+    # and on any correspondence, not only the greedy one
+    fa = np.array(data.draw(st.lists(st.integers(0, len(db) - 1),
+                                     min_size=len(da), max_size=len(da))))
+    gb = np.array(data.draw(st.lists(st.integers(0, len(da) - 1),
+                                     min_size=len(db), max_size=len(db))))
+    assert (_correspondence_distortion(da, db, fa, gb)
+            == _correspondence_distortion_loop(da, db, fa, gb))
+
+
+@settings(max_examples=150)
+@given(metric_trees(3), metric_trees(3))
+def test_gh_distance_matches_numpy_search(a, b):
+    # the search on nested lists returns the numpy-indexed search's float
+    got = gh_distance_rooted(a, b)
+    assert type(got) is float
+    assert got == _gh_search_loop(a, b)
 
 
 def test_gh_identical_zero():
