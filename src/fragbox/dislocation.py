@@ -18,7 +18,7 @@ import numpy as np
 from .errors import ArgumentError, ModelError, ResourceBudgetError
 from .paintbox import _paint_partition, _paints, kingman_cylinder_prob
 from .partitions import (Partition, _maximal_strict_subsets, all_partitions,
-                         block_size_multiset, csv_rows, csv_text, MassPartition)
+                         csv_rows, csv_text, MassPartition)
 
 _EXCLUDED_TOL = 1e-12
 
@@ -145,8 +145,21 @@ def kappa_cylinder(d, p):
 
 
 def _cylinder_weights(d, n):
-    """{p: kappa(P^p)} over the non-trivial partitions of [n], n >= 2."""
-    weights = {p: _level_cylinder(d, p) for p in all_partitions(n) if not p.is_trivial()}
+    """{p: kappa(P^p)} over the non-trivial partitions of [n], n >= 2.
+
+    The level part is restricted exchangeable: it depends on p only through
+    p.cylinder_key, its class and block-size multiset, so _level_cylinder
+    runs once per key and every partition with that key gets the value.
+    """
+    by_key = {}
+    weights = {}
+    for p in all_partitions(n):
+        if p.is_trivial():
+            continue
+        w = by_key.get(p.cylinder_key)
+        if w is None:
+            w = by_key[p.cylinder_key] = _level_cylinder(d, p)
+        weights[p] = w
     for mass, build, j in _delta_atoms(d, n):
         weights[build(j, n)] += mass
     return weights
@@ -222,7 +235,10 @@ def splitting_rule(d, n):
     lam = sum(weights.values())
     if lam <= 0:
         raise ModelError("zero splitting rate: degenerate dislocation")
-    return _full_table(n, {p: w / lam for p, w in weights.items()})
+    # the weights already cover every non-trivial partition, in order
+    t = SplittingRuleTable(n, {p: w / lam for p, w in weights.items()})
+    t.validate()
+    return t
 
 
 def table_to_eppf(table, strict=True, tol=1e-9):
@@ -377,7 +393,8 @@ def alphagamma_tree_distribution(alpha, gamma, n):
     """Exact law of the labelled n-leaf tree, by exhausting insertion histories.
 
     Trees are frozensets of frozenset vertices (the hierarchy without the
-    empty set).  Capped at n = 7; beyond that the state space explodes.
+    empty set).  The law at n grows leaf n into every tree of the cached law
+    at n - 1.  Capped at n = 7; beyond that the state space explodes.
     """
     if not (0 <= gamma <= alpha <= 1):
         raise ArgumentError("need 0 <= gamma <= alpha <= 1")
@@ -387,46 +404,51 @@ def alphagamma_tree_distribution(alpha, gamma, n):
         raise ArgumentError("n must be positive")
     if n == 1:
         return {frozenset({frozenset({1})}): 1.0}
-    t2 = frozenset({frozenset({1}), frozenset({2}), frozenset({1, 2})})
-    dist = {t2: 1.0}
-    for m in range(2, n):
-        nxt = {}
-        denom = m - alpha
-        for t, pr in dist.items():
-            new = frozenset({m + 1})
-            for B in t:
-                grown_anc = frozenset(
-                    (a | {m + 1}) if B <= a else a for a in t)
-                if len(B) == 1:
-                    w = (1 - alpha) / denom
+    if n == 2:
+        return {frozenset({frozenset({1}), frozenset({2}), frozenset({1, 2})}): 1.0}
+    m = n - 1
+    nxt = {}
+    denom = m - alpha
+    new = frozenset({n})
+    for t, pr in alphagamma_tree_distribution(alpha, gamma, m).items():
+        for B in t:
+            grown_anc = frozenset(
+                (a | {n}) if B <= a else a for a in t)
+            if len(B) == 1:
+                w = (1 - alpha) / denom
+                res = grown_anc | {B, new}
+                nxt[res] = nxt.get(res, 0.0) + pr * w
+            else:
+                w_edge = gamma / denom
+                if w_edge > 0:
                     res = grown_anc | {B, new}
-                    nxt[res] = nxt.get(res, 0.0) + pr * w
-                else:
-                    w_edge = gamma / denom
-                    if w_edge > 0:
-                        res = grown_anc | {B, new}
-                        nxt[res] = nxt.get(res, 0.0) + pr * w_edge
-                    kb = len(_maximal_strict_subsets(t, B))
-                    w_vert = ((kb - 1) * alpha - gamma) / denom
-                    assert w_vert > -1e-12
-                    if w_vert > 0:
-                        res = grown_anc | {new}
-                        nxt[res] = nxt.get(res, 0.0) + pr * w_vert
-        dist = nxt
-    return dist
+                    nxt[res] = nxt.get(res, 0.0) + pr * w_edge
+                kb = len(_maximal_strict_subsets(t, B))
+                w_vert = ((kb - 1) * alpha - gamma) / denom
+                assert w_vert > -1e-12
+                if w_vert > 0:
+                    res = grown_anc | {new}
+                    nxt[res] = nxt.get(res, 0.0) + pr * w_vert
+    return nxt
 
 
 def alphagamma_growth_split_oracle(alpha, gamma, n):
-    """Exact root-split law of the n-leaf tree (n <= 7), by history enumeration."""
+    """Exact root-split law of the n-leaf tree (n <= 7), by history enumeration.
+
+    The root's children are read off each tree in one largest-first pass
+    (_maximal_strict_subsets), and a Partition is built once per distinct
+    set of children.
+    """
     if n < 2:
         raise ArgumentError("root splits need n >= 2")
     dist = alphagamma_tree_distribution(alpha, gamma, n)
     root = frozenset(range(1, n + 1))
-    probs = {}
+    by_children = {}
     for t, pr in dist.items():
-        pi = Partition.from_blocks(n, _maximal_strict_subsets(t, root))
-        probs[pi] = probs.get(pi, 0.0) + pr
-    return _full_table(n, probs)
+        kids = frozenset(_maximal_strict_subsets(t, root))
+        by_children[kids] = by_children.get(kids, 0.0) + pr
+    return _full_table(n, {Partition.from_blocks(n, kids): pr
+                           for kids, pr in by_children.items()})
 
 
 def alphagamma_eppf(alpha, gamma, sizes, cls):
@@ -511,10 +533,13 @@ def skewed_pd_splitting_table(alpha, theta, lam, n):
     kernel is exchangeable.
     """
     ranked = skewed_pd_ranked_split(alpha, theta, lam, n)
+    by_sizes = {}
+    for p in all_partitions(n):
+        if not p.is_trivial():
+            by_sizes.setdefault(p.size_multiset, []).append(p)
     probs = {}
     for r, pr in ranked.items():
-        members = [p for p in all_partitions(n)
-                   if not p.is_trivial() and block_size_multiset(p) == r]
+        members = by_sizes.get(r, [])
         fac = [lam if p.cylinder_class() == 1 else 1 - lam for p in members]
         z = sum(fac)
         for p, f in zip(members, fac):

@@ -5,7 +5,6 @@ All samplers take an explicit numpy Generator and are pure given that handle.
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import permutations
 
 import numpy as np
 
@@ -47,33 +46,45 @@ def _cylinder_prob_by_sizes(sizes, atoms, s0):
     """Sum over admissible paint-index assignments, by block sizes.
 
     The probability only depends on the multiset of block sizes: distinct
-    positive indices on blocks, index 0 (dust) allowed repeatedly on singleton
-    blocks only.
+    atoms on blocks, dust (index 0) on any number of singleton blocks.  A DP
+    over the atoms whose state is the remaining multiplicity of each block
+    size: an atom a either stays unused or takes one of the mult[t] remaining
+    blocks of a size t, with weight mult[t] a^t.  The d singletons left at
+    the end take dust at s0^d (only d = 0 when s0 = 0).  States with more
+    blocks left than can still be covered are dropped, so the cost is
+    O(m * states * distinct sizes), states <= prod (mult[t] + 1).
     """
-    m = len(atoms)
-    singleton_positions = [i for i, sz in enumerate(sizes) if sz == 1]
-    total = 0.0
-    # choose which singletons take dust; everything else needs a distinct atom
-    for mask in range(1 << len(singleton_positions)) if s0 > 0 else [0]:
-        dust_count = bin(mask).count("1")
-        pos_sizes = [sz for i, sz in enumerate(sizes)
-                     if sz > 1 or (i in singleton_positions and not (mask >> singleton_positions.index(i)) & 1)]
-        if len(pos_sizes) > m:
-            continue
-        acc = 0.0
-        for assign in permutations(range(m), len(pos_sizes)):
-            term = 1.0
-            for sz, i in zip(pos_sizes, assign):
-                term *= atoms[i] ** sz
-            acc += term
-        total += acc * (s0 ** dust_count)
-    return total
+    ts = sorted(set(sizes), reverse=True)
+    dusty = s0 > 0 and ts[-1] == 1
+
+    def owed(state):
+        """The blocks left that only an atom can take."""
+        return sum(state) - (state[-1] if dusty else 0)
+
+    dp = {tuple(map(sizes.count, ts)): 1.0}
+    for placed, a in enumerate(atoms, 1):
+        powers = [a ** t for t in ts]
+        nxt = {}
+        for state, w in dp.items():
+            nxt[state] = nxt.get(state, 0.0) + w
+            for i, c in enumerate(state):
+                if c:
+                    key = state[:i] + (c - 1,) + state[i + 1:]
+                    nxt[key] = nxt.get(key, 0.0) + w * c * powers[i]
+        rest = len(atoms) - placed
+        dp = {state: w for state, w in nxt.items() if owed(state) <= rest}
+    return sum((w * s0 ** state[-1] if dusty else w
+                for state, w in dp.items() if owed(state) == 0), 0.0)
 
 
 def kingman_cylinder_prob(s, p):
-    """Exact probability that the Kingman paintbox of s restricts to p on [n]."""
-    sizes = tuple(sorted((len(b) for b in p.blocks), reverse=True))
-    return _cylinder_prob_by_sizes(sizes, s.atoms, s.s0)
+    """Exact probability that the Kingman paintbox of s restricts to p on [n].
+
+    One cached DP per (block-size multiset, atoms, dust): see
+    _cylinder_prob_by_sizes; 8 atoms on 8 singletons take well under a
+    millisecond.
+    """
+    return _cylinder_prob_by_sizes(p.size_multiset, s.atoms, s.s0)
 
 
 def _check_nondegenerate(s, base):

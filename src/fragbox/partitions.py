@@ -8,7 +8,7 @@ blocks with "|" and elements with spaces, e.g. "1 3|2".
 import csv
 import io
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .errors import ArgumentError
 
@@ -50,6 +50,20 @@ class Partition:
     def k(self):
         return len(self.blocks)
 
+    @cached_property
+    def _hash(self):
+        """The dataclass hash of (n, blocks), computed once: partitions key
+        every exact table."""
+        return hash((self.n, self.blocks))
+
+    def __hash__(self):
+        return self._hash
+
+    @cached_property
+    def size_multiset(self):
+        """Block sizes, largest first; computed on first use and kept."""
+        return tuple(sorted((len(b) for b in self.blocks), reverse=True))
+
     def to_text(self):
         return "|".join(" ".join(str(x) for x in b) for b in self.blocks)
 
@@ -70,6 +84,12 @@ class Partition:
             return None
         return min(self.blocks[1]) - 1
 
+    @cached_property
+    def cylinder_key(self):
+        """(cylinder class, block-size multiset), computed on first use: a
+        restricted exchangeable law weighs p through this key alone."""
+        return (self.cylinder_class(), self.size_multiset)
+
 
 @dataclass(frozen=True)
 class MassPartition:
@@ -87,7 +107,7 @@ class MassPartition:
         if sum(a) > 1 + TOL:
             raise ArgumentError("atoms sum above 1")
 
-    @property
+    @cached_property
     def s0(self):
         return min(max(1.0 - sum(self.atoms), 0.0), 1.0)
 
@@ -143,20 +163,24 @@ class FiniteMeasureOnPartitions:
 
 @lru_cache(maxsize=None)
 def all_partitions(n):
-    """All set partitions of [n], canonical order. Capped at n = 12 (Bell(12) ~ 4.2M)."""
+    """All set partitions of [n], canonical order. Capped at n = 12 (Bell(12) ~ 4.2M).
+
+    x joins each block of a partition of [x - 1] in turn, then opens its
+    own; as x exceeds every earlier label, the block tuples come out
+    canonical and need no sorting or validation.
+    """
     if n < 1:
         raise ArgumentError("n must be positive")
     if n > 12:
         raise ArgumentError("exhaustive enumeration capped at n = 12")
-    parts = [[[1]]]
+    parts = [((1,),)]
     for x in range(2, n + 1):
         nxt = []
         for p in parts:
-            for i in range(len(p)):
-                nxt.append([list(b) for b in p[:i]] + [p[i] + [x]] + [list(b) for b in p[i + 1:]])
-            nxt.append([list(b) for b in p] + [[x]])
+            nxt.extend(p[:i] + (b + (x,),) + p[i + 1:] for i, b in enumerate(p))
+            nxt.append(p + ((x,),))
         parts = nxt
-    return tuple(Partition.from_blocks(n, p) for p in parts)
+    return tuple(Partition(n, p) for p in parts)
 
 
 def restrict_partition(p, m):
@@ -174,8 +198,8 @@ def restrict_hierarchy(h, m):
 
 
 def block_size_multiset(p):
-    """Block sizes, largest first."""
-    return tuple(sorted((len(b) for b in p.blocks), reverse=True))
+    """Block sizes, largest first (p.size_multiset)."""
+    return p.size_multiset
 
 
 def children_of(h, B):
@@ -187,10 +211,15 @@ def children_of(h, B):
 
 
 def _maximal_strict_subsets(sets, B):
-    """The maximal non-empty strict subsets of B among sets: B's children
-    in a hierarchy."""
-    strict = [a for a in sets if a and a < B]
-    return [a for a in strict if not any(a < b for b in strict)]
+    """The maximal non-empty strict subsets of B among the laminar sets: B's
+    children in a hierarchy.  One pass, largest first: a strict subset is
+    maximal exactly when it is disjoint from the larger ones already taken."""
+    taken, covered = [], set()
+    for a in sorted((a for a in sets if a and a < B), key=len, reverse=True):
+        if covered.isdisjoint(a):
+            taken.append(a)
+            covered |= a
+    return taken
 
 
 def _partition_of_set(B, blocks):
@@ -225,8 +254,7 @@ def classify_exchangeability(mu):
     exch = _equal_within_groups(w, block_size_multiset)
     partial = _equal_within_groups(w, lambda p: tuple(len(b) for b in p.blocks))
     nontriv = {p: x for p, x in w.items() if not p.is_trivial()}
-    restricted = _equal_within_groups(
-        nontriv, lambda p: (p.cylinder_class(), block_size_multiset(p)))
+    restricted = _equal_within_groups(nontriv, lambda p: p.cylinder_key)
     return {
         "exchangeable": exch,
         "partially_exchangeable": partial,

@@ -12,7 +12,8 @@ from fragbox import (ArgumentError, DiscreteDislocation, ModelError,
                      sampling_consistency_residual, skewed_pd_ranked_split,
                      skewed_pd_splitting_table, splitting_rule, table_to_eppf,
                      FiniteMeasureOnPartitions, classify_exchangeability)
-from fragbox.dislocation import _split_components
+from fragbox.dislocation import (_cylinder_weights, _delta_atoms, _level_cylinder,
+                                 _split_components)
 from fragbox.harness import chi_square_gof, single_atom_model
 
 
@@ -315,6 +316,19 @@ def test_kappa_cylinder_matches_table(d, n):
     for p in all_partitions(n):
         if not p.is_trivial():
             assert abs(kappa_cylinder(d, p) - lam * probs.get(p, 0.0)) < 1e-12
+
+
+@settings(max_examples=60)
+@given(dislocations(), st.integers(2, 6))
+def test_keyed_cylinder_weights_match_per_partition(d, n):
+    # one _level_cylinder per (class, sizes) key gives every partition the
+    # value its own evaluation gives, in all_partitions order
+    want = {p: _level_cylinder(d, p) for p in all_partitions(n) if not p.is_trivial()}
+    for mass, build, j in _delta_atoms(d, n):
+        want[build(j, n)] += mass
+    got = _cylinder_weights(d, n)
+    assert list(got) == list(want)
+    assert got == want
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fragbox import (ArgumentError, MassPartition, Partition,
                      UnsupportedCaseError, all_partitions, block_size_multiset,
@@ -65,6 +66,35 @@ def test_kingman_cylinder_matches_bruteforce():
         s = MassPartition(tuple(np.sort(raw)[::-1]))
         for p in all_partitions(4):
             assert abs(kingman_cylinder_prob(s, p) - brute_force_cylinder(s, p)) < 1e-12
+
+
+@st.composite
+def boxes(draw):
+    """A mass partition of at most 4 atoms, with or without dust."""
+    m = draw(st.integers(0, 4))
+    raw = draw(st.lists(st.floats(0.05, 1.0), min_size=m, max_size=m))
+    dust = draw(st.floats(0.01, 1.0)) if m == 0 or draw(st.booleans()) else 0.0
+    total = sum(raw) + dust
+    return MassPartition(tuple(sorted((x / total for x in raw), reverse=True)))
+
+
+@settings(max_examples=60)
+@given(boxes(), st.integers(1, 6), st.data())
+def test_kingman_cylinder_dp_matches_bruteforce(s, n, data):
+    ps = all_partitions(n)
+    p = ps[data.draw(st.integers(0, len(ps) - 1))]
+    assert kingman_cylinder_prob(s, p) == pytest.approx(brute_force_cylinder(s, p),
+                                                        rel=1e-12, abs=1e-15)
+
+
+@pytest.mark.parametrize("a, s0", [(0.1, 0.2), (0.125, 0.0), (0.05, 0.6)])
+def test_kingman_cylinder_equal_atoms_on_singletons(a, s0):
+    # d of the 8 singletons take dust, the other 8 - d take distinct atoms
+    # out of 8 equal ones in 8!/d! ways
+    s = MassPartition((a,) * 8)
+    want = sum(math.comb(8, d) * s0 ** d * math.factorial(8) / math.factorial(d)
+               * a ** (8 - d) for d in range(9))
+    assert kingman_cylinder_prob(s, P("1|2|3|4|5|6|7|8")) == pytest.approx(want, rel=1e-12)
 
 
 def test_kingman_normalization_and_exchangeability():

@@ -6,10 +6,33 @@ from fragbox import (ArgumentError, FiniteMeasureOnPartitions, Hierarchy,
                      Partition, all_partitions, block_size_multiset,
                      children_of, classify_exchangeability, restrict_hierarchy,
                      restrict_partition)
+from fragbox.partitions import _maximal_strict_subsets
 
 
 def P(text, n=None):
     return Partition.from_text(text, n)
+
+
+def old_all_partitions(n):
+    """The list-building generator all_partitions replaced, kept as its oracle."""
+    parts = [[[1]]]
+    for x in range(2, n + 1):
+        nxt = []
+        for p in parts:
+            for i in range(len(p)):
+                nxt.append([list(b) for b in p[:i]] + [p[i] + [x]] + [list(b) for b in p[i + 1:]])
+            nxt.append([list(b) for b in p] + [[x]])
+        parts = nxt
+    return [Partition.from_blocks(n, p) for p in parts]
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_all_partitions_matches_old_generator(n):
+    ps = all_partitions(n)
+    assert list(ps) == old_all_partitions(n)
+    for p in ps:
+        p.validate()
+        assert p.size_multiset == tuple(sorted(map(len, p.blocks), reverse=True))
 
 
 def test_restrict_partition_examples():
@@ -78,6 +101,22 @@ def test_children_of_examples():
         children_of(star, {1})
     with pytest.raises(ArgumentError):
         children_of(star, {1, 2})
+
+
+def test_maximal_strict_subsets_one_pass():
+    # the largest-first pass against the quadratic definition, on every
+    # non-singleton vertex of grown trees
+    rng = np.random.default_rng(11)
+    from fragbox import grow_alphagamma
+    for _ in range(20):
+        sets = grow_alphagamma(0.6, 0.3, 9, rng).to_hierarchy().members
+        for b in sets:
+            if len(b) < 2:
+                continue
+            strict = [a for a in sets if a and a < b]
+            want = {a for a in strict if not any(a < c for c in strict)}
+            got = _maximal_strict_subsets(sets, b)
+            assert len(got) == len(want) and set(got) == want
 
 
 def test_cylinder_class():
