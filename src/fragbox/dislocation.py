@@ -412,8 +412,7 @@ def alphagamma_tree_distribution(alpha, gamma, n):
     new = frozenset({n})
     for t, pr in alphagamma_tree_distribution(alpha, gamma, m).items():
         for B in t:
-            grown_anc = frozenset(
-                (a | {n}) if B <= a else a for a in t)
+            grown_anc = frozenset((a | {n}) if B <= a else a for a in t)
             if len(B) == 1:
                 w = (1 - alpha) / denom
                 res = grown_anc | {B, new}
