@@ -1,6 +1,8 @@
 """Tree samplers and tree statistics on the one tree type, Tree."""
 
 import itertools
+import operator
+from bisect import bisect_left
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -184,12 +186,110 @@ class Tree:
         return shape[top]
 
 
+class _WordDraws:
+    """rng.random() and rng.integers(k), 1 <= k <= 2**32, replayed bit for
+    bit from raw 64-bit PCG64 words drawn in bulk.
+
+    numpy makes a double of one word, (w >> 11) * 2**-53, and integers(k)
+    with Lemire's 32-bit rejection method on next_uint32, which takes the low
+    half of a fresh word and keeps the high half for its next call; the
+    generator's own buffered half (has_uint32, uinteger) is served first.
+    close() puts the generator back at its start, advances it by the words
+    consumed and restores the buffered half, so it ends where the scalar
+    calls would have left it.
+    """
+
+    def __init__(self, rng, size):
+        self._bg = rng.bit_generator
+        self._start = self._bg.state
+        self._has_half = bool(self._start["has_uint32"])
+        self._half = self._start["uinteger"]
+        self._drawn = 0
+        self._refill(size)
+
+    def _refill(self, size):
+        self._words = iter(self._bg.random_raw(size).tolist())
+        self._next = self._words.__next__
+        self._drawn += size
+
+    def _word(self):
+        """The next word, after the buffer runs out."""
+        self._refill(self._drawn)
+        return self._next()
+
+    def random(self):
+        try:
+            w = self._next()
+        except StopIteration:
+            w = self._word()
+        return (w >> 11) * 2.0 ** -53
+
+    def below(self, k):
+        if k == 1:
+            return 0
+        m = self._uint32() * k
+        if m & 0xFFFFFFFF < k:
+            threshold = (0x100000000 - k) % k
+            while m & 0xFFFFFFFF < threshold:
+                m = self._uint32() * k
+        return m >> 32
+
+    def _uint32(self):
+        if self._has_half:
+            self._has_half = False
+            return self._half
+        try:
+            w = self._next()
+        except StopIteration:
+            w = self._word()
+        self._has_half = True
+        self._half = w >> 32
+        return w & 0xFFFFFFFF
+
+    def close(self):
+        bg = self._bg
+        bg.state = self._start
+        bg.advance(self._drawn - operator.length_hint(self._words))
+        # advance clears the half; uinteger keeps the last half even once used
+        state = bg.state
+        state["has_uint32"], state["uinteger"] = int(self._has_half), self._half
+        bg.state = state
+
+
+class _GeneratorDraws:
+    """The same interface read straight off the Generator."""
+
+    def __init__(self, rng):
+        self.random = rng.random
+        self.below = rng.integers
+
+    def close(self):
+        pass
+
+
+# below this many leaves the ~17 us of state handling in _WordDraws costs
+# more than the scalar calls it replaces
+_WORD_DRAWS_MIN_N = 8
+
+
+def _draws(rng, n):
+    """A draw source for growing an n-leaf tree from rng."""
+    if n >= _WORD_DRAWS_MIN_N and type(rng.bit_generator) is np.random.PCG64:
+        return _WordDraws(rng, 2 * n)
+    return _GeneratorDraws(rng)
+
+
 def grow_alphagamma(alpha, gamma, n, rng):
     """Sequential growth: leaf edge weight 1-a, inner edge g, vertex (k-1)a - g.
 
     Internal nodes are kept as a token list with node B repeated k_B - 1 times,
     so total vertex weight is a * len(tokens) and an inner-edge versus vertex
     choice at B is a single accept step with probability g / ((k_B - 1) a).
+
+    Stream contract: the same draws as rng.random() and rng.integers(k), in
+    the loop's order, and the same end state of rng.  On a PCG64 generator
+    they are replayed from raw words drawn in bulk (_WordDraws); other bit
+    generators, and trees under _WORD_DRAWS_MIN_N leaves, make those calls.
     """
     if not (0 <= gamma <= alpha <= 1):
         raise ArgumentError("need 0 <= gamma <= alpha <= 1")
@@ -202,47 +302,46 @@ def grow_alphagamma(alpha, gamma, n, rng):
     next_id = 1
     leaves = [0]
     tokens = []
-
-    def edge_insert(v, new_label):
-        nonlocal root, next_id
-        p, leaf = next_id, next_id + 1
-        next_id += 2
-        children[p] = [v, leaf]
-        leaf_label[leaf] = new_label
-        if v == root:
-            root = p
-        else:
-            g = parent_of[v]
-            children[g][children[g].index(v)] = p
-            parent_of[p] = g
-        parent_of[v] = p
-        parent_of[leaf] = p
-        leaves.append(leaf)
-        tokens.append(p)
-
-    for m in range(1, n):
-        # selection weights: m(1-a) on leaf edges, a per token; they sum to m - a
-        assert len(tokens) == m - 1
-        w_leaf = m * (1 - alpha)
-        w_tok = alpha * len(tokens)
-        total = w_leaf + w_tok
-        assert abs(total - (m - alpha)) < 1e-9
-        if total <= 0 or rng.random() * total < w_leaf:
-            v = leaves[rng.integers(len(leaves))]
-            edge_insert(v, m + 1)
-            continue
-        B = tokens[rng.integers(len(tokens))]
-        kb = len(children[B])
-        if rng.random() < gamma / ((kb - 1) * alpha):
-            edge_insert(B, m + 1)
-        else:
-            leaf = next_id
-            next_id += 1
+    draws = _draws(rng, n)
+    random, below = draws.random, draws.below
+    try:
+        for m in range(1, n):
+            # selection weights: m(1-a) on leaf edges, a per token; they sum to m - a
+            assert len(tokens) == m - 1
+            w_leaf = m * (1 - alpha)
+            w_tok = alpha * len(tokens)
+            total = w_leaf + w_tok
+            assert abs(total - (m - alpha)) < 1e-9
+            if total <= 0 or random() * total < w_leaf:
+                v = leaves[below(len(leaves))]
+            else:
+                v = tokens[below(len(tokens))]
+                if random() >= gamma / ((len(children[v]) - 1) * alpha):
+                    # vertex: the new leaf hangs from v
+                    leaf_label[next_id] = m + 1
+                    children[v].append(next_id)
+                    parent_of[next_id] = v
+                    leaves.append(next_id)
+                    tokens.append(v)
+                    next_id += 1
+                    continue
+            # edge: a new vertex p above v, with the new leaf as its other child
+            p, leaf = next_id, next_id + 1
+            next_id += 2
+            children[p] = [v, leaf]
             leaf_label[leaf] = m + 1
-            children[B].append(leaf)
-            parent_of[leaf] = B
+            if v == root:
+                root = p
+            else:
+                g = parent_of[v]
+                children[g][children[g].index(v)] = p
+                parent_of[p] = g
+            parent_of[v] = p
+            parent_of[leaf] = p
             leaves.append(leaf)
-            tokens.append(B)
+            tokens.append(p)
+    finally:
+        draws.close()
     return Tree(children, leaf_label, root, None, parent_of)
 
 
@@ -280,20 +379,33 @@ def _build_recursive(labels, split_fn, rng, edge_fn=None):
     return Tree(children, leaf_label, root, length)
 
 
-def table_sampler(table, rng):
-    """One categorical draw from a SplittingRuleTable."""
+def _table_draw(table):
+    """draw(rng): one categorical draw from a SplittingRuleTable.
+
+    The partitions are sorted by to_text and their cumulative sums taken
+    once per table; a draw is one rng.random() and one bisection."""
     items = sorted(table.probs.items(), key=lambda kv: kv[0].to_text())
+    parts = [p for p, _ in items]
     ps = np.array([v for _, v in items])
-    i = np.searchsorted(np.cumsum(ps), rng.random() * ps.sum())
-    return items[min(i, len(items) - 1)][0]
+    cum, total, last = np.cumsum(ps).tolist(), float(ps.sum()), len(parts) - 1
+
+    def draw(rng):
+        return parts[min(bisect_left(cum, rng.random() * total), last)]
+    return draw
 
 
 def sample_markov_branching(rule_source, n, rng):
-    """Recursive Markov branching tree from per-size splitting tables."""
+    """Recursive Markov branching tree from per-size splitting tables;
+    rule_source(b) is asked once per block size b in the tree."""
     if n < 1:
         raise ArgumentError("n must be positive")
-    return _build_recursive(range(1, n + 1),
-                            lambda b, r: table_sampler(rule_source(b), r), rng)
+    draws = {}
+
+    def split(b, r):
+        if b not in draws:
+            draws[b] = _table_draw(rule_source(b))
+        return draws[b](r)
+    return _build_recursive(range(1, n + 1), split, rng)
 
 
 def sample_fragmentation_tree(d, n, rng):
@@ -363,7 +475,14 @@ def leaf_depths(t):
 
 
 def tree_height(t):
-    return max(leaf_depths(t).values())
+    """The greatest spine depth, max(leaf_depths(t).values()): the number of
+    levels of a walk down from the root, one list per level."""
+    children = t.children
+    level, height = [t.root], 0
+    while level:
+        height += 1
+        level = [c for u in level if u in children for c in children[u]]
+    return height
 
 
 def mean_depth(t):

@@ -9,9 +9,10 @@ from fragbox import (ArgumentError, DiscreteDislocation, Tree,
                      alphagamma_tree_distribution, delete_leaf,
                      delete_uniform_leaf, grow_alphagamma, leaf_depths,
                      reduced_ladder, reduced_tree, sample_fragmentation_tree,
-                     sample_markov_branching, skewed_pd_splitting_table,
-                     special_branch_count, spine_depth, splitting_rule)
-from fragbox.growth import _reduced
+                     sample_markov_branching, sample_reduced_crt,
+                     skewed_pd_splitting_table, special_branch_count,
+                     spine_depth, splitting_rule, tree_height)
+from fragbox.growth import _WordDraws, _reduced, _table_draw
 from fragbox.harness import chi_square_gof, gof_gate, single_atom_model
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
@@ -90,6 +91,118 @@ def test_grow_trivial_sizes():
     assert t1.n == 1 and t1.to_text() == "1"
     t2 = grow_alphagamma(0.5, 0.3, 2, rng)
     assert t2.to_text() == "(1,2)"
+
+
+def _grow_alphagamma_scalar(alpha, gamma, n, rng):
+    # reference: the growth loop with one scalar rng.random() or
+    # rng.integers(k) call per draw, as grow_alphagamma made them before its
+    # draws were replayed from raw words
+    children, leaf_label, parent_of = {}, {0: 1}, {}
+    root, next_id, leaves, tokens = 0, 1, [0], []
+
+    def edge_insert(v, new_label):
+        nonlocal root, next_id
+        p, leaf = next_id, next_id + 1
+        next_id += 2
+        children[p] = [v, leaf]
+        leaf_label[leaf] = new_label
+        if v == root:
+            root = p
+        else:
+            g = parent_of[v]
+            children[g][children[g].index(v)] = p
+            parent_of[p] = g
+        parent_of[v] = p
+        parent_of[leaf] = p
+        leaves.append(leaf)
+        tokens.append(p)
+
+    for m in range(1, n):
+        w_leaf = m * (1 - alpha)
+        total = w_leaf + alpha * len(tokens)
+        if total <= 0 or rng.random() * total < w_leaf:
+            edge_insert(leaves[rng.integers(len(leaves))], m + 1)
+            continue
+        B = tokens[rng.integers(len(tokens))]
+        if rng.random() < gamma / ((len(children[B]) - 1) * alpha):
+            edge_insert(B, m + 1)
+        else:
+            leaf = next_id
+            next_id += 1
+            leaf_label[leaf] = m + 1
+            children[B].append(leaf)
+            parent_of[leaf] = B
+            leaves.append(leaf)
+            tokens.append(B)
+    return Tree(children, leaf_label, root, None, parent_of)
+
+
+def _twin_generators(bitgen, seed, primed):
+    pair = [np.random.Generator(bitgen(seed)) for _ in range(2)]
+    if primed:      # one integers call leaves a buffered 32-bit half
+        for rng in pair:
+            rng.integers(7)
+    return pair
+
+
+def _same_state(a, b):
+    # bit generator states, MT19937's key array included
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(_same_state(a[k], b[k]) for k in a)
+    return np.array_equal(a, b)
+
+
+def _assert_same_growth(alpha, gamma, n, bitgen, seed, primed):
+    rng, ref = _twin_generators(bitgen, seed, primed)
+    t = grow_alphagamma(alpha, gamma, n, rng)
+    want = _grow_alphagamma_scalar(alpha, gamma, n, ref)
+    assert t.to_text() == want.to_text()
+    # the same node ids, which reduced_ladder reads as birth order
+    assert (t.children, t.leaf_label, t.root, t.parent_of) == \
+        (want.children, want.leaf_label, want.root, want.parent_of)
+    assert _same_state(rng.bit_generator.state, ref.bit_generator.state)
+    # the next draws, the buffered half included
+    assert [rng.random(), rng.integers(1000), rng.integers(1000), rng.random()] == \
+        [ref.random(), ref.integers(1000), ref.integers(1000), ref.random()]
+
+
+def test_grow_alphagamma_matches_scalar_draws():
+    # gamma = 0, gamma = alpha, alpha = 0, and alpha = 1, where the total
+    # weight is 0 at m = 1 and no uniform is drawn; alpha = gamma = 1 takes
+    # 2.5 words a step and runs past the first buffer of 2n words
+    for alpha, gamma in ((0.5, 0.3), (0.5, 0.0), (0.7, 0.7), (0.0, 0.0),
+                         (1.0, 1.0), (1.0, 0.0), (1.0, 0.4)):
+        for n in (1, 2, 3, 5, 6, 7, 100, 1000):
+            for bitgen in (np.random.PCG64, np.random.MT19937):
+                for seed in range(2):
+                    for primed in (False, True):
+                        _assert_same_growth(alpha, gamma, n, bitgen, seed, primed)
+
+
+@settings(max_examples=150)
+@given(st.floats(0, 1), st.floats(0, 1), st.integers(1, 1000), st.integers(0, 2 ** 32 - 1),
+       st.booleans(), st.booleans())
+def test_grow_alphagamma_matches_scalar_draws_property(alpha, gamma_frac, n, seed, primed,
+                                                       mersenne):
+    _assert_same_growth(alpha, alpha * gamma_frac, n,
+                        np.random.MT19937 if mersenne else np.random.PCG64, seed, primed)
+
+
+@settings(max_examples=100)
+@given(st.integers(0, 2 ** 32 - 1), st.booleans(), st.integers(1, 8), st.data())
+def test_word_draws_match_generator_calls(seed, primed, size, data):
+    # any mix of draws, with bounds where Lemire's method rejects often
+    # (k just above 2**31), k = 1 (no draw) and k = 2**32; a buffer of a
+    # few words refills many times
+    rng, ref = _twin_generators(np.random.PCG64, seed, primed)
+    ks = data.draw(st.lists(st.one_of(
+        st.none(), st.integers(1, 1000), st.integers(2 ** 31, 2 ** 31 + 2 ** 20),
+        st.integers(2 ** 32 - 10, 2 ** 32)), max_size=60))
+    draws = _WordDraws(rng, size)
+    got = [draws.random() if k is None else draws.below(k) for k in ks]
+    draws.close()
+    assert got == [ref.random() if k is None else int(ref.integers(k)) for k in ks]
+    assert _same_state(rng.bit_generator.state, ref.bit_generator.state)
 
 
 def test_grow_root_split_law():
@@ -262,6 +375,68 @@ def test_delete_leaf_skewed_pd_off_curve_fails():
         if rep.p_value < 1e-3:
             failures += 1
     assert failures == 3
+
+
+def _table_draw_per_draw_sort(table, rng):
+    # reference: the table sorted and summed again at every draw
+    items = sorted(table.probs.items(), key=lambda kv: kv[0].to_text())
+    ps = np.array([v for _, v in items])
+    i = np.searchsorted(np.cumsum(ps), rng.random() * ps.sum())
+    return items[min(i, len(items) - 1)][0]
+
+
+def test_table_draw_matches_per_draw_sort():
+    tables = [skewed_pd_splitting_table(0.5, -0.5, 0.9, b) for b in (2, 3, 4)]
+    tables += [splitting_rule(single_atom_model(), b) for b in (3, 5)]
+    tables += [alphagamma_growth_split_oracle(0.5, 0.3, b) for b in (3, 4, 5)]
+    for seed in range(20):
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        for table in tables:
+            draw = _table_draw(table)
+            assert [draw(rng) for _ in range(50)] == \
+                [_table_draw_per_draw_sort(table, ref) for _ in range(50)]
+    # one rule_source call per block size in a tree, the same trees
+    d = single_atom_model()
+    for source, n in ((lambda b: skewed_pd_splitting_table(0.5, -0.5, 0.9, b), 4),
+                      (lambda b: splitting_rule(d, b), 7)):
+        for seed in range(20):
+            asked = []
+
+            def rule(b):
+                asked.append(b)
+                return source(b)
+            rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+            t = sample_markov_branching(rule, n, rng)
+            assert sorted(asked) == sorted(set(asked))
+            assert t.to_text() == _build_by_per_draw_sort(source, n, ref)
+            assert rng.random() == ref.random()
+
+
+def _build_by_per_draw_sort(rule, n, rng):
+    # reference tree text: recursive splits of the sorted labels, the root
+    # split drawn before the subtrees, left to right
+    def build(labs):
+        if len(labs) == 1:
+            return str(labs[0]), labs[0]
+        pi = _table_draw_per_draw_sort(rule(len(labs)), rng)
+        subs = sorted((build([labs[i - 1] for i in b]) for b in pi.blocks),
+                      key=lambda sub: sub[1])
+        return "(" + ",".join(text for text, _ in subs) + ")", subs[0][1]
+    return build(list(range(1, n + 1)))[0]
+
+
+def test_tree_height_is_greatest_leaf_depth():
+    rng = np.random.default_rng(8)
+    d = single_atom_model()
+    trees = [Tree({}, {0: 1}, 0), cherry(), star(5), chain(6)]
+    for n in (1, 2, 7, 300):
+        trees.append(grow_alphagamma(0.5, 0.3, n, rng))
+        trees.append(grow_alphagamma(1.0, 0.0, n, rng))
+        trees.append(sample_fragmentation_tree(d, n, rng))
+    trees += [reduced_tree(t, range(1, min(4, t.n) + 1)) for t in trees[4:]]
+    trees += [sample_reduced_crt(d, k, 0.5, rng) for k in (1, 2, 5)]
+    for t in trees:
+        assert tree_height(t) == max(leaf_depths(t).values())
 
 
 def test_spine_depth_examples():

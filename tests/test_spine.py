@@ -345,7 +345,7 @@ def test_reduced_crt_shapes():
     rng = np.random.default_rng(6)
     d = single_atom_model()
     mt = sample_reduced_crt(d, 2, 0.5, rng)
-    assert sorted(mt.leaf_labels.values()) == [1, 2]
+    assert sorted(mt.leaf_label.values()) == [1, 2]
     assert mt.shape_text() == "(*,*)"
 
 
