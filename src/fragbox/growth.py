@@ -510,10 +510,18 @@ def _reduced(t, labels):
     if not labels:
         raise ArgumentError("need at least one label")
     paths = [t.path_to_root(t.leaf_node(lab)) for lab in labels]
-    in_union = set().union(*paths)
-    retained = {v for v in in_union
-                if sum(c in in_union for c in t.children.get(v, ())) >= 2}
-    retained.update(path[0] for path in paths)
+    # a path meets the union of the earlier ones at a vertex that now has
+    # two children in the union, so the vertices kept are the leaves and
+    # these meeting points
+    in_union = set()
+    retained = set()
+    for path in paths:
+        retained.add(path[0])
+        for v in path:
+            if v in in_union:
+                retained.add(v)
+                break
+            in_union.add(v)
     segment = {}        # retained node -> [it, the suppressed ancestors above it]
     below = {}          # retained node (None: t's root) -> those hung from it
     for path in paths:

@@ -15,27 +15,36 @@ REJECTION_BUDGET = 10_000_000
 
 
 def _paints(s, n, rng):
-    """The colour probabilities (s_1, ..., s_m, s0), their running sums and
-    the colours of n iid paints (i < m for atom i, dust beyond), one uniform each."""
-    probs = np.array(list(s.atoms) + [s.s0])
-    cum = np.cumsum(probs)
-    return probs, cum, np.searchsorted(cum, rng.random(n))
+    """The colour probabilities (s_1, ..., s_m, s0), their running sums (the
+    read-only s.colour_table) and the colours of n iid paints (i < m for
+    atom i, dust beyond): one rng.random(n) and one searchsorted."""
+    probs, cum = s.colour_table
+    return probs, cum, cum.searchsorted(rng.random(n))
+
+
+def _colour_blocks(colours, m):
+    """The blocks of [len(colours)] of equal colours below m, each dust paint
+    (colour >= m) a singleton, as canonical tuples: blocks open in order of
+    first sight, so by least element, and labels join them in increasing order."""
+    blocks = {}
+    for r, ci in enumerate(colours, 1):
+        blocks.setdefault(ci if ci < m else -r, []).append(r)
+    return tuple(map(tuple, blocks.values()))
 
 
 def _paint_partition(colours, m):
-    """The partition of [len(colours)] into equal colours below m; each dust
-    paint (colour >= m) is a singleton block."""
-    blocks = {}
-    for r, ci in enumerate(colours.tolist(), 1):
-        blocks.setdefault(ci if ci < m else -r, []).append(r)
-    return Partition.from_blocks(len(colours), blocks.values())
+    """The validated Partition of _colour_blocks(colours, m)."""
+    p = Partition(len(colours), _colour_blocks(colours.tolist(), m))
+    p.validate()
+    return p
 
 
 def kingman_sample(s, n, rng):
     """Sample the value partition of n iid paints from s; dust draws are singletons.
 
-    _paints draws the colours and _paint_partition maps them to blocks, the
-    two steps that dislocation.sample_split conditions in between.
+    Draws with one rng.random(n) and nothing else.  _paints draws the
+    colours and _paint_partition maps them to blocks, the two steps that
+    dislocation.sample_split conditions in between.
     """
     assert n >= 1
     return _paint_partition(_paints(s, n, rng)[2], s.m)
@@ -119,16 +128,24 @@ def modified_paintbox_prob(s, base, refinement_target):
 
 
 def modified_paintbox_sample(s, base, n, rng):
-    """Rejection-sample a Kingman partition of [n] on the cylinder of base."""
+    """Rejection-sample a Kingman partition of [n] on the cylinder of base.
+
+    Each attempt is one kingman_sample draw (one rng.random(n)), so the
+    stream is that of kingman_sample until the first draw whose restriction
+    to [base.n] is base.  An attempt is tested on its colours: the blocks of
+    its first base.n paints (_colour_blocks) must be base.blocks.  Only the
+    accepted draw becomes a Partition.
+    """
     if n < base.n:
         raise ArgumentError("n must be at least base.n")
     _check_nondegenerate(s, base)
     if kingman_cylinder_prob(s, base) == 0.0:
         raise ArgumentError("base cylinder has probability zero")
+    k, m, want = base.n, s.m, base.blocks
     for _ in range(REJECTION_BUDGET):
-        p = kingman_sample(s, n, rng)
-        if restrict_partition(p, base.n) == base:
-            return p
+        colours = _paints(s, n, rng)[2]
+        if _colour_blocks(colours[:k].tolist(), m) == want:
+            return _paint_partition(colours, m)
     raise ResourceBudgetError("rejection budget exhausted")
 
 

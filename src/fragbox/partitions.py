@@ -8,11 +8,31 @@ blocks with "|" and elements with spaces, e.g. "1 3|2".
 import csv
 import io
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
+
+import numpy as np
 
 from .errors import ArgumentError
 
 TOL = 1e-12
+
+
+class _lazy:
+    """A value computed on first use and kept in the instance's __dict__,
+    where later lookups find it before this (non-data) descriptor.  Like
+    functools.cached_property, without the lock it takes on Python 3.11;
+    it also works on frozen dataclasses."""
+
+    def __init__(self, fn):
+        self.fn = fn
+        self.name = fn.__name__
+        self.__doc__ = fn.__doc__
+
+    def __get__(self, obj, cls=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.fn(obj)
+        return value
 
 
 @dataclass(frozen=True)
@@ -50,7 +70,7 @@ class Partition:
     def k(self):
         return len(self.blocks)
 
-    @cached_property
+    @_lazy
     def _hash(self):
         """The dataclass hash of (n, blocks), computed once: partitions key
         every exact table."""
@@ -59,7 +79,7 @@ class Partition:
     def __hash__(self):
         return self._hash
 
-    @cached_property
+    @_lazy
     def size_multiset(self):
         """Block sizes, largest first; computed on first use and kept."""
         return tuple(sorted((len(b) for b in self.blocks), reverse=True))
@@ -84,7 +104,7 @@ class Partition:
             return None
         return min(self.blocks[1]) - 1
 
-    @cached_property
+    @_lazy
     def cylinder_key(self):
         """(cylinder class, block-size multiset), computed on first use: a
         restricted exchangeable law weighs p through this key alone."""
@@ -107,9 +127,19 @@ class MassPartition:
         if sum(a) > 1 + TOL:
             raise ArgumentError("atoms sum above 1")
 
-    @cached_property
+    @_lazy
     def s0(self):
         return min(max(1.0 - sum(self.atoms), 0.0), 1.0)
+
+    @_lazy
+    def colour_table(self):
+        """(probs, cum): the colour probabilities (s_1, ..., s_m, s0) and
+        their running sums, built once and read-only, as every paintbox draw
+        of this mass partition shares them."""
+        probs = np.array(self.atoms + (self.s0,))
+        cum = np.cumsum(probs)
+        probs.flags.writeable = cum.flags.writeable = False
+        return probs, cum
 
     @property
     def m(self):

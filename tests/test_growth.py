@@ -494,6 +494,23 @@ def test_reduced_tree_on_any_label_set(source, n, data):
 
 
 @settings(max_examples=100)
+@given(st.floats(0, 1), st.floats(0, 1), st.integers(1, 200), st.data())
+def test_reduced_keeps_the_vertices_with_two_children_in_the_union(alpha, gamma_frac,
+                                                                  n, data):
+    # reference: the vertices of the union of the root paths with at least
+    # two children in it, and the leaves
+    t = grow_alphagamma(alpha, alpha * gamma_frac, n,
+                        np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1))))
+    labels = data.draw(st.sets(st.integers(1, n), min_size=1))
+    paths = [t.path_to_root(t.leaf_node(lab)) for lab in labels]
+    in_union = set().union(*paths)
+    want = {v for v in in_union if sum(c in in_union for c in t.children.get(v, ())) >= 2}
+    want.update(path[0] for path in paths)
+    _, segments = _reduced(t, labels)
+    assert {seg[0] for seg in segments.values()} == want
+
+
+@settings(max_examples=100)
 @given(st.floats(0, 1), st.floats(0, 1), st.integers(1, 150), st.integers(1, 6),
        st.data())
 def test_reduced_ladder_is_the_delete_leaf_chain(alpha, gamma_frac, big_n, k, data):

@@ -69,9 +69,9 @@ def test_kingman_cylinder_matches_bruteforce():
 
 
 @st.composite
-def boxes(draw):
-    """A mass partition of at most 4 atoms, with or without dust."""
-    m = draw(st.integers(0, 4))
+def boxes(draw, min_atoms=0):
+    """A mass partition of min_atoms to 4 atoms, with or without dust."""
+    m = draw(st.integers(min_atoms, 4))
     raw = draw(st.lists(st.floats(0.05, 1.0), min_size=m, max_size=m))
     dust = draw(st.floats(0.01, 1.0)) if m == 0 or draw(st.booleans()) else 0.0
     total = sum(raw) + dust
@@ -203,6 +203,73 @@ def test_modified_paintbox_sample_trivial_cases():
     rng = np.random.default_rng(7)
     s = MassPartition((1.0,))
     assert modified_paintbox_sample(s, P("1 2"), 4, rng) == P("1 2 3 4")
+
+
+def _paint_partition_by_from_blocks(colours, m):
+    # reference: blocks gathered in a dict, then sorted and validated
+    blocks = {}
+    for r, ci in enumerate(colours.tolist(), 1):
+        blocks.setdefault(ci if ci < m else -r, []).append(r)
+    return Partition.from_blocks(len(colours), blocks.values())
+
+
+def _kingman_sample_fresh_table(s, n, rng):
+    # reference: the colour table built afresh on every draw
+    cum = np.cumsum(np.array(list(s.atoms) + [s.s0]))
+    return _paint_partition_by_from_blocks(np.searchsorted(cum, rng.random(n)), s.m)
+
+
+def _modified_sample_by_restriction(s, base, n, rng):
+    # reference: every attempt becomes a Partition and is restricted to [base.n]
+    while True:
+        p = _kingman_sample_fresh_table(s, n, rng)
+        if restrict_partition(p, base.n) == base:
+            return p
+
+
+@settings(max_examples=150)
+@given(boxes(min_atoms=1), st.integers(1, 4), st.data())
+def test_modified_sample_matches_restriction_loop(s, k, data):
+    # the colour test accepts exactly the attempts the Partition test
+    # accepted, on the same stream: same draws, same generator state after
+    bases = all_partitions(k)
+    base = bases[data.draw(st.integers(0, len(bases) - 1))]
+    n = data.draw(st.integers(k, 9))
+    try:
+        modified_paintbox_prob(s, base, base)
+    except UnsupportedCaseError:
+        return
+    seed = data.draw(st.integers(0, 2 ** 32 - 1))
+    fast, slow = np.random.default_rng(seed), np.random.default_rng(seed)
+    for _ in range(5):
+        p = modified_paintbox_sample(s, base, n, fast)
+        q = _modified_sample_by_restriction(s, base, n, slow)
+        assert p == q and p.blocks == q.blocks
+        assert fast.bit_generator.state == slow.bit_generator.state
+    assert fast.random() == slow.random()
+
+
+@settings(max_examples=100)
+@given(boxes(), st.integers(1, 9), st.integers(0, 2 ** 32 - 1))
+def test_kingman_sample_matches_dict_and_from_blocks(s, n, seed):
+    fast, slow = np.random.default_rng(seed), np.random.default_rng(seed)
+    for _ in range(5):
+        p = kingman_sample(s, n, fast)
+        q = _kingman_sample_fresh_table(s, n, slow)
+        assert p == q and p.blocks == q.blocks
+    assert fast.bit_generator.state == slow.bit_generator.state
+    assert fast.random() == slow.random()
+
+
+def test_colour_table_is_cached_and_read_only():
+    s = MassPartition((0.5, 0.3))
+    probs, cum = s.colour_table
+    assert s.colour_table[0] is probs and s.colour_table[1] is cum
+    assert probs.tolist() == [0.5, 0.3, s.s0]
+    assert cum.tolist() == np.cumsum([0.5, 0.3, s.s0]).tolist()
+    for arr in (probs, cum):
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
 
 
 # ---------------------------------------------------------------------------

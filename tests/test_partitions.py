@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fragbox import (ArgumentError, FiniteMeasureOnPartitions, Hierarchy,
-                     Partition, all_partitions, block_size_multiset,
+                     MassPartition, Partition, all_partitions, block_size_multiset,
                      children_of, classify_exchangeability, restrict_hierarchy,
                      restrict_partition)
 from fragbox.partitions import _maximal_strict_subsets
@@ -33,6 +33,24 @@ def test_all_partitions_matches_old_generator(n):
     for p in ps:
         p.validate()
         assert p.size_multiset == tuple(sorted(map(len, p.blocks), reverse=True))
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_lazy_attributes_match_fresh_values(n):
+    # each value is computed on first use, kept in the instance dict and
+    # equal to its computation from scratch
+    for p in all_partitions(n):
+        q = Partition.from_blocks(n, p.blocks)
+        assert "_hash" not in q.__dict__
+        assert hash(q) == hash(p) == hash((p.n, p.blocks))
+        assert q.__dict__["_hash"] == hash((p.n, p.blocks))
+        assert q.size_multiset == tuple(sorted(map(len, p.blocks), reverse=True))
+        assert q.cylinder_key == (p.cylinder_class(), q.size_multiset)
+        assert q.size_multiset is q.size_multiset
+    for atoms in ((), (0.5,), (0.6, 0.4), (0.5, 0.3, 0.1)):
+        s = MassPartition(atoms)
+        assert s.s0 == min(max(1.0 - sum(s.atoms), 0.0), 1.0)
+        assert s.__dict__["s0"] == s.s0
 
 
 def test_restrict_partition_examples():
