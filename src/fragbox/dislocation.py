@@ -8,16 +8,17 @@ class P^j of partitions whose restriction to [j+1] is {[j], {j+1}}.
 """
 
 import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate
+from types import MappingProxyType
 
 import numpy as np
 
 from .errors import ArgumentError, ModelError, ResourceBudgetError
 from .paintbox import _paint_partition, _paints, kingman_cylinder_prob
-from .partitions import (Partition, _maximal_strict_subsets, all_partitions,
+from .partitions import (Partition, _lazy, _maximal_strict_subsets, all_partitions,
                          csv_rows, csv_text, MassPartition)
 
 _EXCLUDED_TOL = 1e-12
@@ -167,10 +168,32 @@ def _cylinder_weights(d, n):
 
 @dataclass
 class SplittingRuleTable:
-    """Normalized law of the root split of [n]; zero on the trivial partition."""
+    """Normalized law of the root split of [n]; zero on the trivial partition.
+
+    probs is a read-only view: the table builders cache their tables, so
+    one table is shared by every caller.
+    """
 
     n: int
     probs: dict
+
+    def __post_init__(self):
+        self.probs = MappingProxyType(self.probs)
+
+    @_lazy
+    def draw(self):
+        """draw(rng): one categorical draw from the table, built on first use.
+
+        The partitions are sorted by to_text and their cumulative sums taken
+        once per table; a draw is one rng.random() and one bisection."""
+        items = sorted(self.probs.items(), key=lambda kv: kv[0].to_text())
+        parts = [p for p, _ in items]
+        ps = np.array([v for _, v in items])
+        cum, total, last = np.cumsum(ps).tolist(), float(ps.sum()), len(parts) - 1
+
+        def draw(rng):
+            return parts[min(bisect_left(cum, rng.random() * total), last)]
+        return draw
 
     def validate(self):
         if abs(sum(self.probs.values()) - 1.0) > 1e-12:
@@ -197,8 +220,9 @@ class SplittingRuleTable:
 
 
 def _full_table(n, probs):
-    """The validated table of probs on the non-trivial partitions of [n], 0 if absent."""
-    t = SplittingRuleTable(n, {p: probs.get(p, 0.0) for p in all_partitions(n)
+    """The validated table on the non-trivial partitions of [n]; probs maps
+    canonical block tuples to probabilities, 0 where absent."""
+    t = SplittingRuleTable(n, {p: probs.get(p.blocks, 0.0) for p in all_partitions(n)
                                if not p.is_trivial()})
     t.validate()
     return t
@@ -394,10 +418,11 @@ def alphagamma_tree_distribution(alpha, gamma, n):
 
     Trees are frozensets of frozenset vertices (the hierarchy without the
     empty set).  The law at n grows leaf n into every tree of the cached law
-    at n - 1.  Capped at n = 7; beyond that the state space explodes.
+    at n - 1.  Capped at n = 7; beyond that the state space explodes.  Its
+    root-split marginal is the test oracle of alphagamma_growth_split_oracle,
+    which computes that marginal alone by a chain over root splits.
     """
-    if not (0 <= gamma <= alpha <= 1):
-        raise ArgumentError("need 0 <= gamma <= alpha <= 1")
+    _check_alphagamma_params(alpha, gamma)
     if n > 7:
         raise ResourceBudgetError("exhaustive growth histories capped at n = 7")
     if n < 1:
@@ -431,23 +456,65 @@ def alphagamma_tree_distribution(alpha, gamma, n):
     return nxt
 
 
-def alphagamma_growth_split_oracle(alpha, gamma, n):
-    """Exact root-split law of the n-leaf tree (n <= 7), by history enumeration.
+def _check_alphagamma_params(alpha, gamma):
+    if not (0 <= gamma <= alpha <= 1):
+        raise ArgumentError("need 0 <= gamma <= alpha <= 1")
 
-    The root's children are read off each tree in one largest-first pass
-    (_maximal_strict_subsets), and a Partition is built once per distinct
-    set of children.
+
+@lru_cache(maxsize=256)
+def _alphagamma_root_splits(alpha, gamma, m):
+    """{blocks: P(root split of T_m = blocks)}, m >= 2, over canonical block
+    tuples; partitions of zero probability are left out.
+
+    The root split is a Markov chain in m.  It starts at 1|2.  Leaf m + 1
+    joins block B with probability (|B| - alpha)/(m - alpha), the edge and
+    vertex weight of B's subtree, the edge above B included.  It opens
+    {m + 1} at a root vertex of k children with probability
+    ((k - 1) alpha - gamma)/(m - alpha).  It takes the root edge with
+    probability gamma/(m - alpha), which gives [m]|{m + 1} whatever the
+    split was.  Every level is cached, so the chain of one (alpha, gamma)
+    grows one leaf at a time.
     """
+    if m == 2:
+        return {((1,), (2,)): 1.0}
+    prev, x, denom = _alphagamma_root_splits(alpha, gamma, m - 1), (m,), m - 1 - alpha
+    join = [size - alpha for size in range(m)]   # join[|B|], |B| >= 1
+    law = {}
+    for blocks, pr in prev.items():
+        pr /= denom
+        for i, b in enumerate(blocks):
+            w = join[len(b)]
+            if w > 0:
+                key = blocks[:i] + (b + x,) + blocks[i + 1:]
+                law[key] = law.get(key, 0.0) + pr * w
+        w = (len(blocks) - 1) * alpha - gamma
+        if w > 0:
+            key = blocks + (x,)
+            law[key] = law.get(key, 0.0) + pr * w
+    if gamma > 0:
+        key = (tuple(range(1, m)), x)
+        law[key] = law.get(key, 0.0) + gamma / denom
+    return law
+
+
+@lru_cache(maxsize=64)
+def alphagamma_growth_split_oracle(alpha, gamma, n):
+    """Exact root-split law of the n-leaf alpha-gamma tree, 2 <= n <= 10.
+
+    The root split of T_m is a Markov chain in m over set partitions (see
+    _alphagamma_root_splits), run once per (alpha, gamma) and extended leaf
+    by leaf; n = 10 takes about a second cold.  Beyond n = 10 it raises
+    ResourceBudgetError.  The root-split marginal of
+    alphagamma_tree_distribution, which enumerates whole tree histories,
+    is its test oracle at n <= 7.  Tables are cached and shared: their
+    probs are read-only.
+    """
+    _check_alphagamma_params(alpha, gamma)
     if n < 2:
         raise ArgumentError("root splits need n >= 2")
-    dist = alphagamma_tree_distribution(alpha, gamma, n)
-    root = frozenset(range(1, n + 1))
-    by_children = {}
-    for t, pr in dist.items():
-        kids = frozenset(_maximal_strict_subsets(t, root))
-        by_children[kids] = by_children.get(kids, 0.0) + pr
-    return _full_table(n, {Partition.from_blocks(n, kids): pr
-                           for kids, pr in by_children.items()})
+    if n > 10:
+        raise ResourceBudgetError("alpha-gamma root-split chain capped at n = 10")
+    return _full_table(n, _alphagamma_root_splits(alpha, gamma, n))
 
 
 def alphagamma_eppf(alpha, gamma, sizes, cls):
@@ -524,12 +591,14 @@ def sampling_consistency_residual(alpha, theta, lam):
     return abs(lhs - rhs)
 
 
+@lru_cache(maxsize=1024)
 def skewed_pd_splitting_table(alpha, theta, lam, n):
     """Partition-level splitting table recovered from the ranked-size laws.
 
     Within a ranked-size class the only asymmetry is the lambda vs 1-lambda
     skew between class 1 and classes j >= 2, because the underlying paintbox
-    kernel is exchangeable.
+    kernel is exchangeable.  Tables are cached on their arguments, so a
+    Markov branching sampler builds each one, and its draw, once.
     """
     ranked = skewed_pd_ranked_split(alpha, theta, lam, n)
     by_sizes = {}
@@ -542,5 +611,5 @@ def skewed_pd_splitting_table(alpha, theta, lam, n):
         fac = [lam if p.cylinder_class() == 1 else 1 - lam for p in members]
         z = sum(fac)
         for p, f in zip(members, fac):
-            probs[p] = pr * f / z if z > 0 else 0.0
+            probs[p.blocks] = pr * f / z if z > 0 else 0.0
     return _full_table(n, probs)

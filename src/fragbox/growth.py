@@ -2,7 +2,6 @@
 
 import itertools
 import operator
-from bisect import bisect_left
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -380,18 +379,9 @@ def _build_recursive(labels, split_fn, rng, edge_fn=None):
 
 
 def _table_draw(table):
-    """draw(rng): one categorical draw from a SplittingRuleTable.
-
-    The partitions are sorted by to_text and their cumulative sums taken
-    once per table; a draw is one rng.random() and one bisection."""
-    items = sorted(table.probs.items(), key=lambda kv: kv[0].to_text())
-    parts = [p for p, _ in items]
-    ps = np.array([v for _, v in items])
-    cum, total, last = np.cumsum(ps).tolist(), float(ps.sum()), len(parts) - 1
-
-    def draw(rng):
-        return parts[min(bisect_left(cum, rng.random() * total), last)]
-    return draw
+    """draw(rng): one categorical draw from a SplittingRuleTable, by the
+    sampler the table builds once (SplittingRuleTable.draw)."""
+    return table.draw
 
 
 def sample_markov_branching(rule_source, n, rng):

@@ -234,7 +234,8 @@ def _exp_grow(cfg):
     p = cfg.params
     alpha, gamma, n = p.get("alpha", 0.5), p.get("gamma", 0.3), p.get("n", 3)
     if n > 7:
-        # no exact oracle at this size; report shape frequencies only
+        # the exact root-split law exists up to n = 10, but the chi-square
+        # gate's categories grow like Bell(n): report shape frequencies only
         counts = {}
         for i in range(cfg.reps):
             t = grow_alphagamma(alpha, gamma, n, rng_for(cfg.master_seed, cfg.tag, i))

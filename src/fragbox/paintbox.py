@@ -109,6 +109,18 @@ def _check_nondegenerate(s, base):
                 "degenerate conditioning: conservative s with fewer atoms than blocks")
 
 
+@lru_cache(maxsize=4096)
+def _base_cylinder(s, base):
+    """The Kingman cylinder probability of base under s, checked non-zero
+    and non-degenerate once per (s, base) instead of once per draw.  An
+    lru_cache keeps no exception, so a bad pair raises on every call."""
+    _check_nondegenerate(s, base)
+    z = kingman_cylinder_prob(s, base)
+    if z == 0.0:
+        raise ArgumentError("base cylinder has probability zero")
+    return z
+
+
 def modified_paintbox_prob(s, base, refinement_target):
     """kappa_s^base(cylinder of target) = Z(base,target) / Z(base,base).
 
@@ -117,10 +129,7 @@ def modified_paintbox_prob(s, base, refinement_target):
     """
     if restrict_partition(refinement_target, base.n) != base:
         raise ArgumentError("target does not restrict to base")
-    _check_nondegenerate(s, base)
-    z_base = kingman_cylinder_prob(s, base)
-    if z_base == 0.0:
-        raise ArgumentError("base cylinder has probability zero")
+    z_base = _base_cylinder(s, base)
     # In the non-degenerate case the admissible-index sum for (base, target, s)
     # coincides with the one defining the Kingman cylinder of the target; the
     # dust-exponent shift (k - m)^+ cancels between numerator and normaliser.
@@ -134,13 +143,12 @@ def modified_paintbox_sample(s, base, n, rng):
     stream is that of kingman_sample until the first draw whose restriction
     to [base.n] is base.  An attempt is tested on its colours: the blocks of
     its first base.n paints (_colour_blocks) must be base.blocks.  Only the
-    accepted draw becomes a Partition.
+    accepted draw becomes a Partition.  (s, base) is checked once
+    (_base_cylinder), not once per draw.
     """
     if n < base.n:
         raise ArgumentError("n must be at least base.n")
-    _check_nondegenerate(s, base)
-    if kingman_cylinder_prob(s, base) == 0.0:
-        raise ArgumentError("base cylinder has probability zero")
+    _base_cylinder(s, base)
     k, m, want = base.n, s.m, base.blocks
     for _ in range(REJECTION_BUDGET):
         colours = _paints(s, n, rng)[2]

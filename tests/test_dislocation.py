@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from fragbox import (ArgumentError, DiscreteDislocation, ModelError,
                      Partition, ResourceBudgetError, SplittingRuleTable,
@@ -15,6 +15,7 @@ from fragbox import (ArgumentError, DiscreteDislocation, ModelError,
 from fragbox.dislocation import (_cylinder_weights, _delta_atoms, _level_cylinder,
                                  _split_components)
 from fragbox.harness import chi_square_gof, single_atom_model
+from fragbox.partitions import _maximal_strict_subsets
 
 
 def P(text, n=None):
@@ -350,7 +351,7 @@ def test_alphagamma_oracle_n3():
 
 def test_alphagamma_oracle_errors():
     with pytest.raises(ResourceBudgetError):
-        alphagamma_growth_split_oracle(0.5, 0.3, 8)
+        alphagamma_growth_split_oracle(0.5, 0.3, 11)
     with pytest.raises(ArgumentError):
         alphagamma_growth_split_oracle(0.3, 0.5, 3)
 
@@ -361,6 +362,62 @@ def test_alphagamma_oracle_restricted():
     w.update(t.probs)
     flags = classify_exchangeability(FiniteMeasureOnPartitions(4, w))
     assert flags["restricted_exchangeable"]
+
+
+def _history_root_splits(alpha, gamma, n):
+    # root-split marginal of the exhaustive tree-history law
+    dist = alphagamma_tree_distribution(alpha, gamma, n)
+    root = frozenset(range(1, n + 1))
+    out = {}
+    for t, pr in dist.items():
+        p = Partition.from_blocks(n, _maximal_strict_subsets(t, root))
+        out[p] = out.get(p, 0.0) + pr
+    return out
+
+
+# alpha from {0, 1} or (0, 1); gamma = t * alpha with t from {0, 1} or (0, 1),
+# so gamma = 0 and gamma = alpha come up often
+_UNIT = st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_UNIT, _UNIT, st.integers(2, 7))
+@example(0.0, 0.0, 7)
+@example(1.0, 0.6, 7)
+@example(0.5, 0.0, 7)
+@example(0.5, 1.0, 7)
+def test_alphagamma_chain_matches_histories(alpha, t, n):
+    gamma = t * alpha
+    table = alphagamma_growth_split_oracle(alpha, gamma, n)
+    hist = _history_root_splits(alpha, gamma, n)
+    # one history law at n = 7 holds about 66 MB; keep none across examples
+    alphagamma_tree_distribution.cache_clear()
+    assert set(hist) <= set(table.probs)
+    for p, pr in table.probs.items():
+        assert abs(pr - hist.get(p, 0.0)) <= 1e-12
+
+
+def test_alphagamma_chain_eppf_recursion_beyond_histories():
+    for alpha, gamma in ((0.5, 0.3), (0.8, 0.8)):
+        tables = [alphagamma_growth_split_oracle(alpha, gamma, n) for n in range(2, 11)]
+        for small, big in zip(tables, tables[1:]):
+            assert eppf_recursion_residual(small, big) <= 1e-12
+
+
+def test_alphagamma_oracle_restricted_n8():
+    t = alphagamma_growth_split_oracle(0.5, 0.3, 8)
+    w = {q: 0.0 for q in all_partitions(8)}
+    w.update(t.probs)
+    flags = classify_exchangeability(FiniteMeasureOnPartitions(8, w))
+    assert flags["restricted_exchangeable"]
+    assert not flags["exchangeable"]
+
+
+def test_cached_tables_are_read_only():
+    for t in (alphagamma_growth_split_oracle(0.5, 0.3, 4),
+              skewed_pd_splitting_table(0.5, -0.5, 0.7, 4)):
+        with pytest.raises(TypeError):
+            t.probs[P("1|2 3 4")] = 1.0
 
 
 def test_alphagamma_sampling_consistency_of_histories():

@@ -176,6 +176,17 @@ def test_cli_success_exit_0(tmp_path):
     assert (tmp_path / "o" / "table.csv").exists()
 
 
+def test_cli_alphagamma_split_table_chain_sizes():
+    # the root-split chain answers past the n = 7 cap of tree histories
+    base = ("split-table", "--param", "family=\"alphagamma\"",
+            "--param", "alpha=0.5", "--param", "gamma=0.3")
+    r = cli(*base, "--param", "n=8")
+    assert r.returncode == 0, r.stderr
+    assert abs(json.loads(r.stdout)["total"] - 1.0) < 1e-12
+    r = cli(*base, "--param", "n=11")
+    assert r.returncode == 2 and "Traceback" not in r.stderr, r.stderr
+
+
 def test_cli_reduced_crt_beyond_enumeration_sizes():
     # splits come from sample_split, so k has no enumeration cap
     r = cli("reduced-crt", "--param", "k=13", "--reps", "2")
