@@ -21,8 +21,9 @@ class Tree:
     Without `length` every edge has length 1 and every internal vertex has
     >= 2 children (grown and branching trees).  With `length` (node -> length
     of the edge to its parent) the tree is a reduced tree or a CRT sample,
-    hung below a degree-1 virtual root.  The set-of-subsets view demanded by
-    the hierarchy formalism is derived lazily, so that sequential growth
+    hung below a degree-1 virtual root.  Node ids are keys and nothing more;
+    orders are read off the leaf labels.  The set-of-subsets view demanded
+    by the hierarchy formalism is derived lazily, so that sequential growth
     stays O(1) amortized per insertion.
     """
 
@@ -284,6 +285,8 @@ def grow_alphagamma(alpha, gamma, n, rng):
     Internal nodes are kept as a token list with node B repeated k_B - 1 times,
     so total vertex weight is a * len(tokens) and an inner-edge versus vertex
     choice at B is a single accept step with probability g / ((k_B - 1) a).
+    Leaf m is the m-th leaf grown, so the tree after m steps is the result
+    restricted to [m] (reduced_ladder reads those trees off it).
 
     Stream contract: the same draws as rng.random() and rng.integers(k), in
     the loop's order, and the same end state of rng.  On a PCG64 generator
@@ -344,11 +347,6 @@ def grow_alphagamma(alpha, gamma, n, rng):
     return Tree(children, leaf_label, root, None, parent_of)
 
 
-def _split_block(labels, pi):
-    """Push a partition of [len(labels)] onto the sorted label list."""
-    return [[labels[i - 1] for i in b] for b in pi.blocks]
-
-
 def _build_recursive(labels, split_fn, rng, edge_fn=None):
     """Tree of recursive splits of the sorted labels, node ids in pre-order.
 
@@ -368,7 +366,7 @@ def _build_recursive(labels, split_fn, rng, edge_fn=None):
             leaf_label[v] = labs[0]
             return v
         pi = split_fn(len(labs), rng)
-        children[v] = [build(b) for b in _split_block(labs, pi)]
+        children[v] = [build([labs[i - 1] for i in b]) for b in pi.blocks]
         return v
 
     if edge_fn is None:
@@ -376,12 +374,6 @@ def _build_recursive(labels, split_fn, rng, edge_fn=None):
     root = fresh()
     children[root] = [build(sorted(labels))]
     return Tree(children, leaf_label, root, length)
-
-
-def _table_draw(table):
-    """draw(rng): one categorical draw from a SplittingRuleTable, by the
-    sampler the table builds once (SplittingRuleTable.draw)."""
-    return table.draw
 
 
 def sample_markov_branching(rule_source, n, rng):
@@ -393,7 +385,7 @@ def sample_markov_branching(rule_source, n, rng):
 
     def split(b, r):
         if b not in draws:
-            draws[b] = _table_draw(rule_source(b))
+            draws[b] = rule_source(b).draw
         return draws[b](r)
     return _build_recursive(range(1, n + 1), split, rng)
 
@@ -489,44 +481,49 @@ def reduced_tree(t, labels):
     return _reduced(t, labels)[0]
 
 
+def _path_joins(t, labels):
+    """node -> label on the union of the labels' root paths, in the order
+    the paths climb.  Each path, in the given order, climbs until it meets
+    the earlier ones, and the node it meets records its label; a leaf
+    records its own label, a node no path met None.  Over the labels 1, 2,
+    ... a node so records the least n for which it is a vertex of T_n, the
+    restriction of t to [n]."""
+    parent_of, root, joins = t.parent_of, t.root, {}
+    for lab in labels:
+        v = t.leaf_node(lab)
+        joins[v] = lab
+        while v != root:
+            v = parent_of[v]
+            if v in joins:
+                if joins[v] is None:
+                    joins[v] = lab
+                break
+            joins[v] = None
+    return joins
+
+
 def _reduced(t, labels):
     """reduced_tree(t, labels), and for each of its vertices the segment of
     t it stands for: the retained node, then the suppressed ancestors above
-    it, so that the segment's length is the edge length.
-
-    Walks the root paths of the labels and then the reduced structure, never
-    the rest of t, so it costs O(len(labels) * depth)."""
+    it, so that the segment's length is the edge length.  The retained
+    nodes are those _path_joins gives a label, and in its climbing order a
+    segment runs from one of them to the next; so this costs O(size of the
+    union of the root paths) and never walks the rest of t."""
     labels = sorted(set(labels))
     if not labels:
         raise ArgumentError("need at least one label")
-    paths = [t.path_to_root(t.leaf_node(lab)) for lab in labels]
-    # a path meets the union of the earlier ones at a vertex that now has
-    # two children in the union, so the vertices kept are the leaves and
-    # these meeting points
-    in_union = set()
-    retained = set()
-    for path in paths:
-        retained.add(path[0])
-        for v in path:
-            if v in in_union:
-                retained.add(v)
-                break
-            in_union.add(v)
+    joins = _path_joins(t, labels)
     segment = {}        # retained node -> [it, the suppressed ancestors above it]
-    below = {}          # retained node (None: t's root) -> those hung from it
-    for path in paths:
-        cuts = [i for i, v in enumerate(path) if v in retained] + [len(path)]
-        for i, j in zip(cuts, cuts[1:]):
-            if path[i] in segment:
-                break
-            segment[path[i]] = path[i:j]
-            below.setdefault(path[j] if j < len(path) else None, []).append(path[i])
-    # ids follow t's pre-order with the last child first, as in _postorder
-    children = {0: []}  # 0 is the virtual root above t's root
-    length = {}
-    leaf_label = {}
-    segments = {}
-    stack = [(0, below[None][0])]
+    for v, lab in joins.items():    # the first node is a leaf, so seg is bound
+        if lab is None:
+            seg.append(v)
+        else:
+            seg = segment[v] = [v]
+    top = {seg[-1]: v for v, seg in segment.items()}    # segment top -> its node
+    # ids follow t's pre-order with the last child first, as in _postorder;
+    # 0 is the virtual root above t's root
+    children, length, leaf_label, segments = {0: []}, {}, {}, {}
+    stack = [(0, top[t.root])]
     while stack:
         pid, v = stack.pop()
         vid = len(segments) + 1
@@ -537,35 +534,34 @@ def _reduced(t, labels):
             leaf_label[vid] = t.leaf_label[v]
         else:
             children[vid] = []
-            rank = t.children[v].index
-            hung = sorted(below[v], key=lambda w: rank(segment[w][-1]))
-            stack.extend((vid, w) for w in hung)
+            stack.extend((vid, top[c]) for c in t.children[v] if c in top)
     rt = Tree(children, leaf_label, 0, length)
     rt.validate()
     return rt, segments
 
 
 def reduced_ladder(t, k, ns):
-    """reduced_tree(T_n, 1..k) for every n in ns, all read off t = T_N, one
-    tree grown by grow_alphagamma (k <= n <= N).
-
-    grow_alphagamma hands out node ids in birth order and growth only
-    subdivides edges or adds leaves, so T_n is the subtree of the T_N nodes
-    whose id is at most that of leaf n (the tree delete_leaf leaves after
-    removing leaves N, ..., n+1).  The reduced topology on [k] is therefore
-    the same for every n, and at size n an edge is as long as the number of
-    T_n nodes in its T_N segment.  Costs one reduced tree of t plus one
-    searchsorted per (edge, n).
-    """
+    """reduced_tree(T_n, 1..k) for every n in ns, all read off one tree t
+    with unit edges, where T_n is t restricted to [n] (what delete_leaf
+    leaves after removing the labels above n).  The reduced topology on [k]
+    is the same for every n; _path_joins over 1..max(ns) gives each node the
+    least n for which it is a vertex of T_n, so at size n an edge is as long
+    as the number of labels <= n in its segment.  Costs one walk of
+    T_max(ns) plus one searchsorted per (edge, n)."""
     ns = list(ns)
-    if k < 1 or any(not k <= n <= t.n for n in ns):
+    if t.length is not None:
+        raise ArgumentError("reduced_ladder reads a tree with unit edges")
+    if not 1 <= k <= t.n or any(not k <= n <= t.n for n in ns):
         raise ArgumentError(f"need 1 <= k <= n <= {t.n} for every n")
+    if not ns:
+        return []
     rt, segments = _reduced(t, range(1, k + 1))
-    sorted_ids = {v: np.sort(seg) for v, seg in segments.items()}
-    node_of = t.node_of
+    joins = _path_joins(t, range(1, max(ns) + 1))
+    marks = {v: np.sort([joins[u] for u in seg if joins[u] is not None])
+             for v, seg in segments.items()}
     return [Tree(rt.children, rt.leaf_label, rt.root,
-                 {v: float(np.searchsorted(ids, node_of[n], side="right"))
-                  for v, ids in sorted_ids.items()})
+                 {v: float(np.searchsorted(m, n, side="right"))
+                  for v, m in marks.items()})
             for n in ns]
 
 

@@ -8,7 +8,7 @@ import hashlib
 import json
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -134,8 +134,12 @@ class ExperimentConfig:
     fmt: str = "json"
 
     def validate(self):
-        if self.reps < 1:
-            raise ArgumentError("reps must be >= 1")
+        if not isinstance(self.params, dict):
+            raise ArgumentError("params must be a JSON object")
+        if not _is_integer(self.reps) or self.reps < 1:
+            raise ArgumentError("reps must be an integer >= 1")
+        if not _is_integer(self.master_seed):
+            raise ArgumentError("master_seed must be an integer")
         if self.fmt not in ("json", "csv"):
             raise ArgumentError("format must be json or csv")
 
@@ -146,10 +150,18 @@ class ExperimentConfig:
 
     @staticmethod
     def from_json(text):
-        obj = json.loads(text)
-        cfg = ExperimentConfig(obj["tag"], obj.get("params", {}),
-                               obj.get("reps", 1000), obj.get("master_seed", 0),
-                               obj.get("out"), obj.get("fmt", "json"))
+        return ExperimentConfig.from_dict(json.loads(text))
+
+    @staticmethod
+    def from_dict(obj):
+        """The config of a to_json object (out may be given too); a field it
+        leaves out takes its default."""
+        stray = sorted(set(obj) - {f.name for f in fields(ExperimentConfig)})
+        if stray:
+            raise ArgumentError(f"unknown config field(s): {', '.join(stray)}")
+        if "tag" not in obj:
+            raise ArgumentError("a config needs a tag")
+        cfg = ExperimentConfig(**obj)
         cfg.validate()
         return cfg
 

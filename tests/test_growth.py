@@ -12,7 +12,7 @@ from fragbox import (ArgumentError, DiscreteDislocation, Tree,
                      sample_markov_branching, sample_reduced_crt,
                      skewed_pd_splitting_table, special_branch_count,
                      spine_depth, splitting_rule, tree_height)
-from fragbox.growth import _WordDraws, _reduced, _table_draw
+from fragbox.growth import _WordDraws, _reduced
 from fragbox.harness import chi_square_gof, gof_gate, single_atom_model
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
@@ -157,7 +157,7 @@ def _assert_same_growth(alpha, gamma, n, bitgen, seed, primed):
     t = grow_alphagamma(alpha, gamma, n, rng)
     want = _grow_alphagamma_scalar(alpha, gamma, n, ref)
     assert t.to_text() == want.to_text()
-    # the same node ids, which reduced_ladder reads as birth order
+    # the same node ids too, so the draws and their order are pinned down
     assert (t.children, t.leaf_label, t.root, t.parent_of) == \
         (want.children, want.leaf_label, want.root, want.parent_of)
     assert _same_state(rng.bit_generator.state, ref.bit_generator.state)
@@ -392,7 +392,7 @@ def test_table_draw_matches_per_draw_sort():
     for seed in range(20):
         rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
         for table in tables:
-            draw = _table_draw(table)
+            draw = table.draw
             assert [draw(rng) for _ in range(50)] == \
                 [_table_draw_per_draw_sort(table, ref) for _ in range(50)]
     # one rule_source call per block size in a tree, the same trees
@@ -467,20 +467,32 @@ def test_reduced_tree_examples():
         reduced_tree(t, [])
 
 
+def _tree_from(source, n, rng, draw):
+    # 0: a grown tree; 1, 2: fragmentation trees of the single-atom and of a
+    # three-atom model, their node ids in pre-order; 3: a grown tree with its
+    # node ids permuted at random
+    if source in (0, 3):
+        alpha = draw(st.floats(0, 1))
+        t = grow_alphagamma(alpha, alpha * draw(st.floats(0, 1)), n, rng)
+        if source == 0:
+            return t
+        new_id = dict(zip(t.leaf_label.keys() | t.children.keys(),
+                          rng.permutation(2 * n).tolist()))
+        return Tree({new_id[v]: [new_id[c] for c in cs] for v, cs in t.children.items()},
+                    {new_id[v]: lab for v, lab in t.leaf_label.items()}, new_id[t.root])
+    d = single_atom_model() if source == 1 else DiscreteDislocation.from_level_dict(
+        {1: [((0.6, 0.4), 1.0), ((0.5, 0.3, 0.2), 0.4)], 2: [((0.7, 0.3), 0.8)]})
+    return sample_fragmentation_tree(d, n, rng)
+
+
 @settings(max_examples=100)
-@given(st.integers(0, 2), st.integers(1, 120), st.data())
+@given(st.integers(0, 3), st.integers(1, 120), st.data())
 def test_reduced_tree_on_any_label_set(source, n, data):
     # reduced_tree(t, S) has the traces A & S of the vertices A of t as its
     # vertices, and the lengths on a leaf's reduced path add up to its spine
     # depth, which two independent walks of t agree on
     rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
-    if source == 0:
-        alpha = data.draw(st.floats(0, 1))
-        t = grow_alphagamma(alpha, alpha * data.draw(st.floats(0, 1)), n, rng)
-    else:
-        d = single_atom_model() if source == 1 else DiscreteDislocation.from_level_dict(
-            {1: [((0.6, 0.4), 1.0), ((0.5, 0.3, 0.2), 0.4)], 2: [((0.7, 0.3), 0.8)]})
-        t = sample_fragmentation_tree(d, n, rng)
+    t = _tree_from(source, n, rng, data.draw)
     labels = data.draw(st.sets(st.integers(1, n), min_size=1))
     rt = reduced_tree(t, labels)
     assert rt.vertices == {a & labels for a in t.vertices if a & labels}
@@ -510,16 +522,15 @@ def test_reduced_keeps_the_vertices_with_two_children_in_the_union(alpha, gamma_
     assert {seg[0] for seg in segments.values()} == want
 
 
-@settings(max_examples=100)
-@given(st.floats(0, 1), st.floats(0, 1), st.integers(1, 150), st.integers(1, 6),
-       st.data())
-def test_reduced_ladder_is_the_delete_leaf_chain(alpha, gamma_frac, big_n, k, data):
+@settings(max_examples=150)
+@given(st.integers(0, 3), st.integers(1, 150), st.integers(1, 6), st.data())
+def test_reduced_ladder_is_the_delete_leaf_chain(source, big_n, k, data):
     # T_n is T_N after deleting leaves N, ..., n+1; the ladder reads every
-    # reduced tree off T_N alone
+    # reduced tree off T_N alone, whatever its node ids
     k = min(k, big_n)
     ns = data.draw(st.lists(st.integers(k, big_n), min_size=1, max_size=6))
-    seed = data.draw(st.integers(0, 2 ** 32 - 1))
-    t = grow_alphagamma(alpha, alpha * gamma_frac, big_n, np.random.default_rng(seed))
+    t = _tree_from(source, big_n,
+                   np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1))), data.draw)
     want, small = {}, t
     for lab in range(big_n, k - 1, -1):
         if lab in ns:
@@ -527,9 +538,13 @@ def test_reduced_ladder_is_the_delete_leaf_chain(alpha, gamma_frac, big_n, k, da
         if lab > k:
             small = delete_leaf(small, lab)
     assert [rt.to_text() for rt in reduced_ladder(t, k, ns)] == [want[n] for n in ns]
-    for bad_k, bad_ns in ((k, [big_n + 1]), (k + 1, [k]), (0, [k])):
+    assert reduced_ladder(t, k, []) == []
+    for bad_k, bad_ns in ((k, [big_n + 1]), (k + 1, [k]), (0, [k]), (big_n + 1, [])):
         with pytest.raises(ArgumentError):
             reduced_ladder(t, bad_k, bad_ns)
+    # a tree with edge lengths has no unit edges to count
+    with pytest.raises(ArgumentError):
+        reduced_ladder(reduced_tree(t, range(1, k + 1)), 1, [1])
 
 
 def test_tree_with_and_without_lengths():

@@ -281,6 +281,33 @@ def test_cli_config_file_params(tmp_path):
     assert json.loads(r.stdout)["n"] == 3
 
 
+def test_cli_config_replays_summary(tmp_path):
+    # summary.json records the config it ran; fed back through --config it
+    # runs again with the same seed, reps and format, and a flag that is
+    # given overrides the file
+    first = tmp_path / "first"
+    r = cli("grow", "--reps", "50", "--seed", "5", "--param", "n=8", "--out", str(first))
+    assert r.returncode == 0, r.stderr
+    recorded = json.loads((first / "summary.json").read_text())["config"]
+    assert (recorded["reps"], recorded["master_seed"]) == (50, 5)
+    cfgf = tmp_path / "replay.json"
+    cfgf.write_text(json.dumps(recorded))
+    r = cli("grow", "--config", str(cfgf), "--out", str(tmp_path / "again"))
+    assert r.returncode == 0, r.stderr
+    for name in ("summary.json", "frequencies.csv"):
+        assert (tmp_path / "again" / name).read_text() == (first / name).read_text()
+    r = cli("grow", "--config", str(cfgf), "--seed", "6", "--out", str(tmp_path / "seed6"))
+    assert r.returncode == 0, r.stderr
+    config = json.loads((tmp_path / "seed6" / "summary.json").read_text())["config"]
+    assert config == {**recorded, "master_seed": 6}
+    # a config of another subcommand, an unknown field, a field of the wrong kind
+    for bad in ({**recorded, "tag": "split-table"}, {**recorded, "seed": 1},
+                {**recorded, "reps": "50"}, {**recorded, "master_seed": 1.5}):
+        cfgf.write_text(json.dumps(bad))
+        r = cli("grow", "--config", str(cfgf))
+        assert r.returncode == 2 and "Traceback" not in r.stderr, (bad, r.stderr)
+
+
 def test_csv_text_lf_only():
     out = csv_text([(1, "a"), (2, "b")], ("x", "y"))
     assert out == "x,y\n1,a\n2,b\n"
