@@ -18,8 +18,8 @@ import numpy as np
 
 from .errors import ArgumentError, ModelError, ResourceBudgetError
 from .paintbox import _paint_partition, _paints, kingman_cylinder_prob
-from .partitions import (Partition, _lazy, _maximal_strict_subsets, all_partitions,
-                         csv_rows, csv_text, MassPartition)
+from .partitions import (Partition, _lazy, all_partitions, csv_rows, csv_text,
+                         MassPartition)
 
 _EXCLUDED_TOL = 1e-12
 
@@ -203,13 +203,9 @@ class SplittingRuleTable:
                 raise ArgumentError("trivial partition must carry no mass")
 
     def to_csv(self):
-        rows = [(self.probs_key(p), repr(self.probs[p]))
-                for p in sorted(self.probs, key=self.probs_key)]
+        rows = [(p.to_text(), repr(self.probs[p]))
+                for p in sorted(self.probs, key=Partition.to_text)]
         return csv_text(rows, ("partition", "probability"))
-
-    def probs_key(self, p):
-        """The partition column of p's row: its canonical text form."""
-        return p.to_text()
 
     @staticmethod
     def from_csv(text):
@@ -412,51 +408,6 @@ def sample_split(d, b, rng):
 # alpha-gamma model
 # ---------------------------------------------------------------------------
 
-# one chain n = 2..7 (n = 2 ends the recursion); a law at n = 7 holds about 66 MB
-@lru_cache(maxsize=6)
-def alphagamma_tree_distribution(alpha, gamma, n):
-    """Exact law of the labelled n-leaf tree, by exhausting insertion histories.
-
-    Trees are frozensets of frozenset vertices (the hierarchy without the
-    empty set).  The law at n grows leaf n into every tree of the cached law
-    at n - 1.  Capped at n = 7; beyond that the state space explodes.  Its
-    root-split marginal is the test oracle of alphagamma_growth_split_oracle,
-    which computes that marginal alone by a chain over root splits.
-    """
-    _check_alphagamma_params(alpha, gamma)
-    if n > 7:
-        raise ResourceBudgetError("exhaustive growth histories capped at n = 7")
-    if n < 1:
-        raise ArgumentError("n must be positive")
-    if n == 1:
-        return {frozenset({frozenset({1})}): 1.0}
-    if n == 2:
-        return {frozenset({frozenset({1}), frozenset({2}), frozenset({1, 2})}): 1.0}
-    m = n - 1
-    nxt = {}
-    denom = m - alpha
-    new = frozenset({n})
-    for t, pr in alphagamma_tree_distribution(alpha, gamma, m).items():
-        for B in t:
-            grown_anc = frozenset((a | {n}) if B <= a else a for a in t)
-            if len(B) == 1:
-                w = (1 - alpha) / denom
-                res = grown_anc | {B, new}
-                nxt[res] = nxt.get(res, 0.0) + pr * w
-            else:
-                w_edge = gamma / denom
-                if w_edge > 0:
-                    res = grown_anc | {B, new}
-                    nxt[res] = nxt.get(res, 0.0) + pr * w_edge
-                kb = len(_maximal_strict_subsets(t, B))
-                w_vert = ((kb - 1) * alpha - gamma) / denom
-                assert w_vert > -1e-12
-                if w_vert > 0:
-                    res = grown_anc | {new}
-                    nxt[res] = nxt.get(res, 0.0) + pr * w_vert
-    return nxt
-
-
 def _check_alphagamma_params(alpha, gamma):
     if not (0 <= gamma <= alpha <= 1):
         raise ArgumentError("need 0 <= gamma <= alpha <= 1")
@@ -505,9 +456,9 @@ def alphagamma_growth_split_oracle(alpha, gamma, n):
     The root split of T_m is a Markov chain in m over set partitions (see
     _alphagamma_root_splits), run once per (alpha, gamma) and extended leaf
     by leaf; n = 10 takes about a second cold.  Beyond n = 10 it raises
-    ResourceBudgetError.  The root-split marginal of
-    alphagamma_tree_distribution, which enumerates whole tree histories,
-    is its test oracle at n <= 7.  Tables are cached and shared: their
+    ResourceBudgetError.  Its test oracle at n <= 7 is the root-split
+    marginal of alphagamma_tree_distribution in tests/oracles.py, which
+    enumerates whole tree histories.  Tables are cached and shared: their
     probs are read-only.
     """
     _check_alphagamma_params(alpha, gamma)
@@ -531,8 +482,7 @@ def alphagamma_eppf(alpha, gamma, sizes, cls):
         raise ArgumentError("class must be 1 or 2")
     if len(sizes) < 2 or any(x < 1 for x in sizes) or list(sizes) != sorted(sizes, reverse=True):
         raise ArgumentError("sizes must be a non-increasing vector of >= 2 positive parts")
-    if not (0 <= gamma <= alpha <= 1):
-        raise ArgumentError("need 0 <= gamma <= alpha <= 1")
+    _check_alphagamma_params(alpha, gamma)
     k = len(sizes)
     n = sum(sizes)
     pref = (1 - alpha) if cls == 1 else gamma

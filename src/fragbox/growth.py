@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ArgumentError
-from .dislocation import sample_split
+from .dislocation import _check_alphagamma_params, sample_split
 from .partitions import Hierarchy, Partition
 
 _FMT = repr  # shortest round-trip decimal for golden files
@@ -293,8 +293,7 @@ def grow_alphagamma(alpha, gamma, n, rng):
     they are replayed from raw words drawn in bulk (_WordDraws); other bit
     generators, and trees under _WORD_DRAWS_MIN_N leaves, make those calls.
     """
-    if not (0 <= gamma <= alpha <= 1):
-        raise ArgumentError("need 0 <= gamma <= alpha <= 1")
+    _check_alphagamma_params(alpha, gamma)
     if n < 1:
         raise ArgumentError("n must be positive")
     children = {}

@@ -227,17 +227,16 @@ def restrict_hierarchy(h, m):
     return Hierarchy.from_sets(m, {frozenset(x for x in a if x <= m) for a in h.members})
 
 
-def block_size_multiset(p):
-    """Block sizes, largest first (p.size_multiset)."""
-    return p.size_multiset
-
-
 def children_of(h, B):
-    """Partition of B into its maximal strict subsets present in h."""
+    """Partition of B into its maximal strict subsets present in h, as sorted
+    blocks in least-element order."""
     B = frozenset(B)
     if B not in h.members or len(B) < 2:
         raise ArgumentError("B must be a non-singleton member of the hierarchy")
-    return _partition_of_set(B, _maximal_strict_subsets(h.members, B))
+    blocks = _maximal_strict_subsets(h.members, B)
+    if frozenset().union(*blocks) != B:
+        raise ArgumentError("maximal subsets do not cover B")
+    return tuple(sorted((tuple(sorted(b)) for b in blocks), key=lambda b: b[0]))
 
 
 def _maximal_strict_subsets(sets, B):
@@ -250,18 +249,6 @@ def _maximal_strict_subsets(sets, B):
             taken.append(a)
             covered |= a
     return taken
-
-
-def _partition_of_set(B, blocks):
-    # children_of returns a partition of the label set B, not of [n]; we keep it
-    # as a Partition over the relabelled ground set only when needed, so here we
-    # simply return the blocks in least-element order.
-    covered = set()
-    for b in blocks:
-        covered |= b
-    if covered != set(B):
-        raise ArgumentError("maximal subsets do not cover B")
-    return tuple(sorted((tuple(sorted(b)) for b in blocks), key=lambda b: b[0]))
 
 
 def _equal_within_groups(weights, keyfun, tol=TOL):
@@ -281,7 +268,7 @@ def classify_exchangeability(mu):
     """
     mu.validate_total()
     w = mu.weights
-    exch = _equal_within_groups(w, block_size_multiset)
+    exch = _equal_within_groups(w, lambda p: p.size_multiset)
     partial = _equal_within_groups(w, lambda p: tuple(len(b) for b in p.blocks))
     nontriv = {p: x for p, x in w.items() if not p.is_trivial()}
     restricted = _equal_within_groups(nontriv, lambda p: p.cylinder_key)

@@ -2,91 +2,34 @@
 experiments built on them."""
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ArgumentError, UnsupportedCaseError
-from .growth import (Tree, grow_alphagamma, mean_depth, reduced_tree,
+from .growth import (Tree, grow_alphagamma, mean_depth,
                      sample_fragmentation_tree, tree_height)
-from .spine import crt_scale
 
 GH_LEAF_CAP = 10
-FOUR_POINT_TOL = 1e-9
-
-
-@dataclass
-class DistanceMatrix:
-    """Symmetric distances over a fixed vertex order."""
-
-    labels: list
-    d: np.ndarray
-
-    def validate(self):
-        d = self.d
-        if d.shape != (len(self.labels), len(self.labels)):
-            raise ArgumentError("shape mismatch")
-        if np.any(np.abs(d - d.T) > 1e-12) or np.any(np.diag(d) != 0) or np.any(d < 0):
-            raise ArgumentError("not a distance matrix")
-
-    def check_four_point(self):
-        """max over quadruples of the four-point defect; trees stay below 1e-9."""
-        d = self.d
-        n = len(self.labels)
-        worst = 0.0
-        for i in range(n):
-            for j in range(i + 1, n):
-                for k in range(j + 1, n):
-                    for l in range(k + 1, n):
-                        sums = sorted([d[i, j] + d[k, l],
-                                       d[i, k] + d[j, l],
-                                       d[i, l] + d[j, k]])
-                        worst = max(worst, sums[2] - sums[1])
-        return worst
 
 
 def _tree_points(mt):
-    """All vertices of a tree with lengths, with depths and the pairwise path
-    metric; the root comes first."""
-    verts = [mt.root]
-    par = {}
-    depth = {mt.root: 0.0}
-    stack = [mt.root]
+    """All vertices of a tree with lengths and their pairwise path metric.
+
+    The root comes first, and each vertex is listed after its parent and
+    before its descendants, so its row is its parent's row plus its own edge
+    length on the vertices listed before it; the root row is the depth."""
+    children, length = mt.children, mt.length
+    verts, par, stack = [mt.root], [0], [0]
     while stack:
-        v = stack.pop()
-        for c in mt.children.get(v, []):
+        i = stack.pop()
+        for c in children.get(verts[i], []):
+            par.append(i)
+            stack.append(len(verts))
             verts.append(c)
-            par[c] = v
-            depth[c] = depth[v] + mt.length[c]
-            stack.append(c)
-    anc = {}
-    for v in verts:
-        chain = {}
-        u = v
-        while True:
-            chain[u] = depth[v] - depth[u]
-            if u == mt.root:
-                break
-            u = par[u]
-        anc[v] = chain
-    n = len(verts)
-    d = np.zeros((n, n))
-    for i, a in enumerate(verts):
-        for j in range(i + 1, n):
-            b = verts[j]
-            # climb from the deeper one until the chains meet
-            u = b
-            while u not in anc[a]:
-                u = par[u]
-            d[i, j] = d[j, i] = (depth[a] - depth[u]) + (depth[b] - depth[u])
+    d = np.zeros((len(verts), len(verts)))
+    for i in range(1, len(verts)):
+        d[i, :i] = d[:i, i] = d[par[i], :i] + length[verts[i]]
     return verts, d
-
-
-def distance_matrix(mt):
-    verts, d = _tree_points(mt)
-    m = DistanceMatrix(list(verts), d)
-    m.validate()
-    return m
 
 
 def _correspondence_distortion(da, db, fa, gb):
@@ -197,34 +140,6 @@ def _sample_tree(model, n, rng):
     raise ArgumentError("unknown model family %r" % fam)
 
 
-def _scaling_alpha(model):
-    if model["family"] == "alphagamma":
-        return model["gamma"]
-    return model.get("alpha", 0.0)
-
-
-def edge_convergence_experiment(model, k, n_grid, reps, rng):
-    """Rescaled reduced-tree edge statistics per n, grouped by edge identity.
-
-    Edges are keyed by the sorted leaf labels below them; lengths are divided
-    by crt_scale(n, a) with a the model's scaling exponent.
-    """
-    out = []
-    for n in n_grid:
-        scale = crt_scale(n, _scaling_alpha(model))
-        acc = {}
-        for _ in range(reps):
-            t = _sample_tree(model, n, rng)
-            rt = reduced_tree(t, range(1, min(k, n) + 1))
-            for v, ell in rt.length.items():
-                acc.setdefault(tuple(rt.labels_under(v)), []).append(ell / scale)
-        for labs, vals in sorted(acc.items()):
-            arr = np.array(vals)
-            out.append({"n": n, "edge": labs, "mean": float(arr.mean()),
-                        "var": float(arr.var()), "count": len(vals)})
-    return out
-
-
 def scaling_exponent(model, n_grid, reps, statistic, rng):
     """Slope (with stderr) of log mean statistic against log n."""
     n_grid = list(n_grid)
@@ -264,6 +179,3 @@ def fill_fraction(t, k):
         counts[dist] = counts.get(dist, 0) + 1
     return {d: c / t.n for d, c in sorted(counts.items())}
 
-
-def mass_within(profile, radius):
-    return sum(f for d, f in profile.items() if d <= radius)

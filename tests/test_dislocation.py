@@ -5,8 +5,7 @@ from hypothesis import example, given, settings, strategies as st
 from fragbox import (ArgumentError, DiscreteDislocation, ModelError,
                      Partition, ResourceBudgetError, SplittingRuleTable,
                      all_partitions, alphagamma_eppf,
-                     alphagamma_growth_split_oracle,
-                     alphagamma_tree_distribution, consistency_residual,
+                     alphagamma_growth_split_oracle, consistency_residual,
                      eppf_recursion_residual, kappa_cylinder,
                      nu_mixture_weight, rate, rate_closed_form, sample_split,
                      sampling_consistency_residual, skewed_pd_ranked_split,
@@ -16,6 +15,7 @@ from fragbox.dislocation import (_cylinder_weights, _delta_atoms, _level_cylinde
                                  _split_components)
 from fragbox.harness import chi_square_gof, single_atom_model
 from fragbox.partitions import _maximal_strict_subsets
+from oracles import alphagamma_tree_distribution
 
 
 def P(text, n=None):

@@ -5,8 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fragbox import (ArgumentError, DiscreteDislocation, Tree,
-                     alphagamma_growth_split_oracle,
-                     alphagamma_tree_distribution, delete_leaf,
+                     alphagamma_growth_split_oracle, delete_leaf,
                      delete_uniform_leaf, grow_alphagamma, leaf_depths,
                      reduced_ladder, reduced_tree, sample_fragmentation_tree,
                      sample_markov_branching, sample_reduced_crt,
@@ -14,6 +13,7 @@ from fragbox import (ArgumentError, DiscreteDislocation, Tree,
                      spine_depth, splitting_rule, tree_height)
 from fragbox.growth import _WordDraws, _reduced
 from fragbox.harness import chi_square_gof, gof_gate, single_atom_model
+from oracles import alphagamma_tree_distribution
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
 

@@ -1,8 +1,9 @@
 """Every module in src/fragbox (the package __init__ aside), tests/, demos/
 and bench/ uses what it imports, every module-level private function in the
-package has a reference in it, and nothing in the package imports scipy, a
-test-only dependency whose `scipy.stats` takes several times as long to
-import as fragbox."""
+package has a reference in it, every module-level constant of the package is
+read somewhere in src, tests, bench or demos, and nothing in the package
+imports scipy, a test-only dependency whose `scipy.stats` takes several
+times as long to import as fragbox."""
 
 import ast
 import subprocess
@@ -68,6 +69,40 @@ def test_unreferenced_private_functions_detected():
 def test_no_unreferenced_private_functions():
     sources = {p.name: p.read_text() for p in SRC.glob("*.py")}
     assert unreferenced_private_functions(sources) == []
+
+
+def unread_constants(sources, readers):
+    """(module, name) of module-level UPPER_CASE names bound in the sources
+    (module name -> text) that no Name or Attribute node in the readers
+    (a list of texts) loads."""
+    read = set()
+    for text in readers:
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    bound = set()
+    for mod, text in sources.items():
+        for node in ast.parse(text).body:
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target] if isinstance(node, ast.AnnAssign) else [])
+            bound.update((mod, t.id) for t in targets if isinstance(t, ast.Name)
+                         and t.id.lstrip("_").isupper())
+    return sorted((mod, name) for mod, name in bound if name not in read)
+
+
+def test_unread_constants_detected():
+    sources = {"a": "LIMIT = 3\n_TOL = 1e-9\nDEAD = 1\nlower = 2\n",
+               "b": "from a import LIMIT\nimport a\nx = LIMIT + a._TOL\nDEAD_TOO: int = 0\n"}
+    readers = list(sources.values()) + ["DEAD = 2\n"]
+    assert unread_constants(sources, readers) == [("a", "DEAD"), ("b", "DEAD_TOO")]
+
+
+def test_no_unread_constants():
+    sources = {p.name: p.read_text() for p in SRC.glob("*.py")}
+    readers = list(sources.values()) + [p.read_text() for p in LINTED if p not in MODULES]
+    assert unread_constants(sources, readers) == []
 
 
 def imported_modules(source):

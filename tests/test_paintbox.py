@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fragbox import (ArgumentError, MassPartition, Partition,
-                     UnsupportedCaseError, all_partitions, block_size_multiset,
+                     UnsupportedCaseError, all_partitions,
                      gnedin_constrained_run, kingman_cylinder_prob,
                      kingman_sample, modified_paintbox_prob,
                      modified_paintbox_sample, restrict_partition)
@@ -110,7 +110,7 @@ def test_kingman_normalization_and_exchangeability():
             for p in all_partitions(n):
                 v = kingman_cylinder_prob(s, p)
                 tot += v
-                vals.setdefault(block_size_multiset(p), set()).add(round(v, 13))
+                vals.setdefault(p.size_multiset, set()).add(round(v, 13))
             assert abs(tot - 1.0) < 1e-12
             # exchangeability: one value per block-size multiset
             assert all(len(g) == 1 for g in vals.values())

@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fragbox import (ArgumentError, FiniteMeasureOnPartitions, Hierarchy,
-                     MassPartition, Partition, all_partitions, block_size_multiset,
-                     children_of, classify_exchangeability, restrict_hierarchy,
+                     MassPartition, Partition, all_partitions, children_of,
+                     classify_exchangeability, restrict_hierarchy,
                      restrict_partition)
 from fragbox.partitions import _maximal_strict_subsets
 
@@ -102,10 +102,10 @@ def test_hierarchy_validation():
         Hierarchy.from_sets(2, [{1}, {1, 2}])  # missing singleton {2}
 
 
-def test_block_size_multiset():
-    assert block_size_multiset(P("1 3|2")) == (2, 1)
-    assert block_size_multiset(P("1|2|3")) == (1, 1, 1)
-    assert block_size_multiset(P("1 2|3 4|5")) == (2, 2, 1)
+def test_size_multiset():
+    assert P("1 3|2").size_multiset == (2, 1)
+    assert P("1|2|3").size_multiset == (1, 1, 1)
+    assert P("1 2|3 4|5").size_multiset == (2, 2, 1)
 
 
 def test_children_of_examples():
@@ -206,7 +206,7 @@ def test_symmetrized_measure_is_partially_and_restricted(n, rnd):
     # construction, so both weaker flags must come out true
     groups = {}
     for p in all_partitions(n):
-        groups.setdefault(block_size_multiset(p), []).append(p)
+        groups.setdefault(p.size_multiset, []).append(p)
     w = {}
     for key, ps in groups.items():
         val = rnd.random()

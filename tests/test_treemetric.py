@@ -3,10 +3,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fragbox import (ArgumentError, Tree, UnsupportedCaseError, crt_scale,
-                     distance_matrix, edge_convergence_experiment,
                      fill_fraction, gh_distance_rooted, gh_upper_bound,
-                     grow_alphagamma, mass_within, reduced_ladder,
-                     reduced_tree, scaling_exponent)
+                     grow_alphagamma, reduced_ladder, reduced_tree,
+                     scaling_exponent)
 from fragbox.treemetric import (GH_LEAF_CAP, _correspondence_distortion,
                                 _greedy_bound, _greedy_correspondence,
                                 _tree_points)
@@ -225,17 +224,36 @@ def test_gh_leaf_cap():
 def test_four_point_condition_on_trees():
     rng = np.random.default_rng(6)
     for _ in range(10):
-        t = random_metric_tree(rng, leaves=4)
-        m = distance_matrix(t)
-        assert m.check_four_point() <= 1e-9
+        _, d = _tree_points(random_metric_tree(rng, leaves=4))
+        n = len(d)
+        for i in range(n):
+            for j in range(i + 1, n):
+                for k in range(j + 1, n):
+                    for l in range(k + 1, n):
+                        sums = sorted([d[i, j] + d[k, l], d[i, k] + d[j, l],
+                                       d[i, l] + d[j, k]])
+                        assert sums[2] - sums[1] <= 1e-9
 
 
-def test_distance_matrix_validation():
-    rng = np.random.default_rng(7)
-    m = distance_matrix(random_metric_tree(rng))
-    m.d[0, 1] += 1.0  # break symmetry
-    with pytest.raises(ArgumentError):
-        m.validate()
+@settings(max_examples=200)
+@given(metric_trees(12), st.data())
+def test_tree_points_is_the_path_metric(t, data):
+    # every entry is the length of the symmetric difference of the two root
+    # paths, on trees hung below a degree-1 virtual root, some edges of
+    # length zero; the root row is the depth summed down from the root
+    zero = data.draw(st.sets(st.sampled_from(sorted(t.length))))
+    t = Tree(t.children, t.leaf_label, t.root,
+             {v: 0.0 if v in zero else ell for v, ell in t.length.items()})
+    t.validate()
+    assert len(t.children[t.root]) == 1
+    verts, d = _tree_points(t)
+    assert verts[0] == t.root and sorted(verts) == sorted(t.length.keys() | {t.root})
+    paths = [set(t.path_to_root(v)) for v in verts]
+    for i, v in enumerate(verts):
+        depth = sum(t.length[u] for u in reversed(t.path_to_root(v)[:-1]))
+        assert d[0, i] == d[i, 0] == depth
+        for j in range(len(verts)):
+            assert abs(d[i, j] - sum(t.length[u] for u in paths[i] ^ paths[j])) <= 1e-12
 
 
 def test_scaling_exponent_star():
@@ -261,27 +279,22 @@ def test_scaling_exponent_argument_errors():
         scaling_exponent({"family": "star"}, [10, 20, 40], 5, "volume", rng)
 
 
-def test_edge_convergence_rows():
-    rng = np.random.default_rng(11)
-    model = {"family": "alphagamma", "alpha": 0.5, "gamma": 0.4}
-    rows = edge_convergence_experiment(model, 2, [32, 64], 50, rng)
-    assert {r["n"] for r in rows} == {32, 64}
-    for r in rows:
-        assert r["count"] == 50 and r["mean"] > 0
-
-
 def test_fill_fraction_monotone():
     rng = np.random.default_rng(12)
     t = grow_alphagamma(0.5, 0.4, 200, rng)
     prof = fill_fraction(t, 5)
     assert abs(sum(prof.values()) - 1.0) < 1e-12
+
+    def within(profile, radius):
+        return sum(f for dist, f in profile.items() if dist <= radius)
+
     # mass within a radius grows with the radius and with k
     radii = sorted(prof)
-    masses = [mass_within(prof, r) for r in radii]
+    masses = [within(prof, r) for r in radii]
     assert all(a <= b for a, b in zip(masses, masses[1:]))
     for r in (0, 2, 5):
-        m_small = mass_within(fill_fraction(t, 3), r)
-        m_big = mass_within(fill_fraction(t, 30), r)
+        m_small = within(fill_fraction(t, 3), r)
+        m_big = within(fill_fraction(t, 30), r)
         assert m_big >= m_small - 1e-12
 
 
