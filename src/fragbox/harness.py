@@ -301,8 +301,13 @@ def _exp_gnedin(cfg):
     heavy = p.get("heavy_tail", False)
     psi = tuple(p.get("psi", (1,)))
     ns = p.get("n_grid", [10 ** 6])
-
     idx = p.get("pareto_index", 0.1)
+    if not rate > 0:  # NaN too
+        raise ArgumentError("exp_rate must be positive")
+    if heavy and not idx > 0:
+        raise ArgumentError("pareto_index must be positive")
+    if min(ns) < 2:
+        raise ArgumentError("every n_grid entry must be at least 2 (J_n / log n)")
 
     def y_sampler(rng):
         if heavy:

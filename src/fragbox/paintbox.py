@@ -3,10 +3,9 @@
 All samplers take an explicit numpy Generator and are pure given that handle.
 """
 
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-
-import numpy as np
 
 from .errors import ArgumentError, ResourceBudgetError, UnsupportedCaseError
 from .partitions import Partition, restrict_partition
@@ -176,12 +175,23 @@ def _psi(psi, k):
     return psi[k - 1] if k <= len(psi) else psi[-1]
 
 
+def _draw_y(y_sampler, rng):
+    """One Y from y_sampler(rng) as a float; NaN or a value outside [0, 1]
+    raises instead of stalling the threshold."""
+    y = float(y_sampler(rng))
+    if not 0.0 <= y <= 1.0:
+        raise ArgumentError(f"y_sampler must return a value in [0, 1], got {y!r}")
+    return y
+
+
 def gnedin_constrained_run(y_sampler, psi, n, rng, record_values=False):
     """Run Gnedin's constrained paintbox for n steps.
 
-    y_sampler(rng) draws one Y in (0,1); G_k = Y_1 ... Y_k is generated lazily.
+    y_sampler(rng) draws one Y in [0, 1] (NaN or any other value raises
+    ArgumentError); G_k = Y_1 ... Y_k is generated lazily.
     Returns (J_n, ConstrainedState).  The default path skips the non-record
-    steps with geometric jumps, so long runs cost O(J_n); pass
+    steps with geometric jumps on Python floats, one rng.random() per skip,
+    so long runs cost O(J_n); pass
     record_values=True to walk every step and keep the modified sequence.
     """
     psi = tuple(psi)
@@ -189,7 +199,7 @@ def gnedin_constrained_run(y_sampler, psi, n, rng, record_values=False):
         raise ArgumentError("psi must be positive integers")
     if n < psi[0]:
         raise ArgumentError("need n >= psi_1 to attain the first record")
-    G = float(y_sampler(rng))  # threshold G_K, starts at G_1
+    G = _draw_y(y_sampler, rng)  # threshold G_K, starts at G_1
     K, R = 1, 0
     pos = psi[0]
     g_next = None  # G_{K+1}, sampled once per record level
@@ -202,7 +212,7 @@ def gnedin_constrained_run(y_sampler, psi, n, rng, record_values=False):
                 values.append(u)
                 continue
             if g_next is None:
-                g_next = G * float(y_sampler(rng))
+                g_next = G * _draw_y(y_sampler, rng)
             values.append(g_next)
             if R <= _psi(psi, K + 1) - 2:
                 R += 1
@@ -213,21 +223,19 @@ def gnedin_constrained_run(y_sampler, psi, n, rng, record_values=False):
         st = ConstrainedState(K, R, n, tuple(values))
         return st.J, st
     # fast path: steps with I >= G_K change nothing, so jump straight to the
-    # next sub-threshold uniform with a geometric skip
-    while True:
-        if G <= 0.0:
-            break
-        lq = np.log1p(-G) if G < 1.0 else None
-        if lq == 0.0:
-            break
-        if lq is None:
+    # next sub-threshold uniform with a geometric skip, on Python floats
+    while G > 0.0:
+        if G >= 1.0:
             step = 1
         else:
-            with np.errstate(over="ignore"):
-                ratio = np.log(rng.random()) / lq
-            if not np.isfinite(ratio) or ratio > n:
-                break  # next sub-threshold step lies beyond the horizon
-            step = int(np.ceil(ratio))
+            lq = math.log1p(-G)
+            u = rng.random()
+            if u == 0.0:
+                break  # log(0) = -inf: the next record lies beyond any horizon
+            ratio = math.log(u) / lq
+            if not ratio <= n:
+                break  # beyond the horizon, or inf when G is subnormal
+            step = math.ceil(ratio)
         if pos + step > n:
             break
         pos += step
@@ -236,6 +244,6 @@ def gnedin_constrained_run(y_sampler, psi, n, rng, record_values=False):
         else:
             K += 1
             R = 0
-            G *= float(y_sampler(rng))
+            G *= _draw_y(y_sampler, rng)
     st = ConstrainedState(K, R, n)
     return st.J, st

@@ -1,14 +1,19 @@
-"""Exhaustive oracles that only the tests read.
+"""Oracles that only the tests read.
 
 `alphagamma_tree_distribution` enumerates every growth history of the
 alpha-gamma tree, so one law at n = 7 holds about 66 MB; it checks the
 root-split chain `dislocation.alphagamma_growth_split_oracle` and the growth
-sampler, and nothing in the library calls it."""
+sampler, and nothing in the library calls it.  `gnedin_skip_reference` is the
+skip loop of `paintbox.gnedin_constrained_run` with one numpy call per scalar
+operation; the two must agree draw for draw."""
 
 from functools import lru_cache
 
+import numpy as np
+
 from fragbox.dislocation import _check_alphagamma_params
 from fragbox.errors import ArgumentError, ResourceBudgetError
+from fragbox.paintbox import ConstrainedState, _psi
 from fragbox.partitions import _maximal_strict_subsets
 
 
@@ -55,3 +60,37 @@ def alphagamma_tree_distribution(alpha, gamma, n):
                     res = grown_anc | {new}
                     nxt[res] = nxt.get(res, 0.0) + pr * w_vert
     return nxt
+
+
+def gnedin_skip_reference(y_sampler, psi, n, rng):
+    """(J_n, ConstrainedState) of Gnedin's constrained paintbox by geometric
+    skips, one numpy call per operation on a scalar; psi and n unchecked."""
+    psi = tuple(psi)
+    G = float(y_sampler(rng))
+    K, R = 1, 0
+    pos = psi[0]
+    while True:
+        if G <= 0.0:
+            break
+        lq = np.log1p(-G) if G < 1.0 else None
+        if lq == 0.0:
+            break
+        if lq is None:
+            step = 1
+        else:
+            with np.errstate(over="ignore"):
+                ratio = np.log(rng.random()) / lq
+            if not np.isfinite(ratio) or ratio > n:
+                break
+            step = int(np.ceil(ratio))
+        if pos + step > n:
+            break
+        pos += step
+        if R <= _psi(psi, K + 1) - 2:
+            R += 1
+        else:
+            K += 1
+            R = 0
+            G *= float(y_sampler(rng))
+    st = ConstrainedState(K, R, n)
+    return st.J, st

@@ -250,9 +250,24 @@ def test_cli_bad_input_exit_2(tmp_path):
                        ("consistency", "n_grid=[2.5]"), ("consistency", "n_grid=[]"),
                        ("renewal", 't_grid=["a"]'), ("exponent", 'n_grid=[16, "a", 64]'),
                        ("gnedin", 'psi=["a"]'), ("pjs", "x_grid=[]"),
-                       ("gnedin", "n_grid=[]")):
+                       ("gnedin", "n_grid=[]"), ("gnedin", "exp_rate=0")):
         r = cli(cmd, "--param", param)
         assert r.returncode == 2 and "Traceback" not in r.stderr, (cmd, r.stderr)
+
+
+@pytest.mark.parametrize("params", [{"exp_rate": 0}, {"exp_rate": -1.5},
+                                    {"heavy_tail": True, "pareto_index": 0},
+                                    {"heavy_tail": True, "pareto_index": -2},
+                                    {"n_grid": [1]}, {"n_grid": [100, 1]}])
+def test_gnedin_bad_params(params):
+    # unchecked, each ends in ZeroDivisionError or numpy's ValueError
+    with pytest.raises(ArgumentError):
+        run_experiment(ExperimentConfig("gnedin", {"n_grid": [100], **params}, 2, 0))
+
+
+def test_gnedin_pareto_index_unread_without_heavy_tail():
+    b = run_experiment(ExperimentConfig("gnedin", {"n_grid": [100], "pareto_index": 0}, 2, 0))
+    assert b["summary"]["mean_ratio"]["100"] > 0
 
 
 def test_cli_malformed_levels_exit_2():

@@ -1,4 +1,5 @@
 import math
+import warnings
 from itertools import product
 
 import numpy as np
@@ -11,6 +12,7 @@ from fragbox import (ArgumentError, MassPartition, Partition,
                      kingman_sample, modified_paintbox_prob,
                      modified_paintbox_sample, restrict_partition)
 from fragbox.harness import chi_square_gof
+from oracles import gnedin_skip_reference
 
 
 def P(text, n=None):
@@ -280,6 +282,22 @@ def _y_exp(rng):
     return math.exp(-rng.exponential(1.0))
 
 
+def _y_heavy(rng):
+    # -log Y Pareto(1/10): underflows to Y = 0.0 in about half the draws
+    return math.exp(-(rng.random() ** -10.0))
+
+
+class _StubRng:
+    """random() returns a fixed value and counts its calls."""
+
+    def __init__(self, u):
+        self.u, self.calls = u, 0
+
+    def random(self):
+        self.calls += 1
+        return self.u
+
+
 def test_gnedin_trivial_cases():
     rng = np.random.default_rng(8)
     j, st = gnedin_constrained_run(_y_exp, (1,), 1, rng)
@@ -300,6 +318,56 @@ def test_gnedin_trace_semantics():
     # psi = 2: records need two copies each
     j2, st2 = gnedin_constrained_run(lambda r: 1.0, (2,), 10, rng, record_values=True)
     assert st2.K == 5 and j2 == 5
+    # the fast path takes the same unit steps, drawing no uniform
+    before = rng.bit_generator.state
+    j, st = gnedin_constrained_run(lambda r: 1.0, (1,), 10, rng)
+    assert st.K == 10 and st.R == 0 and j == 10
+    j2, st2 = gnedin_constrained_run(lambda r: 1.0, (2,), 10, rng)
+    assert st2.K == 5 and st2.R == 0 and j2 == 5
+    assert rng.bit_generator.state == before
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1),
+       psi=st.lists(st.integers(1, 3), min_size=1, max_size=3),
+       n=st.integers(1, 10 ** 6), heavy=st.booleans())
+def test_gnedin_fast_path_matches_reference(seed, psi, n, heavy):
+    # the Python-float skip loop is the numpy-scalar one draw for draw
+    n = max(n, psi[0])
+    y = _y_heavy if heavy else _y_exp
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    assert gnedin_constrained_run(y, psi, n, rng) == gnedin_skip_reference(y, psi, n, ref_rng)
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("bad", [math.nan, -0.5, 1.5])
+@pytest.mark.parametrize("record_values", [False, True])
+def test_gnedin_bad_y_raises(bad, record_values):
+    # a bad first Y, and a bad Y at the second level after a valid first
+    for ys in ([bad], [0.5, bad]):
+        draws = iter(ys)
+        with pytest.raises(ArgumentError, match="y_sampler"):
+            gnedin_constrained_run(lambda r: next(draws), (1,), 10 ** 3,
+                                   np.random.default_rng(3), record_values=record_values)
+    # Y = 0 stays valid: G_2 = 0 ends the records
+    draws = iter([0.5, 0.0])
+    j, _ = gnedin_constrained_run(lambda r: next(draws), (1,), 10 ** 3,
+                                  np.random.default_rng(3), record_values=record_values)
+    assert j == 2
+
+
+def test_gnedin_float_loop_edges():
+    # u = 0.0 has no finite log: the run ends with the current J, silently
+    rng = _StubRng(0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        j, st = gnedin_constrained_run(lambda r: 0.5, (1,), 10 ** 6, rng)
+    assert (j, st.K, st.R, rng.calls) == (1, 1, 0, 1)
+    # a subnormal G: log(u) / log1p(-G) overflows to inf, beyond every horizon
+    rng = _StubRng(0.5)
+    assert math.log(0.5) / math.log1p(-1e-310) == math.inf
+    j, st = gnedin_constrained_run(lambda r: 1e-310, (1,), 10 ** 6, rng)
+    assert (j, st.K, st.R, rng.calls) == (1, 1, 0, 1)
 
 
 def test_gnedin_fast_and_trace_agree_in_distribution():
@@ -333,8 +401,7 @@ def test_gnedin_limit_and_heavy_tail():
     heavy = []
     for i in range(reps):
         rng = np.random.default_rng(400 + i)
-        j, _ = gnedin_constrained_run(lambda r: math.exp(-(r.random() ** -10.0)),
-                                      (1,), 10 ** 6, rng)
+        j, _ = gnedin_constrained_run(_y_heavy, (1,), 10 ** 6, rng)
         heavy.append(j / math.log(10 ** 6))
     assert np.mean(heavy) <= 0.1
 
