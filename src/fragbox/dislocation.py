@@ -17,7 +17,7 @@ from types import MappingProxyType
 import numpy as np
 
 from .errors import ArgumentError, ModelError, ResourceBudgetError
-from .paintbox import _paint_partition, _paints, kingman_cylinder_prob
+from .paintbox import _colour_blocks, _paints, kingman_cylinder_prob
 from .partitions import (Partition, _lazy, all_partitions, csv_rows, csv_text,
                          MassPartition)
 
@@ -53,6 +53,15 @@ class DiscreteDislocation:
                 for s, _ in lv:
                     if s.s0 > _EXCLUDED_TOL:
                         raise ArgumentError("theorem-2 mode requires conservative atoms")
+
+    @_lazy
+    def _hash(self):
+        """The dataclass hash of the fields, computed once: the model keys
+        the cached rates and split laws."""
+        return hash((self.levels, self.c, self.k, self.theorem2_mode))
+
+    def __hash__(self):
+        return self._hash
 
     @property
     def m_cap(self):
@@ -109,14 +118,31 @@ def nu_mixture_weight(d, atom):
     return total
 
 
+def _epsilon_blocks(j, labels):
+    """{{labels[j-1]}, the other labels} as label blocks in order of least
+    label, for a tuple of sorted labels."""
+    rest = labels[:j - 1] + labels[j:]
+    return ((labels[0],), rest) if j == 1 else (rest, (labels[j - 1],))
+
+
+def _omega_blocks(j, labels):
+    """{labels[:j]} and a singleton of each later label, for a tuple of
+    sorted labels."""
+    return (labels[:j], *zip(labels[j:]))
+
+
 def _epsilon_restricted(j, n):
     """{{j}, [n] minus {j}} as a partition of [n], 1 <= j <= n."""
-    return Partition.from_blocks(n, [[x for x in range(1, n + 1) if x != j], [j]])
+    return Partition.from_blocks(n, _epsilon_blocks(j, tuple(range(1, n + 1))))
 
 
 def _omega_restricted(j, n):
     """{[j], {j+1}, ..., {n}} as a partition of [n], 1 <= j < n."""
-    return Partition.from_blocks(n, [range(1, j + 1)] + [[x] for x in range(j + 1, n + 1)])
+    return Partition.from_blocks(n, _omega_blocks(j, tuple(range(1, n + 1))))
+
+
+# a delta atom's partition builder -> the same blocks on any sorted labels
+_DELTA_BLOCKS = {_epsilon_restricted: _epsilon_blocks, _omega_restricted: _omega_blocks}
 
 
 def _delta_atoms(d, n):
@@ -313,17 +339,17 @@ def _split_components(d, b):
     A level component ("atom", lo, hi, s) covers the paintbox classes
     j = lo..hi of one atom s: its mass is P(paintbox of [b] lands in one of
     those classes) on P_b, the sum of its _colour_masses (for class 1 it is
-    1 - sum s_i^2, which also lets the second paint fall in dust; sample_split
-    builds the running colour sums only for the component it draws).  Every
+    1 - sum s_i^2, which also lets the second paint fall in dust; the
+    running colour sums are left to _split_law).  Every
     class j < max(m_cap, 2) gets one component per atom of nu_j, with
     per-colour masses s_i^j (1 - s_i).  The capped level serves every class
     j in [max(m_cap, 2), b - 1] through one tail component per atom, whose
     per-colour masses are the geometric sums s_i^lo - s_i^b.  A delta atom
     ("delta", build, j) of _delta_atoms puts its constant on the partition
-    build(j, b), which is built only when drawn.  Components of zero mass are
-    dropped.  Whatever b is, the list holds at most one entry per atom of
-    each level (two per atom when m_cap = 1) and one per c_j, k_j and c_1,
-    so its cost does not depend on b.
+    build(j, b), whose blocks _split_law reads off _DELTA_BLOCKS when drawn.
+    Components of zero mass are dropped.  Whatever b is, the list holds at
+    most one entry per atom of each level (two per atom when m_cap = 1) and
+    one per c_j, k_j and c_1, so its cost does not depend on b.
     """
     comps = []
 
@@ -362,46 +388,95 @@ def _truncated_geometric(s, lo, hi, u):
     return lo + min(max(t, 0), hi - lo)
 
 
-def sample_split(d, b, rng):
-    """Draw one root split of a block of size b >= 2, without building P_b tables.
+def _level_draw(s, lo, hi, b):
+    """draw(rng, labels) of one level component ("atom", lo, hi, s) on a block
+    of size b: the paints, then the conditioning of the class event."""
+    m = len(s.atoms)
+    probs, cum = s.colour_table
+    if lo == 1:
+        cum = cum.tolist()
 
-    Picks a mixture component of _split_components by one uniform against
-    the running sums of their masses; for a level component, picks the colour
-    i by its per-colour mass and, for a tail, the class j by inverting the
-    truncated geometric law P(j) proportional to s_i^j on [lo, b - 1].  Then
-    samples the conditioned paintbox directly: only the first j+1 paints are
-    constrained by the class-j event.  Apart from the O(b) paints and the
-    returned partition, the cost does not grow with b.
+        def draw(rng, labels):
+            # condition on paints 1 and 2 sitting in different blocks
+            colours = _paints(s, b, rng)[2].tolist()
+            while colours[0] == colours[1] and colours[0] < m:
+                colours[0] = bisect_left(cum, rng.random())
+                colours[1] = bisect_left(cum, rng.random())
+            return _colour_blocks(colours, m, labels)
+        return draw
+
+    # paints 1..j share colour i (chosen by its mass over classes lo..hi,
+    # then j given i); paint j+1 avoids colour i; the rest stay free
+    colour_cum = list(accumulate(_colour_masses(s, lo, hi)))
+    others = [None] * m     # colour i -> running sums and total of the other colours
+
+    def draw(rng, labels):
+        colours = _paints(s, b, rng)[2].tolist()
+        i = _pick(colour_cum, rng.random())
+        j = lo if lo == hi else _truncated_geometric(s.atoms[i], lo, hi, rng.random())
+        colours[:j] = [i] * j
+        if others[i] is None:
+            other = np.delete(probs, i)
+            others[i] = np.cumsum(other).tolist(), float(other.sum())
+        other_cum, other_total = others[i]
+        c = bisect_left(other_cum, rng.random() * other_total)
+        colours[j] = c + 1 if c >= i else c
+        return _colour_blocks(colours, m, labels)
+    return draw
+
+
+def _component_draw(comp, b):
+    """draw(rng, labels) of one component of _split_components on a block of
+    size b; a delta atom draws nothing."""
+    if comp[0] == "delta":
+        _, build, j = comp
+        blocks = _DELTA_BLOCKS[build]
+        return lambda rng, labels: blocks(j, labels)
+    _, lo, hi, s = comp
+    return _level_draw(s, lo, hi, b)
+
+
+@lru_cache(maxsize=32)
+def _split_law(d, b):
+    """law(rng, labels): one root split of a block of b >= 2 sorted labels,
+    as the tuple of child label blocks in order of least label.
+
+    Built once per (d, b): the components of _split_components and the
+    running sums of their masses; a component's own draw, with the running
+    colour masses its conditioning reads, is built the first time it is
+    drawn.  A call picks a component by one uniform against those sums; for
+    a level component it picks the colour i by its per-colour mass and, for
+    a tail, the class j by inverting the truncated geometric law P(j)
+    proportional to s_i^j on [lo, b - 1].  Then it samples the conditioned
+    paintbox directly: only the first j+1 paints are constrained by the
+    class-j event.  The paints are grouped straight into label blocks
+    (_colour_blocks), so apart from the O(b) paints the cost of a call does
+    not grow with b.
     """
-    if b < 2:
-        raise ArgumentError("blocks of size 1 do not split")
     comps = _split_components(d, b)
     masses = list(accumulate(mass for mass, _ in comps))
     if not masses or masses[-1] <= 0:
         raise ModelError("zero splitting rate: degenerate dislocation")
-    comp = comps[_pick(masses, rng.random())][1]
-    if comp[0] == "delta":
-        _, build, j = comp
-        return build(j, b)
-    _, lo, hi, s = comp
-    probs, cum, colours = _paints(s, b, rng)
-    m = len(s.atoms)
-    if lo == 1:
-        # condition on paints 1 and 2 sitting in different blocks
-        while colours[0] == colours[1] and colours[0] < m:
-            colours[0] = np.searchsorted(cum, rng.random())
-            colours[1] = np.searchsorted(cum, rng.random())
-    else:
-        # paints 1..j share colour i (chosen by its mass over classes lo..hi,
-        # then j given i); paint j+1 avoids colour i; the rest stay free
-        i = _pick(list(accumulate(_colour_masses(s, lo, hi))), rng.random())
-        j = lo if lo == hi else _truncated_geometric(s.atoms[i], lo, hi, rng.random())
-        colours[:j] = i
-        other = np.delete(probs, i)
-        colours[j] = np.searchsorted(np.cumsum(other), rng.random() * other.sum())
-        if colours[j] >= i:
-            colours[j] += 1
-    return _paint_partition(colours, m)
+    draws = [None] * len(comps)
+
+    def law(rng, labels):
+        i = _pick(masses, rng.random())
+        draw = draws[i]
+        if draw is None:
+            draw = draws[i] = _component_draw(comps[i][1], b)
+        return draw(rng, labels)
+    return law
+
+
+def sample_split(d, b, rng):
+    """Draw one root split of a block of size b >= 2, without building P_b
+    tables: the validated Partition of the cached law _split_law(d, b) on
+    the labels 1..b."""
+    if b < 2:
+        raise ArgumentError("blocks of size 1 do not split")
+    p = Partition(b, _split_law(d, b)(rng, tuple(range(1, b + 1))))
+    p.validate()
+    return p
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ArgumentError
-from .dislocation import _check_alphagamma_params, sample_split
+from .dislocation import _check_alphagamma_params, _split_law
 from .partitions import Hierarchy, Partition
 
 _FMT = repr  # shortest round-trip decimal for golden files
@@ -349,8 +349,11 @@ def grow_alphagamma(alpha, gamma, n, rng):
 def _build_recursive(labels, split_fn, rng, edge_fn=None):
     """Tree of recursive splits of the sorted labels, node ids in pre-order.
 
-    With edge_fn, every vertex draws its edge length edge_fn(block size)
-    before its split, and the tree hangs below a degree-1 virtual root.
+    split_fn(labs, rng) gives the child label blocks of a block of sorted
+    labels labs, in order of least label; every split is checked to have
+    at least 2 blocks that together hold exactly labs.  With edge_fn, every
+    vertex draws its edge length edge_fn(block size) before its split, and
+    the tree hangs below a degree-1 virtual root.
     """
     children = {}
     leaf_label = {}
@@ -364,14 +367,17 @@ def _build_recursive(labels, split_fn, rng, edge_fn=None):
         if len(labs) == 1:
             leaf_label[v] = labs[0]
             return v
-        pi = split_fn(len(labs), rng)
-        children[v] = [build([labs[i - 1] for i in b]) for b in pi.blocks]
+        blocks = split_fn(labs, rng)
+        if len(blocks) < 2 or tuple(sorted(itertools.chain.from_iterable(blocks))) != labs:
+            raise ArgumentError("a split must cut its labels into >= 2 blocks "
+                                "that hold each of them once")
+        children[v] = [build(b) for b in blocks]
         return v
 
     if edge_fn is None:
-        return Tree(children, leaf_label, build(sorted(labels)))
+        return Tree(children, leaf_label, build(tuple(sorted(labels))))
     root = fresh()
-    children[root] = [build(sorted(labels))]
+    children[root] = [build(tuple(sorted(labels)))]
     return Tree(children, leaf_label, root, length)
 
 
@@ -382,19 +388,22 @@ def sample_markov_branching(rule_source, n, rng):
         raise ArgumentError("n must be positive")
     draws = {}
 
-    def split(b, r):
+    def split(labs, r):
+        b = len(labs)
         if b not in draws:
             draws[b] = rule_source(b).draw
-        return draws[b](r)
+        return [tuple([labs[i - 1] for i in block]) for block in draws[b](r).blocks]
     return _build_recursive(range(1, n + 1), split, rng)
 
 
 def sample_fragmentation_tree(d, n, rng):
-    """Markov branching tree of a DiscreteDislocation without enumerating tables."""
+    """Markov branching tree of a DiscreteDislocation without enumerating
+    tables: each split draws from the cached law of its (model, block size)
+    (dislocation._split_law), which groups the block's own labels."""
     if n < 1:
         raise ArgumentError("n must be positive")
     return _build_recursive(range(1, n + 1),
-                            lambda b, r: sample_split(d, b, r), rng)
+                            lambda labs, r: _split_law(d, len(labs))(r, labs), rng)
 
 
 def delete_uniform_leaf(t, rng):

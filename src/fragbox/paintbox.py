@@ -21,29 +21,30 @@ def _paints(s, n, rng):
     return probs, cum, cum.searchsorted(rng.random(n))
 
 
-def _colour_blocks(colours, m):
-    """The blocks of [len(colours)] of equal colours below m, each dust paint
-    (colour >= m) a singleton, as canonical tuples: blocks open in order of
-    first sight, so by least element, and labels join them in increasing order."""
+def _colour_blocks(colours, m, labels=None):
+    """The blocks of paints of equal colours below m, each dust paint
+    (colour >= m) a singleton, as tuples of the paints' labels: the r-th
+    paint is labelled labels[r - 1], or r by default.  For increasing labels
+    the tuples are canonical: blocks open in order of first sight, so by
+    least label, and labels join them in increasing order."""
     blocks = {}
-    for r, ci in enumerate(colours, 1):
+    for r, ci in enumerate(colours, 1) if labels is None else zip(labels, colours):
         blocks.setdefault(ci if ci < m else -r, []).append(r)
     return tuple(map(tuple, blocks.values()))
 
 
 def _paint_partition(colours, m):
-    """The validated Partition of _colour_blocks(colours, m)."""
-    p = Partition(len(colours), _colour_blocks(colours.tolist(), m))
-    p.validate()
-    return p
+    """The Partition of _colour_blocks(colours, m).  Its blocks are canonical
+    by construction, whatever the colours, so they are not validated again."""
+    return Partition(len(colours), _colour_blocks(colours.tolist(), m))
 
 
 def kingman_sample(s, n, rng):
     """Sample the value partition of n iid paints from s; dust draws are singletons.
 
     Draws with one rng.random(n) and nothing else.  _paints draws the
-    colours and _paint_partition maps them to blocks, the two steps that
-    dislocation.sample_split conditions in between.
+    colours and _paint_partition maps them to blocks; a dislocation's split
+    law (dislocation._split_law) conditions the paints in between.
     """
     assert n >= 1
     return _paint_partition(_paints(s, n, rng)[2], s.m)

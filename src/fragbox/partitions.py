@@ -9,6 +9,7 @@ import csv
 import io
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain
 
 import numpy as np
 
@@ -50,20 +51,20 @@ class Partition:
         return p
 
     def validate(self):
-        seen = set()
-        for b in self.blocks:
-            if len(b) == 0:
-                raise ArgumentError("empty block")
-            for x in b:
-                if not (1 <= x <= self.n) or x in seen:
-                    raise ArgumentError("blocks must partition [n]")
-                seen.add(x)
-            if tuple(sorted(b)) != tuple(b):
-                raise ArgumentError("block not sorted")
-        if len(seen) != self.n:
-            raise ArgumentError("blocks must cover [n]")
-        mins = [b[0] for b in self.blocks]
-        if mins != sorted(mins):
+        """Canonical blocks of [n]: none empty, together holding each of
+        1..n once (elements are compared by value, so 1.5 never passes),
+        each sorted, and listed by least element.  Each test is one pass in
+        C over the blocks."""
+        blocks = self.blocks
+        if not all(blocks):
+            raise ArgumentError("empty block")
+        if sorted(chain.from_iterable(blocks)) != list(range(1, self.n + 1)):
+            raise ArgumentError("blocks must partition [n]")
+        lists = list(map(list, blocks))
+        if list(map(sorted, blocks)) != lists:
+            raise ArgumentError("block not sorted")
+        # disjoint sorted blocks compare by their least elements
+        if sorted(lists) != lists:
             raise ArgumentError("blocks not in least-element order")
 
     @property

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dislocation import rate_closed_form, sample_split
+from .dislocation import _split_law, rate_closed_form
 from .errors import ArgumentError, UnsupportedCaseError
 from .growth import _build_recursive
 from .partitions import csv_rows, csv_text
@@ -305,8 +305,9 @@ def _edge_length(d, j, alpha, rng, leaf_cap):
 
 
 def sample_reduced_crt(d, k, alpha, rng, lengths=True, leaf_cap=100.0):
-    """Reduced tree on k leaves: recursive splits drawn by sample_split (the
-    model's own splitting rule, so k is not capped), edge lengths as killed
+    """Reduced tree on k leaves: recursive splits drawn from the cached split
+    law of each (model, block size), dislocation._split_law (the model's own
+    splitting rule, so k is not capped), edge lengths as killed
     exponential functionals of fresh spinal paths.
 
     A spine whose killing rate is 0 runs to the horizon leaf_cap.  Every
@@ -319,4 +320,5 @@ def sample_reduced_crt(d, k, alpha, rng, lengths=True, leaf_cap=100.0):
     if k < 1:
         raise ArgumentError("k must be positive")
     edge = (lambda j: _edge_length(d, j, alpha, rng, leaf_cap)) if lengths else (lambda j: 1.0)
-    return _build_recursive(range(1, k + 1), lambda j, r: sample_split(d, j, r), rng, edge)
+    return _build_recursive(range(1, k + 1),
+                            lambda labs, r: _split_law(d, len(labs))(r, labs), rng, edge)

@@ -5,15 +5,25 @@ alpha-gamma tree, so one law at n = 7 holds about 66 MB; it checks the
 root-split chain `dislocation.alphagamma_growth_split_oracle` and the growth
 sampler, and nothing in the library calls it.  `gnedin_skip_reference` is the
 skip loop of `paintbox.gnedin_constrained_run` with one numpy call per scalar
-operation; the two must agree draw for draw."""
+operation; the two must agree draw for draw.  `split_tree_reference` builds a
+fragmentation tree the per-vertex way, rebuilding the split components and a
+validated `Partition` at every vertex (`sample_split_reference`) and then
+relabelling its blocks; the trees that `growth._build_recursive` builds
+from the cached split laws must be the same, and leave the generator in the
+same state.
+`validate_partition_reference` is the element-by-element loop that
+`Partition.validate` replaced."""
 
 from functools import lru_cache
+from itertools import accumulate, count
 
 import numpy as np
 
-from fragbox.dislocation import _check_alphagamma_params
-from fragbox.errors import ArgumentError, ResourceBudgetError
-from fragbox.paintbox import ConstrainedState, _psi
+from fragbox.dislocation import (_check_alphagamma_params, _colour_masses, _pick,
+                                 _split_components, _truncated_geometric)
+from fragbox.errors import ArgumentError, ModelError, ResourceBudgetError
+from fragbox.growth import Tree
+from fragbox.paintbox import ConstrainedState, _paint_partition, _paints, _psi
 from fragbox.partitions import _maximal_strict_subsets
 
 
@@ -94,3 +104,88 @@ def gnedin_skip_reference(y_sampler, psi, n, rng):
             G *= float(y_sampler(rng))
     st = ConstrainedState(K, R, n)
     return st.J, st
+
+
+def sample_split_reference(d, b, rng):
+    """One root split of [b], b >= 2, with the split components rebuilt and
+    the running colour masses recomputed on every call."""
+    comps = _split_components(d, b)
+    masses = list(accumulate(mass for mass, _ in comps))
+    if not masses or masses[-1] <= 0:
+        raise ModelError("zero splitting rate: degenerate dislocation")
+    comp = comps[_pick(masses, rng.random())][1]
+    if comp[0] == "delta":
+        _, build, j = comp
+        return build(j, b)
+    _, lo, hi, s = comp
+    probs, cum, colours = _paints(s, b, rng)
+    m = len(s.atoms)
+    if lo == 1:
+        while colours[0] == colours[1] and colours[0] < m:
+            colours[0] = np.searchsorted(cum, rng.random())
+            colours[1] = np.searchsorted(cum, rng.random())
+    else:
+        i = _pick(list(accumulate(_colour_masses(s, lo, hi))), rng.random())
+        j = lo if lo == hi else _truncated_geometric(s.atoms[i], lo, hi, rng.random())
+        colours[:j] = i
+        other = np.delete(probs, i)
+        colours[j] = np.searchsorted(np.cumsum(other), rng.random() * other.sum())
+        if colours[j] >= i:
+            colours[j] += 1
+    return _paint_partition(colours, m)
+
+
+def split_tree_reference(d, labels, rng, edge_fn=None):
+    """Tree of recursive splits of the sorted labels, node ids in pre-order:
+    sample_split_reference(d, b, rng) at every vertex of b >= 2 labels, then
+    its blocks relabelled.  With edge_fn, every vertex draws its edge length
+    edge_fn(block size) before its split, below a degree-1 virtual root."""
+    children = {}
+    leaf_label = {}
+    length = None if edge_fn is None else {}
+    fresh = count().__next__
+
+    def build(labs):
+        v = fresh()
+        if edge_fn is not None:
+            length[v] = edge_fn(len(labs))
+        if len(labs) == 1:
+            leaf_label[v] = labs[0]
+            return v
+        pi = sample_split_reference(d, len(labs), rng)
+        children[v] = [build([labs[i - 1] for i in b]) for b in pi.blocks]
+        return v
+
+    if edge_fn is None:
+        return Tree(children, leaf_label, build(sorted(labels)))
+    root = fresh()
+    children[root] = [build(sorted(labels))]
+    return Tree(children, leaf_label, root, length)
+
+
+def outcome(sample):
+    """What sample() returns, or the type of the error it raises.  Trees
+    compare by children (in order), leaf labels, root and lengths."""
+    try:
+        return sample()
+    except (ArgumentError, ModelError) as e:
+        return type(e)
+
+
+def validate_partition_reference(n, blocks):
+    """Partition(n, blocks).validate() as an element-by-element loop."""
+    seen = set()
+    for b in blocks:
+        if len(b) == 0:
+            raise ArgumentError("empty block")
+        for x in b:
+            if not (1 <= x <= n) or x in seen:
+                raise ArgumentError("blocks must partition [n]")
+            seen.add(x)
+        if tuple(sorted(b)) != tuple(b):
+            raise ArgumentError("block not sorted")
+    if len(seen) != n:
+        raise ArgumentError("blocks must cover [n]")
+    mins = [b[0] for b in blocks]
+    if mins != sorted(mins):
+        raise ArgumentError("blocks not in least-element order")

@@ -15,7 +15,8 @@ from fragbox.dislocation import (_cylinder_weights, _delta_atoms, _level_cylinde
                                  _split_components)
 from fragbox.harness import chi_square_gof, single_atom_model
 from fragbox.partitions import _maximal_strict_subsets
-from oracles import alphagamma_tree_distribution
+from oracles import alphagamma_tree_distribution, outcome, sample_split_reference
+from strategies import dislocations
 
 
 def P(text, n=None):
@@ -197,6 +198,18 @@ def test_sample_split_matches_table():
     assert rep.p_value > 1e-3
 
 
+@settings(max_examples=80)
+@given(dislocations(), st.integers(2, 64), st.integers(0, 2 ** 32 - 1))
+def test_sample_split_matches_per_call_components(d, b, seed):
+    # the cached split law against the split components rebuilt per call:
+    # the same partition, drawn with the same draws
+    rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    for _ in range(3):
+        assert outcome(lambda: sample_split(d, b, rng)) == \
+            outcome(lambda: sample_split_reference(d, b, ref))
+    assert rng.bit_generator.state == ref.bit_generator.state
+
+
 def test_sample_split_large_block():
     # no table can exist at this size; the direct sampler must still work
     rng = np.random.default_rng(17)
@@ -281,24 +294,6 @@ def test_sample_split_tail_law_cap_three():
         {1: [((0.5, 0.3), 1.0)], 2: [((0.6, 0.2), 0.5)],
          3: [((0.5, 0.4), 0.8), ((0.7,), 0.6)]}, c=(0.1, 0.05), k=(0.0, 0.1))
     assert sampled_split_p_value(d, 6, 40_000, 20) > 1e-3
-
-
-@st.composite
-def dislocations(draw):
-    def atom():
-        m = draw(st.integers(1, 3))
-        raw = draw(st.lists(st.floats(0.05, 1.0), min_size=m, max_size=m))
-        total = sum(raw) + draw(st.floats(0.0 if m > 1 else 0.01, 1.0))
-        return tuple(sorted((x / total for x in raw), reverse=True))
-
-    levels = {j: [(atom(), draw(st.floats(0.1, 1.1)))
-                  for _ in range(draw(st.integers(0, 2)))]
-              for j in range(1, draw(st.integers(1, 3)) + 1)}
-    if not any(levels.values()):
-        levels[1] = [((0.5, 0.5), 1.0)]
-    c = draw(st.lists(st.floats(0.0, 0.3), max_size=2))
-    k = draw(st.lists(st.floats(0.0, 0.3), max_size=2))
-    return DiscreteDislocation.from_level_dict(levels, c, k)
 
 
 @settings(max_examples=60)

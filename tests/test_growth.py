@@ -8,12 +8,15 @@ from fragbox import (ArgumentError, DiscreteDislocation, Tree,
                      alphagamma_growth_split_oracle, delete_leaf,
                      delete_uniform_leaf, grow_alphagamma, leaf_depths,
                      reduced_ladder, reduced_tree, sample_fragmentation_tree,
-                     sample_markov_branching, sample_reduced_crt,
+                     sample_markov_branching, sample_reduced_crt, sample_split,
                      skewed_pd_splitting_table, special_branch_count,
                      spine_depth, splitting_rule, tree_height)
+from fragbox import dislocation
 from fragbox.growth import _WordDraws, _reduced
 from fragbox.harness import chi_square_gof, gof_gate, single_atom_model
-from oracles import alphagamma_tree_distribution
+from fragbox.paintbox import _colour_blocks
+from oracles import alphagamma_tree_distribution, outcome, split_tree_reference
+from strategies import dislocations
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
 
@@ -289,6 +292,33 @@ def test_fragmentation_tree_matches_markov_branching():
     t.validate()
     # conservative single-atom model: every split is binary into two classes
     assert all(len(cs) == 2 for cs in t.children.values())
+
+
+@settings(max_examples=60)
+@given(dislocations(), st.integers(1, 300), st.integers(0, 2 ** 32 - 1))
+def test_fragmentation_tree_matches_per_vertex_builder(d, n, seed):
+    # cached split laws on the block's own labels against a validated
+    # sample_split partition at every vertex, then relabelled: the same node
+    # ids, child order and leaf labels, and the generator left in one state
+    rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    assert outcome(lambda: sample_fragmentation_tree(d, n, rng)) == \
+        outcome(lambda: split_tree_reference(d, range(1, n + 1), ref))
+    assert rng.bit_generator.state == ref.bit_generator.state
+
+
+def test_split_check_is_live(monkeypatch):
+    # a split that loses a label must stop the tree and sample_split alike
+    def drop_last_label(colours, m, labels=None):
+        blocks = _colour_blocks(colours, m, labels)
+        last = blocks[-1][:-1]
+        return blocks[:-1] + ((last,) if last else ())
+
+    d = single_atom_model()
+    monkeypatch.setattr(dislocation, "_colour_blocks", drop_last_label)
+    with pytest.raises(ArgumentError):
+        sample_fragmentation_tree(d, 30, np.random.default_rng(5))
+    with pytest.raises(ArgumentError):
+        sample_split(d, 5, np.random.default_rng(5))
 
 
 def test_delete_leaf_examples():

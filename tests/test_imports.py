@@ -1,9 +1,10 @@
 """Every module in src/fragbox (the package __init__ aside), tests/, demos/
 and bench/ uses what it imports, every module-level private function in the
 package has a reference in it, every module-level constant of the package is
-read somewhere in src, tests, bench or demos, and nothing in the package
-imports scipy, a test-only dependency whose `scipy.stats` takes several
-times as long to import as fragbox."""
+read somewhere in src, tests, bench or demos, no cache in the package grows
+without bound unless allow-listed, and nothing in the package imports scipy,
+a test-only dependency whose `scipy.stats` takes several times as long to
+import as fragbox."""
 
 import ast
 import subprocess
@@ -103,6 +104,60 @@ def test_no_unread_constants():
     sources = {p.name: p.read_text() for p in SRC.glob("*.py")}
     readers = list(sources.values()) + [p.read_text() for p in LINTED if p not in MODULES]
     assert unread_constants(sources, readers) == []
+
+
+def unbounded_caches(source):
+    """(line, function) of every lru_cache(maxsize=None), lru_cache(None) or
+    cache, as a decorator or a call, functools-qualified or not; the
+    function is the def it decorates, or None for a bare call."""
+    def is_none(node):
+        return isinstance(node, ast.Constant) and node.value is None
+
+    def name(node):
+        return node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
+
+    def unbounded(node):
+        if isinstance(node, ast.Call) and name(node.func) == "lru_cache":
+            return (bool(node.args) and is_none(node.args[0])) or any(
+                kw.arg == "maxsize" and is_none(kw.value) for kw in node.keywords)
+        return name(node.func if isinstance(node, ast.Call) else node) == "cache"
+
+    tree = ast.parse(source)
+    found, decorators = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for dec in node.decorator_list:
+                decorators.add(id(dec))
+                if unbounded(dec):
+                    found.add((dec.lineno, node.name))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and id(node) not in decorators and unbounded(node.func):
+            found.add((node.lineno, None))
+    return sorted(found, key=lambda f: f[0])
+
+
+def test_unbounded_caches_detected():
+    src = ("import functools\nfrom functools import cache, lru_cache\n"
+           "@lru_cache(maxsize=None)\ndef a(): pass\n"
+           "@functools.lru_cache(None)\ndef b(): pass\n"
+           "@cache\ndef c(): pass\n"
+           "@functools.cache\ndef d(): pass\n"
+           "@lru_cache(maxsize=64)\ndef e(): pass\n"
+           "@lru_cache\ndef f(): pass\n"
+           "g = lru_cache(maxsize=None)(len)\n")
+    assert unbounded_caches(src) == [(3, "a"), (5, "b"), (7, "c"), (9, "d"), (15, None)]
+
+
+# (module, function) -> why its cache may grow without bound.  all_partitions
+# keeps Bell(n) partitions per n for the process: 30.6 MB at n = 10, about
+# 1.1 GB at its cap n = 12 (a FOUND line of CHANGES.md); ROADMAP item 6
+# bounds it or drops it once exact tables are keyed by (class, block sizes).
+UNBOUNDED_CACHE_ALLOWED = {("partitions.py", "all_partitions"): "ROADMAP item 6"}
+
+
+def test_no_unbounded_caches():
+    found = {(p.name, fn) for p in MODULES for _, fn in unbounded_caches(p.read_text())}
+    assert found == set(UNBOUNDED_CACHE_ALLOWED)
 
 
 def imported_modules(source):

@@ -12,6 +12,7 @@ from fragbox import (ArgumentError, MassPartition, Partition,
                      kingman_sample, modified_paintbox_prob,
                      modified_paintbox_sample, restrict_partition)
 from fragbox.harness import chi_square_gof
+from fragbox.paintbox import _colour_blocks
 from oracles import gnedin_skip_reference
 
 
@@ -213,6 +214,20 @@ def _paint_partition_by_from_blocks(colours, m):
     for r, ci in enumerate(colours.tolist(), 1):
         blocks.setdefault(ci if ci < m else -r, []).append(r)
     return Partition.from_blocks(len(colours), blocks.values())
+
+
+@settings(max_examples=200)
+@given(st.lists(st.integers(0, 5), min_size=1, max_size=40), st.integers(0, 4), st.data())
+def test_colour_blocks_are_canonical(colours, m, data):
+    # _paint_partition does not validate: on positions 1..n the blocks are
+    # a canonical partition of [n] for any colours, and on increasing labels
+    # they are the same blocks read through the labels
+    blocks = _colour_blocks(colours, m)
+    Partition(len(colours), blocks).validate()
+    labels = sorted(data.draw(st.sets(st.integers(1, 500), min_size=len(colours),
+                                      max_size=len(colours))))
+    assert _colour_blocks(colours, m, labels) == \
+        tuple(tuple(labels[r - 1] for r in b) for b in blocks)
 
 
 def _kingman_sample_fresh_table(s, n, rng):

@@ -7,6 +7,7 @@ from fragbox import (ArgumentError, FiniteMeasureOnPartitions, Hierarchy,
                      classify_exchangeability, restrict_hierarchy,
                      restrict_partition)
 from fragbox.partitions import _maximal_strict_subsets
+from oracles import validate_partition_reference
 
 
 def P(text, n=None):
@@ -76,6 +77,66 @@ def test_partition_canonical_order_enforced():
         Partition(2, ((2,), (1,))).validate()
     with pytest.raises(ArgumentError):
         Partition.from_blocks(3, [[1, 2]])
+
+
+@pytest.mark.parametrize("n, blocks, message", [
+    (2, ((1,), ()), "empty block"),
+    (2, ((0,), (1, 2)), "partition"),           # below 1
+    (2, ((1,), (3,)), "partition"),             # above n
+    (2, ((1, 2), (2,)), "partition"),           # twice
+    (3, ((1,), (2,)), "partition"),             # 3 missing
+    (3, ((1, 3, 2),), "not sorted"),
+    (3, ((2,), (1, 3)), "least-element"),
+])
+def test_partition_validate_rejections(n, blocks, message):
+    with pytest.raises(ArgumentError, match=message):
+        Partition(n, blocks).validate()
+    with pytest.raises(ArgumentError):
+        validate_partition_reference(n, blocks)
+
+
+def test_partition_validate_rejects_non_integer_elements():
+    # the element loop took 1.5 for an element of [2], and 1.5 and 2 for
+    # two elements that cover it
+    validate_partition_reference(2, ((1.5,), (2,)))
+    with pytest.raises(ArgumentError, match="partition"):
+        Partition.from_blocks(2, [[1.5], [2]])
+
+
+def _rejects(check):
+    try:
+        check()
+    except ArgumentError:
+        return True
+    return False
+
+
+@settings(max_examples=300)
+@given(st.integers(0, 6), st.data())
+def test_partition_validate_matches_element_loop(n, data):
+    # one C-level pass per condition against the element-by-element loop,
+    # on near-misses of canonical partitions and on arbitrary integer lists
+    if n and data.draw(st.booleans()):
+        blocks = [list(b) for b in data.draw(st.sampled_from(all_partitions(n))).blocks]
+        for _ in range(data.draw(st.integers(0, 2))):
+            i = data.draw(st.integers(0, len(blocks) - 1))
+            edit = data.draw(st.sampled_from(("swap", "reverse", "drop", "add", "empty")))
+            if edit == "swap":
+                j = data.draw(st.integers(0, len(blocks) - 1))
+                blocks[i], blocks[j] = blocks[j], blocks[i]
+            elif edit == "reverse":
+                blocks[i].reverse()
+            elif edit == "drop" and blocks[i]:
+                blocks[i].pop()
+            elif edit == "add":
+                blocks[i].append(data.draw(st.integers(-1, n + 1)))
+            else:
+                blocks.insert(i, [])
+    else:
+        blocks = data.draw(st.lists(st.lists(st.integers(-1, n + 1), max_size=4), max_size=5))
+    blocks = tuple(map(tuple, blocks))
+    assert _rejects(Partition(n, blocks).validate) == \
+        _rejects(lambda: validate_partition_reference(n, blocks))
 
 
 def test_tower_property():

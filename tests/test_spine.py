@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 from scipy import stats
 
 from fragbox import (ArgumentError, KnWindow, LevyAtoms, SubordinatorPath,
@@ -14,6 +14,8 @@ from fragbox import (ArgumentError, KnWindow, LevyAtoms, SubordinatorPath,
 from fragbox.dislocation import DiscreteDislocation
 from fragbox.harness import chi_square_gof, single_atom_model
 from fragbox.spine import NEGLIGIBLE, _edge_length, _exp_functional
+from oracles import outcome, split_tree_reference
+from strategies import dislocations
 
 LOG2 = math.log(2)
 
@@ -389,6 +391,20 @@ def test_reduced_crt_without_lengths_is_the_fragmentation_tree():
                 if k > 1:
                     assert mt.root_split() == t.root_split()
                 assert set(mt.length.values()) == {1.0}
+
+
+@settings(max_examples=40)
+@given(dislocations(theorem2=True), st.integers(1, 300), st.booleans(),
+       st.integers(0, 2 ** 32 - 1))
+def test_reduced_crt_matches_per_vertex_builder(d, k, lengths, seed):
+    # cached split laws against a validated sample_split partition at every
+    # vertex, with the edge lengths drawn in between: the same tree and the
+    # generator left in one state
+    rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    edge = (lambda j: _edge_length(d, j, 0.5, ref, 1.0)) if lengths else (lambda j: 1.0)
+    assert outcome(lambda: sample_reduced_crt(d, k, 0.5, rng, lengths, 1.0)) == \
+        outcome(lambda: split_tree_reference(d, range(1, k + 1), ref, edge))
+    assert rng.bit_generator.state == ref.bit_generator.state
 
 
 def test_reduced_crt_edge_length_oracle():
