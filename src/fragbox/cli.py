@@ -71,7 +71,7 @@ def main(argv=None):
         cfg = ExperimentConfig.from_dict(given)
         bundle = run_experiment(cfg)
     except (ArgumentError, ModelError, UnsupportedCaseError,
-            ResourceBudgetError, OSError, KeyError, json.JSONDecodeError) as e:
+            ResourceBudgetError, OSError, json.JSONDecodeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     summary = bundle["summary"]

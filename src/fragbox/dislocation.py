@@ -131,28 +131,14 @@ def _omega_blocks(j, labels):
     return (labels[:j], *zip(labels[j:]))
 
 
-def _epsilon_restricted(j, n):
-    """{{j}, [n] minus {j}} as a partition of [n], 1 <= j <= n."""
-    return Partition.from_blocks(n, _epsilon_blocks(j, tuple(range(1, n + 1))))
-
-
-def _omega_restricted(j, n):
-    """{[j], {j+1}, ..., {n}} as a partition of [n], 1 <= j < n."""
-    return Partition.from_blocks(n, _omega_blocks(j, tuple(range(1, n + 1))))
-
-
-# a delta atom's partition builder -> the same blocks on any sorted labels
-_DELTA_BLOCKS = {_epsilon_restricted: _epsilon_blocks, _omega_restricted: _omega_blocks}
-
-
 def _delta_atoms(d, n):
-    """(mass, build, j) per delta atom of positive mass on P_n, n >= 2, whose
-    partition build(j, n) is left to callers that need it: c_j on
-    {{j+1}, rest} and k_j on {[j], {j+1}, ..., {n}} for j <= n - 1, then
-    c_1 once more on {{1}, rest}."""
-    atoms = [(cj, _epsilon_restricted, j + 1) for j, cj in enumerate(d.c[:n - 1], 1)]
-    atoms += [(kj, _omega_restricted, j) for j, kj in enumerate(d.k[:n - 1], 1)]
-    atoms.append((d.c_at(1), _epsilon_restricted, 1))
+    """(mass, blocks, j) per delta atom of positive mass on P_n, n >= 2,
+    whose split of a tuple of sorted labels is blocks(j, labels), canonical
+    on 1..n: c_j on {{j+1}, rest} and k_j on {[j], {j+1}, ..., {n}} for
+    j <= n - 1, then c_1 once more on {{1}, rest}."""
+    atoms = [(cj, _epsilon_blocks, j + 1) for j, cj in enumerate(d.c[:n - 1], 1)]
+    atoms += [(kj, _omega_blocks, j) for j, kj in enumerate(d.k[:n - 1], 1)]
+    atoms.append((d.c_at(1), _epsilon_blocks, 1))
     return [atom for atom in atoms if atom[0] > 0]
 
 
@@ -163,12 +149,12 @@ def _level_cylinder(d, p):
 
 def kappa_cylinder(d, p):
     """kappa(P^p) of one non-trivial partition p: its level-j paintbox cylinder
-    plus the delta atoms on p.  splitting_rule and rate build each delta
-    partition once per table instead of once per cylinder."""
+    plus the delta atoms on p."""
     if p.is_trivial():
         raise ArgumentError("trivial partition has no dislocation cylinder")
-    return _level_cylinder(d, p) + sum(mass for mass, build, j in _delta_atoms(d, p.n)
-                                       if build(j, p.n) == p)
+    labels = tuple(range(1, p.n + 1))
+    return _level_cylinder(d, p) + sum(mass for mass, blocks, j in _delta_atoms(d, p.n)
+                                       if blocks(j, labels) == p.blocks)
 
 
 def _cylinder_weights(d, n):
@@ -187,8 +173,9 @@ def _cylinder_weights(d, n):
         if w is None:
             w = by_key[p.cylinder_key] = _level_cylinder(d, p)
         weights[p] = w
-    for mass, build, j in _delta_atoms(d, n):
-        weights[build(j, n)] += mass
+    labels = tuple(range(1, n + 1))
+    for mass, blocks, j in _delta_atoms(d, n):
+        weights[Partition(n, blocks(j, labels))] += mass
     return weights
 
 
@@ -250,7 +237,6 @@ def _full_table(n, probs):
     return t
 
 
-@lru_cache(maxsize=4096)
 def rate(d, n):
     """lambda_n = kappa(all non-trivial cylinders of P_n); non-decreasing in n.
 
@@ -345,8 +331,8 @@ def _split_components(d, b):
     per-colour masses s_i^j (1 - s_i).  The capped level serves every class
     j in [max(m_cap, 2), b - 1] through one tail component per atom, whose
     per-colour masses are the geometric sums s_i^lo - s_i^b.  A delta atom
-    ("delta", build, j) of _delta_atoms puts its constant on the partition
-    build(j, b), whose blocks _split_law reads off _DELTA_BLOCKS when drawn.
+    ("delta", blocks, j) of _delta_atoms puts its constant on the split
+    blocks(j, labels) of the block's labels.
     Components of zero mass are dropped.  Whatever b is, the list holds at
     most one entry per atom of each level (two per atom when m_cap = 1) and
     one per c_j, k_j and c_1, so its cost does not depend on b.
@@ -367,7 +353,7 @@ def _split_components(d, b):
         add_atoms(d.atoms_at(j), j, j)
     if tail < b:
         add_atoms(d.levels[-1], tail, b - 1)
-    comps += [(mass, ("delta", build, j)) for mass, build, j in _delta_atoms(d, b)]
+    comps += [(mass, ("delta", blocks, j)) for mass, blocks, j in _delta_atoms(d, b)]
     return comps
 
 
@@ -429,8 +415,7 @@ def _component_draw(comp, b):
     """draw(rng, labels) of one component of _split_components on a block of
     size b; a delta atom draws nothing."""
     if comp[0] == "delta":
-        _, build, j = comp
-        blocks = _DELTA_BLOCKS[build]
+        _, blocks, j = comp
         return lambda rng, labels: blocks(j, labels)
     _, lo, hi, s = comp
     return _level_draw(s, lo, hi, b)

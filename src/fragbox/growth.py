@@ -125,26 +125,31 @@ class Tree:
         return Hierarchy.from_sets(self.n, self.vertices)
 
     def validate(self):
-        """Unit edges: internal vertices have >= 2 children, the leaves carry
-        1..n and the label sets form a hierarchy.  With lengths: no length is
-        negative and no vertex is reached twice."""
-        if self.length is None:
-            if any(len(cs) < 2 for cs in self.children.values()):
-                raise ArgumentError("internal vertex with fewer than 2 children")
-            if sorted(self.leaf_label.values()) != list(range(1, self.n + 1)):
-                raise ArgumentError("leaf labels must be 1..n")
-            self.to_hierarchy()
-            return
-        if any(l < 0 for l in self.length.values()):
-            raise ArgumentError("negative edge length")
-        seen = set()
-        stack = [self.root]
+        """One walk from the root, which must reach no vertex twice, so the
+        label sets below the vertices are laminar.  Unit edges: internal
+        vertices have >= 2 children, the leaves carry 1..n, and the walk
+        reaches every vertex, each a leaf or an internal vertex but not both.
+        With lengths: no length is negative."""
+        children, leaf_label = self.children, self.leaf_label
+        seen, stack = set(), [self.root]
         while stack:
             v = stack.pop()
             if v in seen:
-                raise ArgumentError("cycle in tree")
+                raise ArgumentError("vertex reached twice: not a tree")
             seen.add(v)
-            stack.extend(self.children.get(v, []))
+            stack.extend(children.get(v, ()))
+        if self.length is not None:
+            if any(l < 0 for l in self.length.values()):
+                raise ArgumentError("negative edge length")
+            return
+        if any(len(cs) < 2 for cs in children.values()):
+            raise ArgumentError("internal vertex with fewer than 2 children")
+        if sorted(leaf_label.values()) != list(range(1, self.n + 1)):
+            raise ArgumentError("leaf labels must be 1..n")
+        if len(seen) != len(children) + len(leaf_label) or \
+                seen != children.keys() | leaf_label.keys():
+            raise ArgumentError("every vertex must be reached from the root and "
+                                "be a leaf or an internal vertex, not both")
 
     def scaled(self, factor):
         """The same tree with every edge length multiplied by factor."""
@@ -353,32 +358,33 @@ def _build_recursive(labels, split_fn, rng, edge_fn=None):
     labels labs, in order of least label; every split is checked to have
     at least 2 blocks that together hold exactly labs.  With edge_fn, every
     vertex draws its edge length edge_fn(block size) before its split, and
-    the tree hangs below a degree-1 virtual root.
+    the tree hangs below a degree-1 virtual root.  The blocks wait on an
+    explicit stack, first child on top, so any depth builds.
     """
     children = {}
     leaf_label = {}
     length = None if edge_fn is None else {}
     fresh = itertools.count().__next__
-
-    def build(labs):
+    kids = []       # the child list the next vertex joins
+    if edge_fn is not None:
+        children[fresh()] = kids
+    stack = [(kids, tuple(sorted(labels)))]
+    while stack:
+        kids, labs = stack.pop()
         v = fresh()
+        kids.append(v)
         if edge_fn is not None:
             length[v] = edge_fn(len(labs))
         if len(labs) == 1:
             leaf_label[v] = labs[0]
-            return v
+            continue
         blocks = split_fn(labs, rng)
         if len(blocks) < 2 or tuple(sorted(itertools.chain.from_iterable(blocks))) != labs:
             raise ArgumentError("a split must cut its labels into >= 2 blocks "
                                 "that hold each of them once")
-        children[v] = [build(b) for b in blocks]
-        return v
-
-    if edge_fn is None:
-        return Tree(children, leaf_label, build(tuple(sorted(labels))))
-    root = fresh()
-    children[root] = [build(tuple(sorted(labels)))]
-    return Tree(children, leaf_label, root, length)
+        children[v] = kids = []
+        stack.extend(zip(itertools.repeat(kids), reversed(blocks)))
+    return Tree(children, leaf_label, 0, length)
 
 
 def sample_markov_branching(rule_source, n, rng):

@@ -222,14 +222,28 @@ def _model_for(params):
     return single_atom_model()
 
 
+def _family(params, families, where):
+    """The family params name ("dislocation" by default) and params without
+    it, checked against that family's (kinds, required keys) in families."""
+    rest = dict(params)
+    family = rest.pop("family", "dislocation")
+    if not isinstance(family, str) or family not in families:
+        raise ArgumentError(f"unknown {where} family {family!r}; "
+                            f"one of {', '.join(sorted(families))}")
+    _check_params(rest, *families[family], f"the {family} {where}")
+    return family, rest
+
+
 def _table_for(params, n):
-    family = params.get("family", "dislocation")
+    """The splitting table at n of the family params name; n itself is
+    not a family key."""
+    family, p = _family({key: v for key, v in params.items() if key != "n"},
+                        _TABLE_FAMILIES, "table")
     if family == "alphagamma":
-        return alphagamma_growth_split_oracle(params["alpha"], params["gamma"], n)
+        return alphagamma_growth_split_oracle(p["alpha"], p["gamma"], n)
     if family == "skewed-pd":
-        return skewed_pd_splitting_table(params["alpha"], params["theta"],
-                                         params["lambda"], n)
-    return splitting_rule(_model_for(params), n)
+        return skewed_pd_splitting_table(p["alpha"], p["theta"], p["lambda"], n)
+    return splitting_rule(_model_for(p), n)
 
 
 # ---------------------------------------------------------------------------
@@ -257,16 +271,12 @@ def _exp_grow(cfg):
         return {"n": n, "distinct_shapes": len(rows)}, {
             "frequencies.csv": csv_text(rows, ("shape", "count"))}
 
-    # negative-control knob: gate the samples against a different parameter
-    # pair's law (the gate then fails by design)
-    oa, og = p.get("oracle_alpha", alpha), p.get("oracle_gamma", gamma)
-
     def run_once(rng):
         counts = {}
         for _ in range(cfg.reps):
             pi = grow_alphagamma(alpha, gamma, n, rng).root_split()
             counts[pi] = counts.get(pi, 0) + 1
-        oracle = alphagamma_growth_split_oracle(oa, og, n)
+        oracle = alphagamma_growth_split_oracle(alpha, gamma, n)
         cats = sorted(oracle.probs, key=lambda q: q.to_text())
         return chi_square_gof([counts.get(c, 0) for c in cats],
                               [oracle.probs[c] for c in cats],
@@ -291,6 +301,7 @@ def _exp_consistency(cfg):
 
 def _exp_sampling_consistency(cfg):
     p = cfg.params
+    _check_params(p, _SPD_KEYS, _SPD_KEYS, "sampling-consistency")
     res = sampling_consistency_residual(p["alpha"], p["theta"], p["lambda"])
     return {"residual": res}, {}
 
@@ -390,8 +401,9 @@ def _exp_reduced_crt(cfg):
 
 def _exp_exponent(cfg):
     p = cfg.params
-    model = dict(p.get("model", {"family": "star"}))
-    if model.get("family") == "dislocation":
+    family, model = _family(p.get("model", {"family": "star"}), _TREE_FAMILIES, "model")
+    model["family"] = family
+    if family == "dislocation":
         model["d"] = dislocation_from_params(model)
     slope, err = scaling_exponent(model, p.get("n_grid", [16, 32, 64, 128, 256]),
                                   cfg.reps, p.get("statistic", "height"),
@@ -448,18 +460,25 @@ _KINDS = {
 
 _MODEL_KEYS = {"levels": "object", "c": "list", "k": "list",       # _model_for
                "theorem2": "bool"}
-_TABLE_KEYS = {**_MODEL_KEYS, "family": "string", "alpha": "number",  # _table_for
-               "gamma": "number", "theta": "number", "lambda": "number"}
+_AG_KEYS = {"alpha": "number", "gamma": "number"}
+_SPD_KEYS = {"alpha": "number", "theta": "number", "lambda": "number"}
+
+# family -> (the kind of each key it reads, the keys it needs): the tables
+# of _table_for, and the tree models of the exponent experiment
+_TABLE_FAMILIES = {"dislocation": (_MODEL_KEYS, ()), "alphagamma": (_AG_KEYS, _AG_KEYS),
+                   "skewed-pd": (_SPD_KEYS, _SPD_KEYS)}
+_TREE_FAMILIES = {"dislocation": (_MODEL_KEYS, ()), "alphagamma": (_AG_KEYS, _AG_KEYS),
+                  "star": ({}, ())}
+_TABLE_KEYS = {"family": "string", **{key: kind for kinds, _ in _TABLE_FAMILIES.values()
+                                       for key, kind in kinds.items()}}
 
 # tag -> (experiment, the kind of each params key it reads); any other key
 # is an error
 _DISPATCH = {
     "split-table": (_exp_split_table, {**_TABLE_KEYS, "n": "integer"}),
-    "grow": (_exp_grow, {"alpha": "number", "gamma": "number", "n": "integer",
-                         "oracle_alpha": "number", "oracle_gamma": "number"}),
+    "grow": (_exp_grow, {**_AG_KEYS, "n": "integer"}),
     "consistency": (_exp_consistency, {**_MODEL_KEYS, "n_grid": _INTS}),
-    "sampling-consistency": (_exp_sampling_consistency,
-                             {"alpha": "number", "theta": "number", "lambda": "number"}),
+    "sampling-consistency": (_exp_sampling_consistency, _SPD_KEYS),
     "gnedin": (_exp_gnedin, {"exp_rate": "number", "heavy_tail": "bool", "psi": _INTS,
                              "n_grid": _INTS, "pareto_index": "number"}),
     "renewal": (_exp_renewal, {"kind": "string", "t_grid": _NUMS, "p": "number"}),
@@ -470,10 +489,23 @@ _DISPATCH = {
     "reduced-crt": (_exp_reduced_crt, {**_MODEL_KEYS, "k": "integer", "alpha": "number"}),
     "exponent": (_exp_exponent, {"model": "object", "n_grid": _INTS,
                                  "statistic": "string"}),
-    "gh-stabilize": (_exp_gh_stabilize, {"alpha": "number", "gamma": "number",
-                                         "k": "integer", "n_grid": _INTS}),
+    "gh-stabilize": (_exp_gh_stabilize, {**_AG_KEYS, "k": "integer", "n_grid": _INTS}),
     "classify": (_exp_classify, {**_TABLE_KEYS, "n": "integer"}),
 }
+
+
+def _check_params(params, kinds, required, where):
+    """ArgumentError for a key of params that kinds does not list, a value
+    not of its kind, or a required key that params lacks."""
+    stray = sorted(set(params) - set(kinds))
+    if stray:
+        raise ArgumentError(f"unknown parameter(s) for {where}: {', '.join(stray)}")
+    for key in sorted(params):
+        if not _KINDS[kinds[key]](params[key]):
+            raise ArgumentError(f"parameter {key} of {where} must be a JSON {kinds[key]}")
+    missing = [key for key in required if key not in params]
+    if missing:
+        raise ArgumentError(f"{where} needs parameter(s) {', '.join(missing)}")
 
 
 def run_experiment(cfg):
@@ -482,12 +514,7 @@ def run_experiment(cfg):
     if cfg.tag not in _DISPATCH:
         raise ArgumentError("unknown experiment tag %r" % cfg.tag)
     run, kinds = _DISPATCH[cfg.tag]
-    stray = sorted(set(cfg.params) - set(kinds))
-    if stray:
-        raise ArgumentError(f"unknown parameter(s) for {cfg.tag}: {', '.join(stray)}")
-    for key in sorted(cfg.params):
-        if not _KINDS[kinds[key]](cfg.params[key]):
-            raise ArgumentError(f"parameter {key} of {cfg.tag} must be a JSON {kinds[key]}")
+    _check_params(cfg.params, kinds, (), cfg.tag)
     t0 = time.monotonic()
     summary, tables = run(cfg)
     bundle = {

@@ -4,7 +4,7 @@ All samplers take an explicit numpy Generator and are pure given that handle.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import ArgumentError, ResourceBudgetError, UnsupportedCaseError
@@ -159,12 +159,11 @@ def modified_paintbox_sample(s, base, n, rng):
 
 @dataclass
 class ConstrainedState:
-    """End state (and optional value trace) of a constrained-paintbox run."""
+    """End state of a constrained-paintbox run."""
 
     K: int
     R: int
     steps: int
-    modified_values: tuple = field(default=())
 
     @property
     def J(self):
@@ -185,15 +184,15 @@ def _draw_y(y_sampler, rng):
     return y
 
 
-def gnedin_constrained_run(y_sampler, psi, n, rng, record_values=False):
+def gnedin_constrained_run(y_sampler, psi, n, rng):
     """Run Gnedin's constrained paintbox for n steps.
 
     y_sampler(rng) draws one Y in [0, 1] (NaN or any other value raises
     ArgumentError); G_k = Y_1 ... Y_k is generated lazily.
-    Returns (J_n, ConstrainedState).  The default path skips the non-record
-    steps with geometric jumps on Python floats, one rng.random() per skip,
-    so long runs cost O(J_n); pass
-    record_values=True to walk every step and keep the modified sequence.
+    Returns (J_n, ConstrainedState).  Steps whose uniform is at least the
+    threshold G_K change nothing, so the run jumps straight to the next
+    sub-threshold uniform with a geometric skip on Python floats, one
+    rng.random() per skip, and a long run costs O(J_n).
     """
     psi = tuple(psi)
     if not psi or any(q < 1 for q in psi):
@@ -203,28 +202,6 @@ def gnedin_constrained_run(y_sampler, psi, n, rng, record_values=False):
     G = _draw_y(y_sampler, rng)  # threshold G_K, starts at G_1
     K, R = 1, 0
     pos = psi[0]
-    g_next = None  # G_{K+1}, sampled once per record level
-    if record_values:
-        values = [G] * psi[0]
-        while pos < n:
-            pos += 1
-            u = rng.random()
-            if u >= G:
-                values.append(u)
-                continue
-            if g_next is None:
-                g_next = G * _draw_y(y_sampler, rng)
-            values.append(g_next)
-            if R <= _psi(psi, K + 1) - 2:
-                R += 1
-            else:
-                K += 1
-                R = 0
-                G, g_next = g_next, None
-        st = ConstrainedState(K, R, n, tuple(values))
-        return st.J, st
-    # fast path: steps with I >= G_K change nothing, so jump straight to the
-    # next sub-threshold uniform with a geometric skip, on Python floats
     while G > 0.0:
         if G >= 1.0:
             step = 1

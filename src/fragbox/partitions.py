@@ -51,14 +51,18 @@ class Partition:
         return p
 
     def validate(self):
-        """Canonical blocks of [n]: none empty, together holding each of
-        1..n once (elements are compared by value, so 1.5 never passes),
-        each sorted, and listed by least element.  Each test is one pass in
+        """Canonical blocks of [n]: none empty, of integer elements (no bool,
+        no float such as 1.0) that together hold each of 1..n once, each
+        block sorted, and listed by least element.  Each test is one pass in
         C over the blocks."""
         blocks = self.blocks
         if not all(blocks):
             raise ArgumentError("empty block")
-        if sorted(chain.from_iterable(blocks)) != list(range(1, self.n + 1)):
+        elements = list(chain.from_iterable(blocks))
+        kinds = set(map(type, elements))
+        if bool in kinds or not all(hasattr(kind, "__index__") for kind in kinds):
+            raise ArgumentError("the elements of a partition must be integers")
+        if sorted(elements) != list(range(1, self.n + 1)):
             raise ArgumentError("blocks must partition [n]")
         lists = list(map(list, blocks))
         if list(map(sorted, blocks)) != lists:
@@ -89,12 +93,10 @@ class Partition:
         return "|".join(" ".join(str(x) for x in b) for b in self.blocks)
 
     @staticmethod
-    def from_text(text, n=None):
+    def from_text(text):
+        """The partition of [n] written as text, n its largest element."""
         blocks = [[int(x) for x in part.split()] for part in text.split("|")]
-        size = max(max(b) for b in blocks)
-        if n is None:
-            n = size
-        return Partition.from_blocks(n, blocks)
+        return Partition.from_blocks(max(map(max, blocks)), blocks)
 
     def is_trivial(self):
         return len(self.blocks) == 1

@@ -13,7 +13,6 @@ import numpy as np
 from .dislocation import _split_law, rate_closed_form
 from .errors import ArgumentError, UnsupportedCaseError
 from .growth import _build_recursive
-from .partitions import csv_rows, csv_text
 
 NEGLIGIBLE = 1e-8  # e^{-a xi} below this ends an infinite window
 
@@ -97,15 +96,6 @@ class SubordinatorPath:
         xs = np.concatenate(([0.0], np.cumsum(self.jumps)))
         v = xs[np.searchsorted(self.times, t, side="right")]
         return float(v) if np.ndim(v) == 0 else v
-
-    def to_csv(self):
-        return csv_text([(repr(t), repr(z)) for t, z in self.events], ("time", "jump"))
-
-    @staticmethod
-    def from_csv(text, horizon):
-        p = SubordinatorPath(horizon, [tuple(float(x) for x in r) for r in csv_rows(text)])
-        p.validate()
-        return p
 
 
 @dataclass(frozen=True)

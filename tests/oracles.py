@@ -5,7 +5,9 @@ alpha-gamma tree, so one law at n = 7 holds about 66 MB; it checks the
 root-split chain `dislocation.alphagamma_growth_split_oracle` and the growth
 sampler, and nothing in the library calls it.  `gnedin_skip_reference` is the
 skip loop of `paintbox.gnedin_constrained_run` with one numpy call per scalar
-operation; the two must agree draw for draw.  `split_tree_reference` builds a
+operation; the two must agree draw for draw.  `gnedin_walk_reference` walks
+every step of the same paintbox and keeps the modified sequence; it must
+agree with the skips in law.  `split_tree_reference` builds a
 fragmentation tree the per-vertex way, rebuilding the split components and a
 validated `Partition` at every vertex (`sample_split_reference`) and then
 relabelling its blocks; the trees that `growth._build_recursive` builds
@@ -24,7 +26,7 @@ from fragbox.dislocation import (_check_alphagamma_params, _colour_masses, _pick
 from fragbox.errors import ArgumentError, ModelError, ResourceBudgetError
 from fragbox.growth import Tree
 from fragbox.paintbox import ConstrainedState, _paint_partition, _paints, _psi
-from fragbox.partitions import _maximal_strict_subsets
+from fragbox.partitions import Partition, _maximal_strict_subsets
 
 
 # one chain n = 2..7 (n = 2 ends the recursion); a law at n = 7 holds about 66 MB
@@ -106,6 +108,34 @@ def gnedin_skip_reference(y_sampler, psi, n, rng):
     return st.J, st
 
 
+def gnedin_walk_reference(y_sampler, psi, n, rng):
+    """(J_n, ConstrainedState, values) of Gnedin's constrained paintbox by
+    walking every step: a uniform at or above the threshold G_K is kept as
+    it is, one below is replaced by G_{K+1}; values is that modified
+    sequence, G_1 repeated psi_1 times first.  psi and n unchecked."""
+    psi = tuple(psi)
+    G = float(y_sampler(rng))
+    K, R = 1, 0
+    g_next = None  # G_{K+1}, sampled once per record level
+    values = [G] * psi[0]
+    for _ in range(psi[0], n):
+        u = rng.random()
+        if u >= G:
+            values.append(u)
+            continue
+        if g_next is None:
+            g_next = G * float(y_sampler(rng))
+        values.append(g_next)
+        if R <= _psi(psi, K + 1) - 2:
+            R += 1
+        else:
+            K += 1
+            R = 0
+            G, g_next = g_next, None
+    st = ConstrainedState(K, R, n)
+    return st.J, st, tuple(values)
+
+
 def sample_split_reference(d, b, rng):
     """One root split of [b], b >= 2, with the split components rebuilt and
     the running colour masses recomputed on every call."""
@@ -115,8 +145,8 @@ def sample_split_reference(d, b, rng):
         raise ModelError("zero splitting rate: degenerate dislocation")
     comp = comps[_pick(masses, rng.random())][1]
     if comp[0] == "delta":
-        _, build, j = comp
-        return build(j, b)
+        _, blocks, j = comp
+        return Partition.from_blocks(b, blocks(j, tuple(range(1, b + 1))))
     _, lo, hi, s = comp
     probs, cum, colours = _paints(s, b, rng)
     m = len(s.atoms)

@@ -19,8 +19,8 @@ from oracles import alphagamma_tree_distribution, outcome, sample_split_referenc
 from strategies import dislocations
 
 
-def P(text, n=None):
-    return Partition.from_text(text, n)
+def P(text):
+    return Partition.from_text(text)
 
 
 def random_model(rng, theorem2=False):
@@ -320,8 +320,8 @@ def test_keyed_cylinder_weights_match_per_partition(d, n):
     # one _level_cylinder per (class, sizes) key gives every partition the
     # value its own evaluation gives, in all_partitions order
     want = {p: _level_cylinder(d, p) for p in all_partitions(n) if not p.is_trivial()}
-    for mass, build, j in _delta_atoms(d, n):
-        want[build(j, n)] += mass
+    for mass, blocks, j in _delta_atoms(d, n):
+        want[Partition.from_blocks(n, blocks(j, tuple(range(1, n + 1))))] += mass
     got = _cylinder_weights(d, n)
     assert list(got) == list(want)
     assert got == want

@@ -594,9 +594,30 @@ def test_tree_with_and_without_lengths():
     for bad in (Tree({0: [1]}, {1: 1}, 0),                  # one child, unit edges
                 Tree({0: [1, 2]}, {1: 1, 2: 3}, 0),         # labels not 1..n
                 Tree({0: [1]}, {1: 1}, 0, {1: -1.0}),       # negative length
-                Tree({0: [1], 1: [0]}, {}, 0, {0: 1.0, 1: 1.0})):  # cycle
+                Tree({0: [1], 1: [0]}, {}, 0, {0: 1.0, 1: 1.0}),   # cycle
+                # a unit-edge cycle whose vertices have 2 children each
+                Tree({0: [1, 2], 1: [0, 3]}, {2: 1, 3: 2}, 0),
+                Tree({0: [1, 2], 3: [1, 2]}, {1: 1, 2: 2}, 0),      # 3 unreachable
+                Tree({0: [1, 2]}, {0: 1, 1: 2, 2: 3}, 0),   # labelled internal vertex
+                Tree({0: [1, 2, 3]}, {1: 1, 2: 2}, 0),      # unlabelled leaf
+                Tree({0: [1, 2], 1: [3, 4], 2: [3, 4]}, {3: 1, 4: 2}, 0)):  # shared children
         with pytest.raises(ArgumentError):
             bad.validate()
+
+
+def test_deep_trees_build():
+    # splits that nearly always peel one leaf give trees over a thousand
+    # levels deep, beyond the interpreter's recursion limit
+    d = DiscreteDislocation.from_level_dict({1: [((0.5, 0.5), 1e-6)]}, c=(1.0,))
+    t = sample_fragmentation_tree(d, 2000, np.random.default_rng(0))
+    t.validate()
+    assert t.n == 2000 and tree_height(t) > 1000
+    # the reduced-CRT sampler needs a conservative model: the second paint
+    # of a split rarely shares the small colour with any other
+    d = DiscreteDislocation.from_level_dict({1: [((0.999, 0.001), 1.0)]}, theorem2_mode=True)
+    rt = sample_reduced_crt(d, 2000, 0.5, np.random.default_rng(0), lengths=False)
+    rt.validate()
+    assert rt.n == 2000 and tree_height(rt) > 1000
 
 
 def test_special_branch_count_examples():

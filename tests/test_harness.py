@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import stats
 
-from fragbox import ArgumentError
+from fragbox import ArgumentError, harness
+from fragbox.cli import main
 from fragbox.harness import (ChiSquareReport, ExperimentConfig, _chi2_sf,
                              chi_square_gof, csv_text, derive_seed, gof_gate,
                              rng_for, run_experiment)
@@ -253,6 +254,24 @@ def test_cli_bad_input_exit_2(tmp_path):
                        ("gnedin", "n_grid=[]"), ("gnedin", "exp_rate=0")):
         r = cli(cmd, "--param", param)
         assert r.returncode == 2 and "Traceback" not in r.stderr, (cmd, r.stderr)
+    # a key that the chosen family does not read, an unknown family, and a
+    # key that the family needs but is not given, which is named
+    for cmd, params, named in (
+            ("split-table", ("alpha=0.5", "theta=3"), "alpha"),
+            ("split-table", ("family=bogus",), "bogus"),
+            ("classify", ("family=alphagamma", "alpha=0.5", "gamma=0.3",
+                          'levels={"1": [[[0.5, 0.5], 1.0]]}'), "levels"),
+            ("split-table", ("family=alphagamma", "alpha=0.5"), "gamma"),
+            ("split-table", ("family=skewed-pd", "alpha=0.5", "theta=1"), "lambda"),
+            ("sampling-consistency", ("alpha=0.5", "theta=1"), "lambda"),
+            ("exponent", ('model={"family": "alphagamma", "alpha": 0.5}',), "gamma"),
+            ("exponent", ('model={"family": "alphagamma", "alpha": 0.5, "gamma": 0.3, '
+                          '"theta": 1}',), "theta"),
+            ("exponent", ('model={"family": "bogus"}',), "bogus"),
+            ("exponent", ('model={"family": "star", "alpha": 0.5}',), "alpha")):
+        r = cli(cmd, *[a for p in params for a in ("--param", p)])
+        assert r.returncode == 2 and named in r.stderr and "Traceback" not in r.stderr, \
+            (cmd, params, r.stderr)
 
 
 @pytest.mark.parametrize("params", [{"exp_rate": 0}, {"exp_rate": -1.5},
@@ -280,12 +299,16 @@ def test_cli_malformed_levels_exit_2():
         assert "Traceback" not in r.stderr
 
 
-def test_cli_gate_failure_exit_3():
-    r = cli("grow", "--param", "n=3", "--param", "alpha=0.5",
-            "--param", "gamma=0.3", "--param", "oracle_alpha=0.9",
-            "--param", "oracle_gamma=0.1", "--reps", "4000")
-    assert r.returncode == 3, (r.returncode, r.stdout, r.stderr)
-    assert json.loads(r.stdout)["gate_passed"] is False
+def test_cli_gate_failure_exit_3(monkeypatch, capsys):
+    # the samples gated against another parameter pair's law fail the gate
+    real = harness.alphagamma_growth_split_oracle
+    monkeypatch.setattr(harness, "alphagamma_growth_split_oracle",
+                        lambda alpha, gamma, n: real(0.9, 0.1, n))
+    code = main(["grow", "--param", "n=3", "--param", "alpha=0.5",
+                 "--param", "gamma=0.3", "--reps", "4000"])
+    out = capsys.readouterr().out
+    assert code == 3, out
+    assert json.loads(out)["gate_passed"] is False
 
 
 def test_cli_config_file_params(tmp_path):

@@ -13,11 +13,11 @@ from fragbox import (ArgumentError, MassPartition, Partition,
                      modified_paintbox_sample, restrict_partition)
 from fragbox.harness import chi_square_gof
 from fragbox.paintbox import _colour_blocks
-from oracles import gnedin_skip_reference
+from oracles import gnedin_skip_reference, gnedin_walk_reference
 
 
-def P(text, n=None):
-    return Partition.from_text(text, n)
+def P(text):
+    return Partition.from_text(text)
 
 
 def brute_force_cylinder(s, p):
@@ -135,7 +135,7 @@ def test_kingman_sample_matches_probs():
 
 def test_modified_paintbox_base_singleton():
     s = MassPartition((0.6, 0.4))
-    base = P("1", 1)
+    base = P("1")
     for p in all_partitions(3):
         assert abs(modified_paintbox_prob(s, base, p)
                    - kingman_cylinder_prob(s, p)) < 1e-12
@@ -327,11 +327,11 @@ def test_gnedin_trace_semantics():
     # with Y == 1 every uniform is below the threshold, so records accumulate
     # one per step and the modified value stays G = 1
     rng = np.random.default_rng(9)
-    j, st = gnedin_constrained_run(lambda r: 1.0, (1,), 10, rng, record_values=True)
+    j, st, values = gnedin_walk_reference(lambda r: 1.0, (1,), 10, rng)
     assert st.K == 10 and st.R == 0 and j == 10
-    assert len(st.modified_values) == 10
+    assert values == (1.0,) * 10
     # psi = 2: records need two copies each
-    j2, st2 = gnedin_constrained_run(lambda r: 1.0, (2,), 10, rng, record_values=True)
+    j2, st2, _ = gnedin_walk_reference(lambda r: 1.0, (2,), 10, rng)
     assert st2.K == 5 and j2 == 5
     # the fast path takes the same unit steps, drawing no uniform
     before = rng.bit_generator.state
@@ -356,18 +356,17 @@ def test_gnedin_fast_path_matches_reference(seed, psi, n, heavy):
 
 
 @pytest.mark.parametrize("bad", [math.nan, -0.5, 1.5])
-@pytest.mark.parametrize("record_values", [False, True])
-def test_gnedin_bad_y_raises(bad, record_values):
-    # a bad first Y, and a bad Y at the second level after a valid first
-    for ys in ([bad], [0.5, bad]):
-        draws = iter(ys)
-        with pytest.raises(ArgumentError, match="y_sampler"):
-            gnedin_constrained_run(lambda r: next(draws), (1,), 10 ** 3,
-                                   np.random.default_rng(3), record_values=record_values)
+@pytest.mark.parametrize("second_level", [False, True])
+def test_gnedin_bad_y_raises(bad, second_level):
+    # a bad first Y, or a bad Y at the second level after a valid first
+    draws = iter([0.5, bad] if second_level else [bad])
+    with pytest.raises(ArgumentError, match="y_sampler"):
+        gnedin_constrained_run(lambda r: next(draws), (1,), 10 ** 3,
+                               np.random.default_rng(3))
     # Y = 0 stays valid: G_2 = 0 ends the records
     draws = iter([0.5, 0.0])
     j, _ = gnedin_constrained_run(lambda r: next(draws), (1,), 10 ** 3,
-                                  np.random.default_rng(3), record_values=record_values)
+                                  np.random.default_rng(3))
     assert j == 2
 
 
@@ -391,9 +390,8 @@ def test_gnedin_fast_and_trace_agree_in_distribution():
     for i in range(ns):
         j1, _ = gnedin_constrained_run(_y_exp, (1,), 500,
                                        np.random.default_rng(1000 + i))
-        j2, _ = gnedin_constrained_run(_y_exp, (1,), 500,
-                                       np.random.default_rng(5000 + i),
-                                       record_values=True)
+        j2, _, _ = gnedin_walk_reference(_y_exp, (1,), 500,
+                                         np.random.default_rng(5000 + i))
         fast.append(j1)
         slow.append(j2)
     # same law: compare means within 4 pooled standard errors

@@ -10,8 +10,8 @@ from fragbox.partitions import _maximal_strict_subsets
 from oracles import validate_partition_reference
 
 
-def P(text, n=None):
-    return Partition.from_text(text, n)
+def P(text):
+    return Partition.from_text(text)
 
 
 def old_all_partitions(n):
@@ -101,6 +101,15 @@ def test_partition_validate_rejects_non_integer_elements():
     validate_partition_reference(2, ((1.5,), (2,)))
     with pytest.raises(ArgumentError, match="partition"):
         Partition.from_blocks(2, [[1.5], [2]])
+    # 1.0 and True equal 1, so they passed a comparison by value, printed
+    # as "1.0|2" and "True|2", and from_text could not read either back
+    for blocks in (((1.0,), (2,)), ((True,), (2,))):
+        validate_partition_reference(2, blocks)
+        with pytest.raises(ArgumentError, match="integers"):
+            Partition(2, blocks).validate()
+        with pytest.raises(ArgumentError, match="integers"):
+            Partition.from_blocks(2, blocks)
+    Partition(2, ((np.int64(1),), (2,))).validate()
 
 
 def _rejects(check):

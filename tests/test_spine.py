@@ -113,13 +113,15 @@ def test_simulate_subordinator_tail_and_atoms():
     assert abs(np.mean(tail > 0.1) - surv) < 4 * math.sqrt(surv * (1 - surv) / len(tail))
 
 
-def test_path_csv_roundtrip():
+def test_path_validate():
     p = SubordinatorPath(5.0, [(1.0, 0.5), (2.5, 0.25)])
-    q = SubordinatorPath.from_csv(p.to_csv(), 5.0)
-    assert q.events == p.events
-    assert SubordinatorPath.from_csv(SubordinatorPath(5.0, []).to_csv(), 5.0).events == []
-    with pytest.raises(ArgumentError):
-        SubordinatorPath.from_csv(SubordinatorPath(5.0, [(2.5, 0.5), (1.0, 0.25)]).to_csv(), 5.0)
+    p.validate()
+    assert p.events == [(1.0, 0.5), (2.5, 0.25)]
+    SubordinatorPath(5.0, []).validate()
+    # out of order, beyond the horizon, a jump that is not positive
+    for events in ([(2.5, 0.5), (1.0, 0.25)], [(1.0, 0.5), (6.0, 0.25)], [(1.0, 0.0)]):
+        with pytest.raises(ArgumentError):
+            SubordinatorPath(5.0, events).validate()
     with pytest.raises(ArgumentError):
         SubordinatorPath(5.0, [(1.0, 0.5, 2.0)])
 
