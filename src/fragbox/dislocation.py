@@ -252,8 +252,9 @@ def rate_closed_form(d, n):
 
     The fast path of rate(), which stays its enumeration oracle: the total
     of the component masses that sample_split draws from.  The capped
-    level's classes j >= m_cap enter as one geometric tail per atom, so the
-    cost is O(levels * atoms) for every n.
+    level's classes j >= m_cap enter as one geometric tail per atom, and
+    the parts that do not depend on n come from the model's cached split
+    law, so a call costs O(atoms + components) for every n.
     """
     if n < 2:
         raise ArgumentError("rates start at n = 2")
@@ -325,8 +326,7 @@ def _split_components(d, b):
     A level component ("atom", lo, hi, s) covers the paintbox classes
     j = lo..hi of one atom s: its mass is P(paintbox of [b] lands in one of
     those classes) on P_b, the sum of its _colour_masses (for class 1 it is
-    1 - sum s_i^2, which also lets the second paint fall in dust; the
-    running colour sums are left to _split_law).  Every
+    1 - sum s_i^2, which also lets the second paint fall in dust).  Every
     class j < max(m_cap, 2) gets one component per atom of nu_j, with
     per-colour masses s_i^j (1 - s_i).  The capped level serves every class
     j in [max(m_cap, 2), b - 1] through one tail component per atom, whose
@@ -335,26 +335,17 @@ def _split_components(d, b):
     blocks(j, labels) of the block's labels.
     Components of zero mass are dropped.  Whatever b is, the list holds at
     most one entry per atom of each level (two per atom when m_cap = 1) and
-    one per c_j, k_j and c_1, so its cost does not depend on b.
+    one per c_j, k_j and c_1, so its cost does not depend on b.  The list
+    is read off the model's cached split law (_SplitLaw.components).
     """
-    comps = []
+    return [(mass, comp) for mass, comp, _ in _split_law(d).components(b)]
 
-    def add_atoms(atoms, lo, hi):
-        for s, w in atoms:
-            if lo == 1:
-                q = 1.0 - sum(si ** 2 for si in s.atoms)
-            else:
-                q = sum(_colour_masses(s, lo, hi))
-            if q > 0:
-                comps.append((w * q, ("atom", lo, hi, s)))
 
-    tail = max(d.m_cap, 2)
-    for j in range(1, min(tail, b)):
-        add_atoms(d.atoms_at(j), j, j)
-    if tail < b:
-        add_atoms(d.levels[-1], tail, b - 1)
-    comps += [(mass, ("delta", blocks, j)) for mass, blocks, j in _delta_atoms(d, b)]
-    return comps
+def _delta_components(d, n):
+    """(mass, component, draw) of each delta atom of _delta_atoms(d, n); a
+    delta draws nothing, it puts the block's labels on its split."""
+    return [(mass, ("delta", blocks, j), lambda rng, labels, blocks=blocks, j=j: blocks(j, labels))
+            for mass, blocks, j in _delta_atoms(d, n)]
 
 
 def _colour_masses(s, lo, hi):
@@ -374,18 +365,24 @@ def _truncated_geometric(s, lo, hi, u):
     return lo + min(max(t, 0), hi - lo)
 
 
-def _level_draw(s, lo, hi, b):
-    """draw(rng, labels) of one level component ("atom", lo, hi, s) on a block
-    of size b: the paints, then the conditioning of the class event."""
+def _level_draw(s, lo, hi):
+    """draw(rng, labels) of one level component ("atom", lo, hi, s) on the
+    block of the given labels: the paints, then the conditioning of the
+    class event.  A tail component (hi None) covers the classes lo..b - 1
+    of a block of b labels, so one draw serves every block size.  It reads
+    the atom's colour table only when drawn, so rate_closed_form, which
+    reads the components of a split law and draws none, never builds one."""
     m = len(s.atoms)
-    probs, cum = s.colour_table
     if lo == 1:
-        cum = cum.tolist()
+        cum = None
 
         def draw(rng, labels):
+            nonlocal cum
             # condition on paints 1 and 2 sitting in different blocks
-            colours = _paints(s, b, rng)[2].tolist()
+            colours = _paints(s, len(labels), rng)[2].tolist()
             while colours[0] == colours[1] and colours[0] < m:
+                if cum is None:
+                    cum = s.colour_table[1].tolist()
                 colours[0] = bisect_left(cum, rng.random())
                 colours[1] = bisect_left(cum, rng.random())
             return _colour_blocks(colours, m, labels)
@@ -393,13 +390,17 @@ def _level_draw(s, lo, hi, b):
 
     # paints 1..j share colour i (chosen by its mass over classes lo..hi,
     # then j given i); paint j+1 avoids colour i; the rest stay free
-    colour_cum = list(accumulate(_colour_masses(s, lo, hi)))
+    level_cum = None if hi is None else list(accumulate(_colour_masses(s, lo, hi)))
     others = [None] * m     # colour i -> running sums and total of the other colours
 
     def draw(rng, labels):
-        colours = _paints(s, b, rng)[2].tolist()
+        b = len(labels)
+        probs, _, colours = _paints(s, b, rng)
+        colours = colours.tolist()
+        top = hi or b - 1
+        colour_cum = level_cum or list(accumulate(_colour_masses(s, lo, top)))
         i = _pick(colour_cum, rng.random())
-        j = lo if lo == hi else _truncated_geometric(s.atoms[i], lo, hi, rng.random())
+        j = lo if lo == top else _truncated_geometric(s.atoms[i], lo, top, rng.random())
         colours[:j] = [i] * j
         if others[i] is None:
             other = np.delete(probs, i)
@@ -411,55 +412,98 @@ def _level_draw(s, lo, hi, b):
     return draw
 
 
-def _component_draw(comp, b):
-    """draw(rng, labels) of one component of _split_components on a block of
-    size b; a delta atom draws nothing."""
-    if comp[0] == "delta":
-        _, blocks, j = comp
-        return lambda rng, labels: blocks(j, labels)
-    _, lo, hi, s = comp
-    return _level_draw(s, lo, hi, b)
+class _SplitLaw:
+    """The root-split law of one model at every block size b >= 2.
+
+    Its parts do not depend on b: the level components of the classes below
+    the tail, the tail's atoms, the delta atoms, and one draw for each
+    (_level_draw reads b from the labels it is given and keeps the running
+    colour sums it reads).  From the threshold max(m_cap, 2, len(c),
+    len(k)) + 1 on, two block sizes differ only in the tail's per-colour
+    masses, so a block size there adds its tail masses and the running sums
+    of the component masses, O(atoms + components).  A frame (those running
+    sums and the draws) is kept for each of the threshold - 2 block sizes
+    below the threshold, and for no other.
+    """
+
+    def __init__(self, d):
+        self.d = d
+        tail = self.tail = max(d.m_cap, 2)
+        self.threshold = max(tail, len(d.c), len(d.k)) + 1
+        self.head = []      # (mass, component, draw) of the classes 1..tail-1
+        for j in range(1, tail):
+            for s, w in d.atoms_at(j):
+                q = 1.0 - sum(si ** 2 for si in s.atoms) if j == 1 \
+                    else sum(_colour_masses(s, j, j))
+                if q > 0:
+                    self.head.append((w * q, ("atom", j, j, s), _level_draw(s, j, j)))
+        self.tail_atoms = [(s, w, _level_draw(s, tail, None)) for s, w in d.levels[-1]]
+        self.deltas = _delta_components(d, self.threshold)
+        self.frames = {}    # b < threshold -> frame
+
+    def components(self, b):
+        """(mass, component, draw) list of the root split of a block of size
+        b >= 2, as _split_components describes it."""
+        below = b < self.threshold
+        comps = [c for c in self.head if c[1][1] < b] if below else self.head.copy()
+        tail = self.tail
+        if tail < b:
+            for s, w, draw in self.tail_atoms:
+                q = sum(_colour_masses(s, tail, b - 1))
+                if q > 0:
+                    comps.append((w * q, ("atom", tail, b - 1, s), draw))
+        return comps + (_delta_components(self.d, b) if below else self.deltas)
+
+    def _frame(self, b):
+        """(running sums of the component masses, component draws) at block
+        size b."""
+        masses, draws, total = [], [], 0.0
+        for mass, _, draw in self.components(b):
+            total += mass
+            masses.append(total)
+            draws.append(draw)
+        if not masses or total <= 0:
+            raise ModelError("zero splitting rate: degenerate dislocation")
+        return masses, draws
+
+    def split(self, labels, rng):
+        """One root split of a block of b >= 2 sorted labels, as the tuple of
+        child label blocks in order of least label."""
+        b = len(labels)
+        frame = self.frames.get(b)
+        if frame is None:
+            frame = self._frame(b)
+            if b < self.threshold:
+                self.frames[b] = frame
+        masses, draws = frame
+        return draws[_pick(masses, rng.random())](rng, labels)
 
 
 @lru_cache(maxsize=32)
-def _split_law(d, b):
-    """law(rng, labels): one root split of a block of b >= 2 sorted labels,
-    as the tuple of child label blocks in order of least label.
+def _split_law(d):
+    """The _SplitLaw of model d, built once per model; law.split(labels,
+    rng) draws one root split of a block of b >= 2 sorted labels, as the
+    tuple of child label blocks in order of least label.
 
-    Built once per (d, b): the components of _split_components and the
-    running sums of their masses; a component's own draw, with the running
-    colour masses its conditioning reads, is built the first time it is
-    drawn.  A call picks a component by one uniform against those sums; for
-    a level component it picks the colour i by its per-colour mass and, for
-    a tail, the class j by inverting the truncated geometric law P(j)
-    proportional to s_i^j on [lo, b - 1].  Then it samples the conditioned
-    paintbox directly: only the first j+1 paints are constrained by the
-    class-j event.  The paints are grouped straight into label blocks
-    (_colour_blocks), so apart from the O(b) paints the cost of a call does
-    not grow with b.
+    A call picks a component by one uniform against the running sums of
+    the component masses at b; for a level component it picks the colour i
+    by its per-colour mass and, for a tail, the class j by inverting the
+    truncated geometric law P(j) proportional to s_i^j on [lo, b - 1].
+    Then it samples the conditioned paintbox directly: only the first j+1
+    paints are constrained by the class-j event.  The paints are grouped
+    straight into label blocks (_colour_blocks), so apart from the O(b)
+    paints the cost of a call does not grow with b.
     """
-    comps = _split_components(d, b)
-    masses = list(accumulate(mass for mass, _ in comps))
-    if not masses or masses[-1] <= 0:
-        raise ModelError("zero splitting rate: degenerate dislocation")
-    draws = [None] * len(comps)
-
-    def law(rng, labels):
-        i = _pick(masses, rng.random())
-        draw = draws[i]
-        if draw is None:
-            draw = draws[i] = _component_draw(comps[i][1], b)
-        return draw(rng, labels)
-    return law
+    return _SplitLaw(d)
 
 
 def sample_split(d, b, rng):
     """Draw one root split of a block of size b >= 2, without building P_b
-    tables: the validated Partition of the cached law _split_law(d, b) on
-    the labels 1..b."""
+    tables: the validated Partition of the model's cached law _split_law(d)
+    on the labels 1..b."""
     if b < 2:
         raise ArgumentError("blocks of size 1 do not split")
-    p = Partition(b, _split_law(d, b)(rng, tuple(range(1, b + 1))))
+    p = Partition(b, _split_law(d).split(tuple(range(1, b + 1)), rng))
     p.validate()
     return p
 

@@ -126,30 +126,45 @@ class Tree:
 
     def validate(self):
         """One walk from the root, which must reach no vertex twice, so the
-        label sets below the vertices are laminar.  Unit edges: internal
-        vertices have >= 2 children, the leaves carry 1..n, and the walk
-        reaches every vertex, each a leaf or an internal vertex but not both.
-        With lengths: no length is negative."""
-        children, leaf_label = self.children, self.leaf_label
-        seen, stack = set(), [self.root]
-        while stack:
-            v = stack.pop()
-            if v in seen:
-                raise ArgumentError("vertex reached twice: not a tree")
-            seen.add(v)
-            stack.extend(children.get(v, ()))
-        if self.length is not None:
-            if any(l < 0 for l in self.length.values()):
-                raise ArgumentError("negative edge length")
-            return
-        if any(len(cs) < 2 for cs in children.values()):
-            raise ArgumentError("internal vertex with fewer than 2 children")
-        if sorted(leaf_label.values()) != list(range(1, self.n + 1)):
-            raise ArgumentError("leaf labels must be 1..n")
-        if len(seen) != len(children) + len(leaf_label) or \
-                seen != children.keys() | leaf_label.keys():
+        label sets below the vertices are laminar, and must reach every
+        vertex, each a leaf or an internal vertex but not both.  Unit edges:
+        internal vertices have >= 2 children and the leaves carry 1..n.
+        With lengths: internal vertices have >= 1 child, the leaf labels are
+        distinct, every vertex but the root has a length, no other key does,
+        and no length is negative.  The walk appends each child list to the
+        list it iterates, and the checks are set operations on the result."""
+        children, leaf_label, length = self.children, self.leaf_label, self.length
+        size = len(children) + len(leaf_label)
+        order = [self.root]
+        for v in order:
+            cs = children.get(v)
+            if cs:
+                order += cs
+                if len(order) > size:   # a cycle would grow it forever
+                    raise ArgumentError("a vertex reached twice, or one that is neither "
+                                        "a leaf nor an internal vertex: not a tree")
+        seen = set(order)
+        if len(seen) != len(order):
+            raise ArgumentError("vertex reached twice: not a tree")
+        if len(seen) != size or seen != children.keys() | leaf_label.keys():
             raise ArgumentError("every vertex must be reached from the root and "
                                 "be a leaf or an internal vertex, not both")
+        if length is None:
+            if any(len(cs) < 2 for cs in children.values()):
+                raise ArgumentError("internal vertex with fewer than 2 children")
+            if sorted(leaf_label.values()) != list(range(1, self.n + 1)):
+                raise ArgumentError("leaf labels must be 1..n")
+            return
+        if not all(children.values()):
+            raise ArgumentError("internal vertex with no children")
+        if len(set(leaf_label.values())) != len(leaf_label):
+            raise ArgumentError("leaf labels must be distinct")
+        seen.discard(self.root)
+        if length.keys() != seen:
+            raise ArgumentError("every vertex but the root, and no other, needs "
+                                "an edge length")
+        if any(l < 0 for l in length.values()):
+            raise ArgumentError("negative edge length")
 
     def scaled(self, factor):
         """The same tree with every edge length multiplied by factor."""
@@ -404,12 +419,12 @@ def sample_markov_branching(rule_source, n, rng):
 
 def sample_fragmentation_tree(d, n, rng):
     """Markov branching tree of a DiscreteDislocation without enumerating
-    tables: each split draws from the cached law of its (model, block size)
-    (dislocation._split_law), which groups the block's own labels."""
+    tables: every split draws from the model's one cached split law
+    (dislocation._split_law), which reads the block size off the block's
+    own labels and groups them."""
     if n < 1:
         raise ArgumentError("n must be positive")
-    return _build_recursive(range(1, n + 1),
-                            lambda labs, r: _split_law(d, len(labs))(r, labs), rng)
+    return _build_recursive(range(1, n + 1), _split_law(d).split, rng)
 
 
 def delete_uniform_leaf(t, rng):

@@ -43,8 +43,10 @@ def kingman_sample(s, n, rng):
     """Sample the value partition of n iid paints from s; dust draws are singletons.
 
     Draws with one rng.random(n) and nothing else.  _paints draws the
-    colours and _paint_partition maps them to blocks; a dislocation's split
-    law (dislocation._split_law) conditions the paints in between.
+    colours and _paint_partition maps them to blocks; the split law of a
+    dislocation model (dislocation._split_law, one per model for every
+    block size) conditions the paints in between and groups them into the
+    block's own labels.
     """
     assert n >= 1
     return _paint_partition(_paints(s, n, rng)[2], s.m)

@@ -295,10 +295,10 @@ def _edge_length(d, j, alpha, rng, leaf_cap):
 
 
 def sample_reduced_crt(d, k, alpha, rng, lengths=True, leaf_cap=100.0):
-    """Reduced tree on k leaves: recursive splits drawn from the cached split
-    law of each (model, block size), dislocation._split_law (the model's own
-    splitting rule, so k is not capped), edge lengths as killed
-    exponential functionals of fresh spinal paths.
+    """Reduced tree on k leaves: recursive splits drawn from the model's one
+    cached split law, dislocation._split_law (the model's own splitting
+    rule, so k is not capped), edge lengths as killed exponential
+    functionals of fresh spinal paths.
 
     A spine whose killing rate is 0 runs to the horizon leaf_cap.  Every
     leaf edge is one (spinal_levy_measure(d, 1) is never killed), so a leaf
@@ -310,5 +310,4 @@ def sample_reduced_crt(d, k, alpha, rng, lengths=True, leaf_cap=100.0):
     if k < 1:
         raise ArgumentError("k must be positive")
     edge = (lambda j: _edge_length(d, j, alpha, rng, leaf_cap)) if lengths else (lambda j: 1.0)
-    return _build_recursive(range(1, k + 1),
-                            lambda labs, r: _split_law(d, len(labs))(r, labs), rng, edge)
+    return _build_recursive(range(1, k + 1), _split_law(d).split, rng, edge)

@@ -13,6 +13,9 @@ validated `Partition` at every vertex (`sample_split_reference`) and then
 relabelling its blocks; the trees that `growth._build_recursive` builds
 from the cached split laws must be the same, and leave the generator in the
 same state.
+`split_components_reference` builds the split components of one block size
+from the model alone; the per-model split law of `dislocation._split_law`
+must give the same list at every block size.
 `validate_partition_reference` is the element-by-element loop that
 `Partition.validate` replaced."""
 
@@ -21,8 +24,8 @@ from itertools import accumulate, count
 
 import numpy as np
 
-from fragbox.dislocation import (_check_alphagamma_params, _colour_masses, _pick,
-                                 _split_components, _truncated_geometric)
+from fragbox.dislocation import (_check_alphagamma_params, _colour_masses, _delta_atoms,
+                                 _pick, _truncated_geometric)
 from fragbox.errors import ArgumentError, ModelError, ResourceBudgetError
 from fragbox.growth import Tree
 from fragbox.paintbox import ConstrainedState, _paint_partition, _paints, _psi
@@ -136,10 +139,35 @@ def gnedin_walk_reference(y_sampler, psi, n, rng):
     return st.J, st, tuple(values)
 
 
+def split_components_reference(d, b):
+    """The (mass, component) list of dislocation._split_components, built
+    from the model for this one block size: level by level, then the tail
+    at [max(m_cap, 2), b - 1], then the delta atoms."""
+    comps = []
+
+    def add_atoms(atoms, lo, hi):
+        for s, w in atoms:
+            if lo == 1:
+                q = 1.0 - sum(si ** 2 for si in s.atoms)
+            else:
+                q = sum(_colour_masses(s, lo, hi))
+            if q > 0:
+                comps.append((w * q, ("atom", lo, hi, s)))
+
+    tail = max(d.m_cap, 2)
+    for j in range(1, min(tail, b)):
+        add_atoms(d.atoms_at(j), j, j)
+    if tail < b:
+        add_atoms(d.levels[-1], tail, b - 1)
+    comps += [(mass, ("delta", blocks, j)) for mass, blocks, j in _delta_atoms(d, b)]
+    return comps
+
+
 def sample_split_reference(d, b, rng):
-    """One root split of [b], b >= 2, with the split components rebuilt and
-    the running colour masses recomputed on every call."""
-    comps = _split_components(d, b)
+    """One root split of [b], b >= 2, with the split components rebuilt
+    (split_components_reference) and the running colour masses recomputed
+    on every call."""
+    comps = split_components_reference(d, b)
     masses = list(accumulate(mass for mass, _ in comps))
     if not masses or masses[-1] <= 0:
         raise ModelError("zero splitting rate: degenerate dislocation")

@@ -27,3 +27,24 @@ def dislocations(draw, theorem2=False):
     c = draw(st.lists(st.floats(0.0, 0.3), max_size=2))
     k = draw(st.lists(st.floats(0.0, 0.3), max_size=2))
     return DiscreteDislocation.from_level_dict(levels, c, k)
+
+
+@st.composite
+def capped_dislocations(draw):
+    """A DiscreteDislocation with m_cap = 3 and two c_j and two k_j, so its
+    split-law threshold max(m_cap, 2, len(c), len(k)) + 1 is 4: blocks of
+    2 and 3 labels lie below it.  Atoms of 1..3 masses keep 1-10 % dust and
+    the c_j outweigh the levels, so splits often peel a label or two and
+    one tree meets many block sizes."""
+    def atom():
+        m = draw(st.integers(1, 3))
+        raw = draw(st.lists(st.floats(0.05, 1.0), min_size=m, max_size=m))
+        keep = 1.0 - draw(st.floats(0.01, 0.1))
+        return tuple(sorted((keep * x / sum(raw) for x in raw), reverse=True))
+
+    levels = {j: [(atom(), draw(st.floats(0.1, 1.1)))
+                  for _ in range(draw(st.integers(1 if j == 3 else 0, 2)))]
+              for j in (1, 2, 3)}
+    c = draw(st.lists(st.floats(1.0, 3.0), min_size=2, max_size=2))
+    k = draw(st.lists(st.floats(0.0, 0.05), min_size=2, max_size=2))
+    return DiscreteDislocation.from_level_dict(levels, c, k)

@@ -15,8 +15,9 @@ from fragbox.dislocation import (_cylinder_weights, _delta_atoms, _level_cylinde
                                  _split_components)
 from fragbox.harness import chi_square_gof, single_atom_model
 from fragbox.partitions import _maximal_strict_subsets
-from oracles import alphagamma_tree_distribution, outcome, sample_split_reference
-from strategies import dislocations
+from oracles import (alphagamma_tree_distribution, outcome, sample_split_reference,
+                     split_components_reference)
+from strategies import capped_dislocations, dislocations
 
 
 def P(text):
@@ -208,6 +209,29 @@ def test_sample_split_matches_per_call_components(d, b, seed):
         assert outcome(lambda: sample_split(d, b, rng)) == \
             outcome(lambda: sample_split_reference(d, b, ref))
     assert rng.bit_generator.state == ref.bit_generator.state
+
+
+@settings(max_examples=60, deadline=None)
+@given(capped_dislocations(), st.one_of(st.integers(3, 12), st.integers(3, 10 ** 4)),
+       st.integers(0, 2 ** 32 - 1))
+def test_sample_split_across_threshold_matches_per_call_components(d, b, seed):
+    # the law's threshold is 4 on these models, so b = 3 is a kept frame
+    # and every larger b adds its own tail masses to the per-model parts
+    rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    for _ in range(3):
+        assert sample_split(d, b, rng) == sample_split_reference(d, b, ref)
+    assert rng.bit_generator.state == ref.bit_generator.state
+
+
+@settings(max_examples=100)
+@given(capped_dislocations() | dislocations(),
+       st.one_of(st.integers(2, 12), st.integers(2, 10 ** 6)))
+def test_split_components_match_per_size_builder(d, b):
+    # the per-model law gives the components that a build from the model
+    # for this one block size gives, and rate_closed_form is their total
+    comps = _split_components(d, b)
+    assert comps == split_components_reference(d, b)
+    assert rate_closed_form(d, b) == sum((mass for mass, _ in comps), 0.0)
 
 
 def test_sample_split_large_block():

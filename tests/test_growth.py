@@ -2,7 +2,7 @@ import os
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from fragbox import (ArgumentError, DiscreteDislocation, Tree,
                      alphagamma_growth_split_oracle, delete_leaf,
@@ -16,7 +16,7 @@ from fragbox.growth import _WordDraws, _reduced
 from fragbox.harness import chi_square_gof, gof_gate, single_atom_model
 from fragbox.paintbox import _colour_blocks
 from oracles import alphagamma_tree_distribution, outcome, split_tree_reference
-from strategies import dislocations
+from strategies import capped_dislocations, dislocations
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
 
@@ -303,6 +303,19 @@ def test_fragmentation_tree_matches_per_vertex_builder(d, n, seed):
     rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
     assert outcome(lambda: sample_fragmentation_tree(d, n, rng)) == \
         outcome(lambda: split_tree_reference(d, range(1, n + 1), ref))
+    assert rng.bit_generator.state == ref.bit_generator.state
+
+
+@settings(max_examples=25, deadline=None)
+@given(capped_dislocations(), st.integers(200, 500), st.integers(0, 2 ** 32 - 1))
+def test_fragmentation_tree_many_block_sizes_matches_per_vertex_builder(d, n, seed):
+    # one split law per model serves every block size: blocks of 2 and 3
+    # labels fall below the law's threshold 4, the rest on or above it, and
+    # the tree meets more block sizes than the 32 models the cache holds
+    rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    want = split_tree_reference(d, range(1, n + 1), ref)
+    assume(len({len(want.labels_under(v)) for v in want.children}) > 32)
+    assert sample_fragmentation_tree(d, n, rng) == want
     assert rng.bit_generator.state == ref.bit_generator.state
 
 
@@ -603,6 +616,31 @@ def test_tree_with_and_without_lengths():
                 Tree({0: [1, 2], 1: [3, 4], 2: [3, 4]}, {3: 1, 4: 2}, 0)):  # shared children
         with pytest.raises(ArgumentError):
             bad.validate()
+
+
+def test_validate_lengths_duplicate_label():
+    # a reduced-tree shape whose two leaves are both labelled 1
+    t = Tree({0: [1], 1: [2, 3]}, {2: 1, 3: 1}, 0, {1: 1.0, 2: 1.0, 3: 1.0})
+    with pytest.raises(ArgumentError, match="distinct"):
+        t.validate()
+
+
+def test_validate_lengths_vertex_without_length():
+    # vertex 1 is reached but has no edge length, so to_text could not print it
+    with pytest.raises(ArgumentError, match="edge length"):
+        Tree({0: [1]}, {1: 1}, 0, {}).validate()
+
+
+def test_validate_lengths_key_outside_tree():
+    # vertex 7 is in no child list and carries no label, yet has a length
+    with pytest.raises(ArgumentError, match="edge length"):
+        Tree({0: [1]}, {1: 1}, 0, {1: 1.0, 7: 1.0}).validate()
+
+
+def test_validate_lengths_labelled_internal_vertex():
+    t = Tree({0: [1], 1: [2, 3]}, {1: 3, 2: 1, 3: 2}, 0, {1: 1.0, 2: 1.0, 3: 1.0})
+    with pytest.raises(ArgumentError, match="not both"):
+        t.validate()
 
 
 def test_deep_trees_build():

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+from collections import namedtuple
 
 import numpy as np
 import pytest
@@ -170,6 +171,9 @@ def cli(*args):
                           capture_output=True, text=True)
 
 
+MainRun = namedtuple("MainRun", "returncode stderr")
+
+
 def test_cli_success_exit_0(tmp_path):
     r = cli("split-table", "--param", "n=4", "--out", str(tmp_path / "o"))
     assert r.returncode == 0, r.stderr
@@ -212,37 +216,44 @@ def test_cli_csv_format():
     assert r.stdout.startswith("partition,probability")
 
 
-def test_cli_bad_input_exit_2(tmp_path):
-    # malformed config file
+def test_cli_bad_input_exit_2(tmp_path, capsys):
+    # malformed config file, once as a process for the real exit path
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     assert cli("grow", "--config", str(bad)).returncode == 2
+
+    # the other cases call main() in-process: an exception raised in place
+    # of exit code 2 fails the test
+    def main_run(*args):
+        return MainRun(main(list(args)), capsys.readouterr().err)
+
+    assert main_run("grow", "--config", str(bad)).returncode == 2
     # missing config file
-    assert cli("grow", "--config", str(tmp_path / "none.json")).returncode == 2
+    assert main_run("grow", "--config", str(tmp_path / "none.json")).returncode == 2
     # missing required model parameter
-    assert cli("split-table", "--param", "family=skewed-pd").returncode == 2
+    assert main_run("split-table", "--param", "family=skewed-pd").returncode == 2
     # malformed --param
-    assert cli("grow", "--param", "nonsense").returncode == 2
+    assert main_run("grow", "--param", "nonsense").returncode == 2
     # a misspelt key (which would run with the default alpha)
-    r = cli("grow", "--param", "alpah=0.9", "--param", "n=3")
+    r = main_run("grow", "--param", "alpah=0.9", "--param", "n=3")
     assert r.returncode == 2 and "alpah" in r.stderr, r.stderr
     typo = tmp_path / "typo.json"
     typo.write_text(json.dumps({"params": {"n": 3, "gama": 0.2}}))
-    r = cli("grow", "--config", str(typo))
+    r = main_run("grow", "--config", str(typo))
     assert r.returncode == 2 and "gama" in r.stderr, r.stderr
     # a config that is not an object, or whose params are not one
     for i, shape in enumerate(([1], {"params": [1, 2]})):
         bad_shape = tmp_path / f"shape{i}.json"
         bad_shape.write_text(json.dumps(shape))
-        r = cli("grow", "--config", str(bad_shape))
-        assert r.returncode == 2 and "Traceback" not in r.stderr, (shape, r.stderr)
+        r = main_run("grow", "--config", str(bad_shape))
+        assert r.returncode == 2, (shape, r.stderr)
     # c or k not a list of numbers; c, k or theorem2 without levels (which
     # would be ignored silently)
     levels = 'levels={"1": [[[0.5, 0.3], 1.0]]}'
     for params in ((levels, "c=5"), (levels, 'c=["x"]'), (levels, "k=[0.1, true]"),
                    ("c=[0.1]",), ("k=[0.1]",), ("theorem2=true",)):
-        r = cli("consistency", *[a for p in params for a in ("--param", p)])
-        assert r.returncode == 2 and "Traceback" not in r.stderr, (params, r.stderr)
+        r = main_run("consistency", *[a for p in params for a in ("--param", p)])
+        assert r.returncode == 2, (params, r.stderr)
     # a value of the wrong JSON kind for its key; a grid that is empty or
     # holds an element of the wrong kind
     for cmd, param in (("grow", 'n="x"'), ("gh-stabilize", 'alpha="x"'),
@@ -252,8 +263,8 @@ def test_cli_bad_input_exit_2(tmp_path):
                        ("renewal", 't_grid=["a"]'), ("exponent", 'n_grid=[16, "a", 64]'),
                        ("gnedin", 'psi=["a"]'), ("pjs", "x_grid=[]"),
                        ("gnedin", "n_grid=[]"), ("gnedin", "exp_rate=0")):
-        r = cli(cmd, "--param", param)
-        assert r.returncode == 2 and "Traceback" not in r.stderr, (cmd, r.stderr)
+        r = main_run(cmd, "--param", param)
+        assert r.returncode == 2, (cmd, r.stderr)
     # a key that the chosen family does not read, an unknown family, and a
     # key that the family needs but is not given, which is named
     for cmd, params, named in (
@@ -269,8 +280,8 @@ def test_cli_bad_input_exit_2(tmp_path):
                           '"theta": 1}',), "theta"),
             ("exponent", ('model={"family": "bogus"}',), "bogus"),
             ("exponent", ('model={"family": "star", "alpha": 0.5}',), "alpha")):
-        r = cli(cmd, *[a for p in params for a in ("--param", p)])
-        assert r.returncode == 2 and named in r.stderr and "Traceback" not in r.stderr, \
+        r = main_run(cmd, *[a for p in params for a in ("--param", p)])
+        assert r.returncode == 2 and named in r.stderr, \
             (cmd, params, r.stderr)
 
 
