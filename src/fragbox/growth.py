@@ -1,7 +1,7 @@
 """Tree samplers and tree statistics on the one tree type, Tree."""
 
+import functools
 import itertools
-import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -206,164 +206,226 @@ class Tree:
         return shape[top]
 
 
-class _WordDraws:
-    """rng.random() and rng.integers(k), 1 <= k <= 2**32, replayed bit for
-    bit from raw 64-bit PCG64 words drawn in bulk.
+# below this many leaves the generator state handling of _word_schedule
+# (two reads, two writes and an advance) costs more than the scalar calls
+# it replaces
+_WORD_DRAWS_MIN_N = 6
+# the most raw words _word_schedule holds at once
+_WORD_CHUNK = 2048
+
+
+def _call_schedule(alpha, n, rng):
+    """The draws of growing n >= 2 leaves, as rng.random() and
+    rng.integers(k) calls: (picks, coins) of steps 2..n-1.  Step m has m
+    leaves and m - 1 tokens whatever the tree, so its draws never read the
+    tree.  With weight m(1-a) on the leaves and a per token, step m draws a
+    uniform and then a leaf index j, kept as j, or a token index i, kept as
+    ~i, followed by the token's vertex-or-edge uniform, kept in coins.
+    Step 1 has one leaf, so it draws only its uniform, and none when a = 1
+    (total weight 0); integers(1) draws nothing, so it is not called."""
+    random, integers = rng.random, rng.integers
+    picks, coins = [], []
+    if alpha < 1:
+        random()
+    for m in range(2, n):
+        w_leaf = m * (1 - alpha)
+        total = w_leaf + alpha * (m - 1)
+        assert abs(total - (m - alpha)) < 1e-9
+        if random() * total < w_leaf:
+            picks.append(int(integers(m)))
+        else:
+            picks.append(~int(integers(m - 1)) if m > 2 else -1)
+            coins.append(random())
+    return picks, coins
+
+
+@functools.lru_cache(maxsize=8)
+def _step_weights(alpha, n):
+    """The selection weights of steps 2..n-1 of growing n leaves, computed
+    as arrays and kept as two lists: m(1-a) on the leaves, and the total,
+    m(1-a) + a(m-1) >= 1, which is m - a up to rounding.  A fit or a ladder
+    grows many trees at one (alpha, n), so the lists are cached."""
+    ms = np.arange(2, n, dtype=float)
+    w_leaf = ms * (1 - alpha)
+    total = w_leaf + alpha * (ms - 1)
+    assert np.abs(total - (ms - alpha)).max(initial=0.0) < 1e-9
+    return w_leaf.tolist(), total.tolist()
+
+
+def _word_schedule(alpha, n, bg):
+    """_call_schedule on a PCG64 bit generator, replayed bit for bit from
+    raw 64-bit words drawn in chunks of at most _WORD_CHUNK and read through
+    a local cursor i.
 
     numpy makes a double of one word, (w >> 11) * 2**-53, and integers(k)
-    with Lemire's 32-bit rejection method on next_uint32, which takes the low
-    half of a fresh word and keeps the high half for its next call; the
+    with Lemire's 32-bit rejection method on next_uint32, which takes the
+    low half of a fresh word and keeps the high half for its next call; the
     generator's own buffered half (has_uint32, uinteger) is served first.
-    close() puts the generator back at its start, advances it by the words
-    consumed and restores the buffered half, so it ends where the scalar
-    calls would have left it.
+    At the end the generator is put back at its start, advanced by the words
+    used and given the buffered half, so it ends where the calls would have
+    left it.
     """
-
-    def __init__(self, rng, size):
-        self._bg = rng.bit_generator
-        self._start = self._bg.state
-        self._has_half = bool(self._start["has_uint32"])
-        self._half = self._start["uinteger"]
-        self._drawn = 0
-        self._refill(size)
-
-    def _refill(self, size):
-        self._words = iter(self._bg.random_raw(size).tolist())
-        self._next = self._words.__next__
-        self._drawn += size
-
-    def _word(self):
-        """The next word, after the buffer runs out."""
-        self._refill(self._drawn)
-        return self._next()
-
-    def random(self):
-        try:
-            w = self._next()
-        except StopIteration:
-            w = self._word()
-        return (w >> 11) * 2.0 ** -53
-
-    def below(self, k):
-        if k == 1:
-            return 0
-        m = self._uint32() * k
-        if m & 0xFFFFFFFF < k:
-            threshold = (0x100000000 - k) % k
-            while m & 0xFFFFFFFF < threshold:
-                m = self._uint32() * k
-        return m >> 32
-
-    def _uint32(self):
-        if self._has_half:
-            self._has_half = False
-            return self._half
-        try:
-            w = self._next()
-        except StopIteration:
-            w = self._word()
-        self._has_half = True
-        self._half = w >> 32
-        return w & 0xFFFFFFFF
-
-    def close(self):
-        bg = self._bg
-        bg.state = self._start
-        bg.advance(self._drawn - operator.length_hint(self._words))
+    start = bg.state
+    has_half, half = bool(start["has_uint32"]), start["uinteger"]
+    drawn = min(_WORD_CHUNK, 2 * n)
+    words = bg.random_raw(drawn).tolist()
+    # step 1 draws its uniform unless alpha = 1
+    picks, coins, i = [], [], int(alpha < 1)
+    # a step takes at most 3 words while Lemire accepts, so it starts with
+    # the cursor at most at last
+    last = len(words) - 3
+    try:
+        for m, wl, tot in zip(range(2, n), *_step_weights(alpha, n)):
+            if i > last:
+                size = min(_WORD_CHUNK, 2 * (n - m) + 3)
+                words = words[i:] + bg.random_raw(size).tolist()
+                drawn, i, last = drawn + size, 0, len(words) - 3
+            leaf = (words[i] >> 11) * 2.0 ** -53 * tot < wl
+            i += 1
+            k = m if leaf else m - 1
+            j = 0
+            if k > 1:
+                if has_half:
+                    u = half
+                    has_half = False
+                else:
+                    w = words[i]
+                    u, half, has_half = w & 0xFFFFFFFF, w >> 32, True
+                    i += 1
+                prod = u * k
+                if prod & 0xFFFFFFFF < k:
+                    # Lemire may reject (about once in 2**32 / k draws):
+                    # top up first, so that the redraws and the coin cannot
+                    # run out of words short of 2**11 rejections in a row,
+                    # each of probability below 1/2
+                    words = words[i:] + bg.random_raw(_WORD_CHUNK).tolist()
+                    drawn, i, last = drawn + _WORD_CHUNK, 0, len(words) - 3
+                    threshold = (0x100000000 - k) % k
+                    while prod & 0xFFFFFFFF < threshold:
+                        if has_half:
+                            u = half
+                            has_half = False
+                        else:
+                            w = words[i]
+                            u, half, has_half = w & 0xFFFFFFFF, w >> 32, True
+                            i += 1
+                        prod = u * k
+                j = prod >> 32
+            if leaf:
+                picks.append(j)
+            else:
+                picks.append(~j)
+                coins.append((words[i] >> 11) * 2.0 ** -53)
+                i += 1
+    finally:
+        bg.state = start
+        bg.advance(drawn - (len(words) - i))
         # advance clears the half; uinteger keeps the last half even once used
         state = bg.state
-        state["has_uint32"], state["uinteger"] = int(self._has_half), self._half
+        state["has_uint32"], state["uinteger"] = int(has_half), half
         bg.state = state
+    return picks, coins
 
 
-class _GeneratorDraws:
-    """The same interface read straight off the Generator."""
+def _grow(alpha, gamma, n, rng):
+    """The alpha-gamma growth core: the draw schedule, then the one structure
+    loop on node-indexed lists.  Returns (parent, slot, count, leaves,
+    root): node u hangs from parent[u] (-1 at the root) as its child number
+    slot[u] and has count[u] children, and leaves[m - 1] is leaf m.
 
-    def __init__(self, rng):
-        self.random = rng.random
-        self.below = rng.integers
-
-    def close(self):
-        pass
-
-
-# below this many leaves the ~17 us of state handling in _WordDraws costs
-# more than the scalar calls it replaces
-_WORD_DRAWS_MIN_N = 8
-
-
-def _draws(rng, n):
-    """A draw source for growing an n-leaf tree from rng."""
+    Internal nodes are kept as a token list with node B repeated k_B - 1
+    times, so total vertex weight is a * len(tokens) and an inner-edge versus
+    vertex choice at B is a single accept step with probability
+    g / ((k_B - 1) a).
+    """
+    _check_alphagamma_params(alpha, gamma)
+    if n < 1:
+        raise ArgumentError("n must be positive")
+    if n == 1:
+        return [-1], [0], [0], [0], 0
     if n >= _WORD_DRAWS_MIN_N and type(rng.bit_generator) is np.random.PCG64:
-        return _WordDraws(rng, 2 * n)
-    return _GeneratorDraws(rng)
+        picks, coins = _word_schedule(alpha, n, rng.bit_generator)
+    else:
+        picks, coins = _call_schedule(alpha, n, rng)
+    # step 1 hangs vertex 1 above the only leaf (node 0), with leaf 2 (node
+    # 2) as its other child
+    parent, slot, count = [1, -1, 1], [0, 0, 1], [0, 2, 0]
+    leaves, tokens = [0, 2], [1]
+    root, c = 1, 0
+    for m, pick in enumerate(picks, 2):
+        # what the schedule took for granted
+        assert len(leaves) == m and len(tokens) == m - 1
+        if pick >= 0:
+            v = leaves[pick]
+        else:
+            v = tokens[~pick]
+            c += 1
+            if coins[c - 1] >= gamma / ((count[v] - 1) * alpha):
+                # vertex: the new leaf hangs from v
+                leaves.append(len(parent))
+                parent.append(v)
+                slot.append(count[v])
+                count.append(0)
+                count[v] += 1
+                tokens.append(v)
+                continue
+        # edge: a new vertex p above v, with the new leaf as its other child
+        p = len(parent)
+        g = parent[v]
+        parent.append(g)
+        parent.append(p)
+        slot.append(slot[v])
+        slot.append(1)
+        count.append(2)
+        count.append(0)
+        parent[v], slot[v] = p, 0
+        if g < 0:
+            root = p
+        leaves.append(p + 1)
+        tokens.append(p)
+    return parent, slot, count, leaves, root
 
 
 def grow_alphagamma(alpha, gamma, n, rng):
     """Sequential growth: leaf edge weight 1-a, inner edge g, vertex (k-1)a - g.
 
-    Internal nodes are kept as a token list with node B repeated k_B - 1 times,
-    so total vertex weight is a * len(tokens) and an inner-edge versus vertex
-    choice at B is a single accept step with probability g / ((k_B - 1) a).
     Leaf m is the m-th leaf grown, so the tree after m steps is the result
-    restricted to [m] (reduced_ladder reads those trees off it).
+    restricted to [m] (reduced_ladder reads those trees off it).  The growth
+    core (_grow) gives node-indexed lists, read into the Tree in one pass.
 
     Stream contract: the same draws as rng.random() and rng.integers(k), in
     the loop's order, and the same end state of rng.  On a PCG64 generator
-    they are replayed from raw words drawn in bulk (_WordDraws); other bit
-    generators, and trees under _WORD_DRAWS_MIN_N leaves, make those calls.
+    they are replayed from raw words drawn in chunks (_word_schedule); other
+    bit generators, and trees under _WORD_DRAWS_MIN_N leaves, make those
+    calls.
     """
-    _check_alphagamma_params(alpha, gamma)
-    if n < 1:
-        raise ArgumentError("n must be positive")
-    children = {}
-    leaf_label = {0: 1}
-    parent_of = {}
-    root = 0
-    next_id = 1
-    leaves = [0]
-    tokens = []
-    draws = _draws(rng, n)
-    random, below = draws.random, draws.below
-    try:
-        for m in range(1, n):
-            # selection weights: m(1-a) on leaf edges, a per token; they sum to m - a
-            assert len(tokens) == m - 1
-            w_leaf = m * (1 - alpha)
-            w_tok = alpha * len(tokens)
-            total = w_leaf + w_tok
-            assert abs(total - (m - alpha)) < 1e-9
-            if total <= 0 or random() * total < w_leaf:
-                v = leaves[below(len(leaves))]
-            else:
-                v = tokens[below(len(tokens))]
-                if random() >= gamma / ((len(children[v]) - 1) * alpha):
-                    # vertex: the new leaf hangs from v
-                    leaf_label[next_id] = m + 1
-                    children[v].append(next_id)
-                    parent_of[next_id] = v
-                    leaves.append(next_id)
-                    tokens.append(v)
-                    next_id += 1
-                    continue
-            # edge: a new vertex p above v, with the new leaf as its other child
-            p, leaf = next_id, next_id + 1
-            next_id += 2
-            children[p] = [v, leaf]
-            leaf_label[leaf] = m + 1
-            if v == root:
-                root = p
-            else:
-                g = parent_of[v]
-                children[g][children[g].index(v)] = p
-                parent_of[p] = g
-            parent_of[v] = p
-            parent_of[leaf] = p
-            leaves.append(leaf)
-            tokens.append(p)
-    finally:
-        draws.close()
-    return Tree(children, leaf_label, root, None, parent_of)
+    parent, slot, count, leaves, root = _grow(alpha, gamma, n, rng)
+    children, parent_of = {}, dict(enumerate(parent))
+    del parent_of[root]
+    for u, p in parent_of.items():
+        kids = children.get(p)
+        if kids is None:
+            kids = children[p] = [0] * count[p]
+        kids[slot[u]] = u
+    return Tree(children, dict(zip(leaves, range(1, n + 1))), root, None, parent_of)
+
+
+def _alphagamma_leaf_depths(alpha, gamma, n, rng):
+    """The spine depths of the leaves of grow_alphagamma(alpha, gamma, n,
+    rng), in label order, read off the core's parent list by pointer
+    jumping with no Tree: after round r every node knows its 2**r-th
+    ancestor (or the root) and the number of edges up to it."""
+    parent, _, _, leaves, root = _grow(alpha, gamma, n, rng)
+    up = np.fromiter(parent, np.intp, len(parent))
+    up[root] = root
+    edges = np.ones(len(up), np.intp)
+    edges[root] = 0
+    while True:
+        above = up[up]
+        if (above == up).all():
+            return edges[np.fromiter(leaves, np.intp, n)] + 1
+        edges += edges[up]
+        up = above
 
 
 def _build_recursive(labels, split_fn, rng, edge_fn=None):

@@ -16,7 +16,9 @@ from .growth import _build_recursive
 
 NEGLIGIBLE = 1e-8  # e^{-a xi} below this ends an infinite window
 
-A_ALPHA_TERMS = 200_000
+# B_2j / (2j)! for j = 1..6: the Euler-Maclaurin terms of a zeta tail
+_EM_BERNOULLI = np.array([1 / 12, -1 / 720, 1 / 30240, -1 / 1209600, 1 / 47900160,
+                          -691 / 1307674368000])
 
 
 @dataclass(frozen=True)
@@ -219,14 +221,36 @@ def crt_scale(n, a):
     continuum limit, the killed exponential functional of the spine.  The
     count is K_n for a power tail of index a, or an edge length of a reduced
     tree on n leaves whose scaling exponent is a (gamma for alpha-gamma
-    trees).  a is held below 1, where Gamma(1-a) has its pole."""
-    return n ** a * math.gamma(1.0 - min(a, 0.999999))
+    trees).  Gamma(1-a) has its pole at a = 1, so a must be below 1."""
+    if a >= 1:
+        raise ArgumentError(f"the scaling exponent must be below 1, got {a}")
+    return n ** a * math.gamma(1.0 - a)
 
 
 def a_alpha_constant(alpha):
-    """2 sum_{j>=1} (j+1)^sqrt(alpha) / (j (j+1)), summed to a fixed horizon."""
-    j = np.arange(1, A_ALPHA_TERMS + 1, dtype=float)
-    return float(2.0 * np.sum((j + 1) ** math.sqrt(alpha) / (j * (j + 1))))
+    """A_alpha = 2 sum_{j>=1} (j+1)^sqrt(alpha) / (j (j+1)), for alpha in (0, 1).
+
+    Expanding 1/j = sum_{k>=0} (j+1)^-(k+1) gives A_alpha = 2 sum_{k>=0}
+    (zeta(s_k) - 1) with s_k = 2 - sqrt(alpha) + k > 1; s_k - 1 is taken as
+    (1 - alpha) / (1 + sqrt(alpha)) + k, with no cancellation near alpha = 1.
+    The sum stops at k = 63, and the rest is below 2^-62.  Each zeta(s) - 1
+    is the head sum of i^-s over i = 2..19 plus the Euler-Maclaurin tail at
+    20: 20^(1-s)/(s-1) + 20^-s/2 + six Bernoulli terms.  The derivatives of
+    i^-s alternate in sign, so the tail's error is below the first omitted
+    term, B_14/14! s (s+1) ... (s+12) 20^(-s-13).  Summed over k these
+    errors are below 1e-18, so only floating-point rounding is left: a
+    relative error below 1e-15.
+    """
+    if not 0 < alpha < 1:
+        raise ArgumentError(f"alpha must be in (0, 1), got {alpha}")
+    s_1 = (1.0 - alpha) / (1.0 + math.sqrt(alpha)) + np.arange(64.0)     # s_k - 1
+    s = s_1 + 1.0
+    head = np.sum(np.arange(2.0, 20.0) ** -s[:, None], axis=1)
+    # (s)_{2j-1} = s (s+1) ... (s+2j-2) for j = 1..6
+    rising = np.cumprod(s[:, None] + np.arange(11.0), axis=1)[:, ::2]
+    powers = 20.0 ** (-s_1[:, None] - 2.0 * np.arange(1, 7))
+    tail = 20.0 ** -s_1 / s_1 + 20.0 ** -s / 2.0 + (rising * powers) @ _EM_BERNOULLI
+    return float(2.0 * np.sum(head + tail))
 
 
 def pjs_tail_statistic(l, w, n, x, reps, rng, c_p=1.0, p=3.0):

@@ -6,8 +6,7 @@ import math
 import numpy as np
 
 from .errors import ArgumentError, UnsupportedCaseError
-from .growth import (Tree, grow_alphagamma, mean_depth,
-                     sample_fragmentation_tree, tree_height)
+from .growth import _alphagamma_leaf_depths, leaf_depths, sample_fragmentation_tree
 
 GH_LEAF_CAP = 10
 
@@ -126,31 +125,35 @@ def gh_distance_rooted(a, b):
     return best[0] / 2.0
 
 
-def _sample_tree(model, n, rng):
+def _leaf_depths(model, n, rng):
+    """The spine depths of the leaves of one tree of the model on n leaves,
+    as one array.  Alpha-gamma depths are read off the growth core's parent
+    list, with no Tree; a fragmentation tree's off its Tree."""
     fam = model["family"]
     if fam == "alphagamma":
-        return grow_alphagamma(model["alpha"], model["gamma"], n, rng)
+        return _alphagamma_leaf_depths(model["alpha"], model["gamma"], n, rng)
     if fam == "dislocation":
-        return sample_fragmentation_tree(model["d"], n, rng)
+        t = sample_fragmentation_tree(model["d"], n, rng)
+        return np.fromiter(leaf_depths(t).values(), np.intp, n)
     if fam == "star":
         # debug model: deterministic star, height 2 for every n
-        children = {0: list(range(1, n + 1))}
-        labels = {i: i for i in range(1, n + 1)}
-        return Tree(children, labels, 0)
+        return np.full(n, 2)
     raise ArgumentError("unknown model family %r" % fam)
 
 
 def scaling_exponent(model, n_grid, reps, statistic, rng):
-    """Slope (with stderr) of log mean statistic against log n."""
+    """Slope (with stderr) of log mean statistic against log n.  The height
+    is the greatest leaf depth and mean_depth the mean: the values of
+    growth.tree_height and growth.mean_depth, from the same draws."""
     n_grid = list(n_grid)
     if len(n_grid) < 3:
         raise ArgumentError("need at least 3 grid points")
-    stat_fn = {"height": tree_height, "mean_depth": mean_depth}.get(statistic)
+    stat_fn = {"height": np.max, "mean_depth": np.mean}.get(statistic)
     if stat_fn is None:
         raise ArgumentError("statistic must be height or mean_depth")
     xs, ys = [], []
     for n in n_grid:
-        vals = [stat_fn(_sample_tree(model, n, rng)) for _ in range(reps)]
+        vals = [stat_fn(_leaf_depths(model, n, rng)) for _ in range(reps)]
         xs.append(math.log(n))
         ys.append(math.log(np.mean(vals)))
     xs = np.array(xs)

@@ -1,4 +1,5 @@
 import os
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,8 +12,9 @@ from fragbox import (ArgumentError, DiscreteDislocation, Tree,
                      sample_markov_branching, sample_reduced_crt, sample_split,
                      skewed_pd_splitting_table, special_branch_count,
                      spine_depth, splitting_rule, tree_height)
-from fragbox import dislocation
-from fragbox.growth import _WordDraws, _reduced
+from fragbox import dislocation, growth
+from fragbox.growth import (_alphagamma_leaf_depths, _call_schedule, _reduced,
+                            _word_schedule)
 from fragbox.harness import chi_square_gof, gof_gate, single_atom_model
 from fragbox.paintbox import _colour_blocks
 from oracles import alphagamma_tree_distribution, outcome, split_tree_reference
@@ -192,20 +194,66 @@ def test_grow_alphagamma_matches_scalar_draws_property(alpha, gamma_frac, n, see
 
 
 @settings(max_examples=100)
-@given(st.integers(0, 2 ** 32 - 1), st.booleans(), st.integers(1, 8), st.data())
-def test_word_draws_match_generator_calls(seed, primed, size, data):
-    # any mix of draws, with bounds where Lemire's method rejects often
-    # (k just above 2**31), k = 1 (no draw) and k = 2**32; a buffer of a
-    # few words refills many times
+@given(st.floats(0, 1), st.integers(growth._WORD_DRAWS_MIN_N, 3000), st.integers(0, 2 ** 32 - 1),
+       st.booleans(), st.sampled_from([3, 5, 64, growth._WORD_CHUNK]))
+def test_word_schedule_matches_call_schedule(alpha, n, seed, primed, chunk):
+    # the raw-word replay against the scalar calls, the buffered half
+    # included; small chunks refill every step or two
     rng, ref = _twin_generators(np.random.PCG64, seed, primed)
-    ks = data.draw(st.lists(st.one_of(
-        st.none(), st.integers(1, 1000), st.integers(2 ** 31, 2 ** 31 + 2 ** 20),
-        st.integers(2 ** 32 - 10, 2 ** 32)), max_size=60))
-    draws = _WordDraws(rng, size)
-    got = [draws.random() if k is None else draws.below(k) for k in ks]
-    draws.close()
-    assert got == [ref.random() if k is None else int(ref.integers(k)) for k in ks]
+    with mock.patch.object(growth, "_WORD_CHUNK", chunk):
+        got = _word_schedule(alpha, n, rng.bit_generator)
+    assert got == _call_schedule(alpha, n, ref)
     assert _same_state(rng.bit_generator.state, ref.bit_generator.state)
+
+
+@pytest.mark.parametrize("chunk", [3, growth._WORD_CHUNK])
+@pytest.mark.parametrize("seed, n", [(495, 1559), (2972, 3592)])
+def test_word_schedule_lemire_rejection(seed, n, chunk):
+    # seeds found by search: the last step's bounded draw (k = 1558 at a
+    # leaf, k = 3590 at a token, so a coin follows) gets a 32-bit value that
+    # Lemire's method rejects, and numpy draws again
+    rng, ref = _twin_generators(np.random.PCG64, seed, False)
+    with mock.patch.object(growth, "_WORD_CHUNK", chunk):
+        picks, coins = _word_schedule(0.5, n, rng.bit_generator)
+    assert (picks, coins) == _call_schedule(0.5, n, ref)
+    state = rng.bit_generator.state
+    assert _same_state(state, ref.bit_generator.state)
+    # one 32-bit draw more than the bounded draws (the steps m >= 2 with
+    # k > 1), so the buffered half and the words used show the redraw
+    bounded = sum((m if j >= 0 else m - 1) > 1 for m, j in enumerate(picks, 2))
+    assert state["has_uint32"] == (bounded + 1) % 2
+    twin = np.random.PCG64(seed)
+    twin.advance((n - 1) + len(coins) + (bounded + 2) // 2)
+    assert twin.state["state"] == state["state"]
+
+
+@settings(max_examples=60)
+@given(st.floats(0, 1), st.floats(0, 1), st.integers(1, 600), st.integers(0, 2 ** 32 - 1),
+       st.booleans(), st.booleans())
+def test_leaf_depths_off_parent_list_match_tree(alpha, gamma_frac, n, seed, primed, mersenne):
+    # pointer jumping on the core's parent list against the Tree's depths,
+    # label by label, from twin generators that end in the same state
+    rng, ref = _twin_generators(np.random.MT19937 if mersenne else np.random.PCG64,
+                                seed, primed)
+    depths = _alphagamma_leaf_depths(alpha, alpha * gamma_frac, n, rng)
+    t = grow_alphagamma(alpha, alpha * gamma_frac, n, ref)
+    want = leaf_depths(t)
+    assert depths.tolist() == [want[lab] for lab in range(1, n + 1)]
+    assert _same_state(rng.bit_generator.state, ref.bit_generator.state)
+
+
+def test_caterpillar_at_alpha_gamma_1():
+    # alpha = gamma = 1: leaf edges have weight 0 and every vertex weight is
+    # 0, so each step hangs a new vertex above a uniform internal vertex,
+    # with the new leaf as its other child: a caterpillar of height n
+    n = 3000
+    rng, ref = _twin_generators(np.random.PCG64, 3, False)
+    t = grow_alphagamma(1.0, 1.0, n, rng)
+    assert tree_height(t) == n
+    assert all(len(cs) == 2 for cs in t.children.values())
+    depths = _alphagamma_leaf_depths(1.0, 1.0, n, ref)
+    assert depths.max() == n
+    assert sorted(depths.tolist()) == list(range(2, n + 1)) + [n]
 
 
 def test_grow_root_split_law():

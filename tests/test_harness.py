@@ -300,6 +300,14 @@ def test_gnedin_pareto_index_unread_without_heavy_tail():
     assert b["summary"]["mean_ratio"]["100"] > 0
 
 
+def test_cli_gh_stabilize_gamma_1_exit_2(capsys):
+    # gamma = 1 is the pole of the scale n^gamma Gamma(1 - gamma)
+    code = main(["gh-stabilize", "--reps", "1", "--param", "alpha=1",
+                 "--param", "gamma=1", "--param", "n_grid=[4]"])
+    assert code == 2
+    assert "below 1" in capsys.readouterr().err
+
+
 def test_cli_malformed_levels_exit_2():
     # levels not an object, a level key not an integer, an entry not
     # [atoms, weight], a level key below 1 (which would be dropped silently)

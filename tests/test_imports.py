@@ -1,10 +1,10 @@
 """Every module in src/fragbox (the package __init__ aside), tests/, demos/
-and bench/ uses what it imports, every module-level private function in the
-package has a reference in it, every module-level constant of the package is
-read somewhere in src, tests, bench or demos, no cache in the package grows
-without bound unless allow-listed, and nothing in the package imports scipy,
-a test-only dependency whose `scipy.stats` takes several times as long to
-import as fragbox."""
+and bench/ uses what it imports, every module-level private function and
+class in the package has a reference in it, every module-level constant of
+the package is read somewhere in src, tests, bench or demos, no cache in the
+package grows without bound unless allow-listed, and nothing in the package
+imports scipy, a test-only dependency whose `scipy.stats` takes several
+times as long to import as fragbox."""
 
 import ast
 import subprocess
@@ -44,9 +44,9 @@ def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
 
 
-def unreferenced_private_functions(sources):
-    """(module, name) of module-level _private functions that no Name or
-    Attribute node in any of the sources (module name -> text) reads."""
+def unreferenced_private_definitions(sources):
+    """(module, name) of module-level _private functions and classes that no
+    Name or Attribute node in any of the sources (module name -> text) reads."""
     trees = {mod: ast.parse(text) for mod, text in sources.items()}
     used = set()
     for tree in trees.values():
@@ -56,20 +56,31 @@ def unreferenced_private_functions(sources):
             elif isinstance(node, ast.Attribute):
                 used.add(node.attr)
     return sorted((mod, node.name) for mod, tree in trees.items() for node in tree.body
-                  if isinstance(node, ast.FunctionDef) and node.name.startswith("_")
-                  and not node.name.startswith("__") and node.name not in used)
+                  if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                  and node.name.startswith("_") and not node.name.startswith("__")
+                  and node.name not in used)
 
 
 def test_unreferenced_private_functions_detected():
     sources = {"a": "def _used():\n    pass\n\ndef _dead():\n    pass\n",
                "b": "from a import _used\n\ndef pub():\n    return _used()\n\n"
                     "def _via_attr():\n    pass\n\nx = obj._via_attr\n"}
-    assert unreferenced_private_functions(sources) == [("a", "_dead")]
+    assert unreferenced_private_definitions(sources) == [("a", "_dead")]
+
+
+def test_unreferenced_private_classes_detected():
+    # a private class with methods is flagged like a function; a class
+    # read by name or attribute, or a public one, is not
+    sources = {"a": "class _Dead:\n    def close(self):\n        pass\n\n"
+                    "class _Used:\n    pass\n\nclass Public:\n    pass\n",
+               "b": "import a\n\nclass _ViaName:\n    pass\n\n"
+                    "x = [a._Used(), _ViaName]\n"}
+    assert unreferenced_private_definitions(sources) == [("a", "_Dead")]
 
 
 def test_no_unreferenced_private_functions():
     sources = {p.name: p.read_text() for p in SRC.glob("*.py")}
-    assert unreferenced_private_functions(sources) == []
+    assert unreferenced_private_definitions(sources) == []
 
 
 def unread_constants(sources, readers):

@@ -13,7 +13,7 @@ from fragbox import (ArgumentError, KnWindow, LevyAtoms, SubordinatorPath,
                      simulate_subordinator, spinal_levy_measure, splitting_rule)
 from fragbox.dislocation import DiscreteDislocation
 from fragbox.harness import chi_square_gof, single_atom_model
-from fragbox.spine import NEGLIGIBLE, _edge_length, _exp_functional
+from fragbox.spine import NEGLIGIBLE, _edge_length, _exp_functional, a_alpha_constant
 from oracles import outcome, split_tree_reference
 from strategies import dislocations
 
@@ -301,6 +301,38 @@ def test_pjs_first_part_desk_scale():
         kn = sample_Kn(path, w, n, rng)
         errs.append(abs(kn / crt_scale(n, alpha) - lim) / lim)
     assert np.median(errs) <= 0.15
+
+
+@pytest.mark.parametrize("alpha", [0.01, 0.25, 0.5, 0.81, 0.95])
+def test_a_alpha_constant_matches_zeta_series(alpha):
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        s0 = 2 - mpmath.sqrt(alpha)
+        want = 2 * mpmath.nsum(lambda k: mpmath.zeta(s0 + k) - 1, [0, mpmath.inf])
+        assert abs(a_alpha_constant(alpha) - want) / want < 1e-10
+
+
+def test_a_alpha_constant_direct_sum():
+    # the defining series, summed far out, only falls short of the value:
+    # its rest after J terms is about 2 J^(sqrt(alpha) - 1) / (1 - sqrt(alpha))
+    j = np.arange(1, 10 ** 6 + 1, dtype=float)
+    for alpha in (0.1, 0.5):
+        partial = 2 * np.sum((j + 1) ** math.sqrt(alpha) / (j * (j + 1)))
+        rest = 2 * 1e6 ** (math.sqrt(alpha) - 1) / (1 - math.sqrt(alpha))
+        assert partial < a_alpha_constant(alpha) < partial + 1.01 * rest
+
+
+@pytest.mark.parametrize("alpha", [0.0, 1.0, -0.5, 1.5])
+def test_a_alpha_constant_rejects_alpha_outside_unit_interval(alpha):
+    with pytest.raises(ArgumentError):
+        a_alpha_constant(alpha)
+
+
+def test_crt_scale_rejects_exponent_at_or_above_1():
+    assert crt_scale(10, 0.5) == math.sqrt(10) * math.gamma(0.5)
+    for a in (1.0, 1.2):
+        with pytest.raises(ArgumentError):
+            crt_scale(10, a)
 
 
 def test_pjs_tail_statistic_monotone():

@@ -1,11 +1,14 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from fragbox import (ArgumentError, Tree, UnsupportedCaseError, crt_scale,
                      fill_fraction, gh_distance_rooted, gh_upper_bound,
-                     grow_alphagamma, reduced_ladder, reduced_tree,
-                     scaling_exponent)
+                     grow_alphagamma, mean_depth, reduced_ladder, reduced_tree,
+                     sample_fragmentation_tree, scaling_exponent, tree_height)
+from fragbox.harness import single_atom_model
 from fragbox.treemetric import (GH_LEAF_CAP, _correspondence_distortion,
                                 _greedy_bound, _greedy_correspondence,
                                 _tree_points)
@@ -269,6 +272,44 @@ def test_scaling_exponent_alphagamma_band():
     slope, err = scaling_exponent(model, [64, 128, 256, 512], 300,
                                   "height", rng)
     assert abs(slope - 0.4) < 0.15
+
+
+def _slope_of_trees(sample, n_grid, reps, statistic, rng):
+    # the fit on Trees: tree_height or mean_depth of sample(n, rng)
+    stat = {"height": tree_height, "mean_depth": mean_depth}[statistic]
+    xs, ys = [], []
+    for n in n_grid:
+        vals = [stat(sample(n, rng)) for _ in range(reps)]
+        xs.append(math.log(n))
+        ys.append(math.log(np.mean(vals)))
+    (slope, _), cov = np.polyfit(np.array(xs), np.array(ys), 1, cov=True)
+    return float(slope), float(np.sqrt(cov[0, 0]))
+
+
+@pytest.mark.parametrize("statistic", ["height", "mean_depth"])
+@pytest.mark.parametrize("bitgen", [np.random.PCG64, np.random.MT19937])
+@pytest.mark.parametrize("primed", [False, True])
+@pytest.mark.parametrize("family", ["alphagamma", "dislocation"])
+def test_scaling_exponent_matches_tree_route(family, statistic, bitgen, primed):
+    # the depths of one array give the same (slope, err), bit for bit, as
+    # the Tree statistics, and leave the generator in the same state.  The
+    # alpha-gamma depths are read off the growth core's parent list, at
+    # n = 5 from the scalar draws and above from the raw-word replay on PCG64
+    if family == "alphagamma":
+        model = {"family": family, "alpha": 0.6, "gamma": 0.25}
+        sample = lambda n, r: grow_alphagamma(0.6, 0.25, n, r)
+    else:
+        model = {"family": family, "d": single_atom_model()}
+        sample = lambda n, r: sample_fragmentation_tree(model["d"], n, r)
+    grid = [5, 8, 40, 200]
+    pair = [np.random.Generator(bitgen(11)) for _ in range(2)]
+    if primed:
+        for rng in pair:
+            rng.integers(7)
+    got = scaling_exponent(model, grid, 4, statistic, pair[0])
+    assert got == _slope_of_trees(sample, grid, 4, statistic, pair[1])
+    assert pair[0].integers(2 ** 32, size=3).tolist() == \
+        pair[1].integers(2 ** 32, size=3).tolist()
 
 
 def test_scaling_exponent_argument_errors():
