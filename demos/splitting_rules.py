@@ -24,9 +24,9 @@ def main():
                 print(f"  {p.to_text():>12}  {v:.6f}")
 
     print()
-    print("== total rates: enumeration oracle and fast path ==")
+    print("== total rates: cylinder-key oracle and fast path ==")
     for n in (2, 3, 4, 5):
-        print(f"  lambda_{n}: sum over partitions {rate(d, n):.6f}, "
+        print(f"  lambda_{n}: sum over cylinder keys {rate(d, n):.6f}, "
               f"sum over mixture components {rate_closed_form(d, n):.6f}")
 
     print()

@@ -17,9 +17,9 @@ from types import MappingProxyType
 import numpy as np
 
 from .errors import ArgumentError, ModelError, ResourceBudgetError
-from .paintbox import _colour_blocks, _paints, kingman_cylinder_prob
-from .partitions import (Partition, _lazy, all_partitions, csv_rows, csv_text,
-                         MassPartition)
+from .paintbox import _colour_blocks, _cylinder_by_sizes, _paints
+from .partitions import (ENUMERATION_CAP, Partition, _lazy, all_partitions, csv_rows,
+                         csv_text, MassPartition)
 
 _EXCLUDED_TOL = 1e-12
 
@@ -142,9 +142,70 @@ def _delta_atoms(d, n):
     return [atom for atom in atoms if atom[0] > 0]
 
 
-def _level_cylinder(d, p):
-    """The paintbox part of kappa(P^p): the level-j atoms' cylinder masses."""
-    return sum(w * kingman_cylinder_prob(s, p) for s, w in d.atoms_at(p.cylinder_class()))
+def _ranked_partitions(n, most):
+    """The integer partitions of n into parts of at most most, as tuples of
+    parts, largest first."""
+    if n == 0:
+        return [()]
+    return [(first,) + rest for first in range(min(n, most), 0, -1)
+            for rest in _ranked_partitions(n - first, first)]
+
+
+def _arrangements(r, sizes):
+    """W(r, T): the number of set partitions of r labels into blocks of the
+    sizes T (which sum to r), r! / (prod t! prod mult_T(v)!)."""
+    ways = math.factorial(r)
+    for t in sizes:
+        ways //= math.factorial(t)
+    for v in set(sizes):
+        ways //= math.factorial(sizes.count(v))
+    return ways
+
+
+def _drop(sizes, v):
+    """The ranked sizes with one part v taken out."""
+    i = sizes.index(v)
+    return sizes[:i] + sizes[i + 1:]
+
+
+@lru_cache(maxsize=32)
+def _key_counts(n):
+    """{(j, sizes): the number of non-trivial partitions of [n], n >= 2, with
+    that cylinder_key}, counted without enumerating partitions.
+
+    A partition of class j with ranked sizes S has a block A of a >= j
+    labels that holds 1..j, and a block B of b labels whose least label is
+    j + 1.  A takes a - j of the n - j - 1 labels above j + 1, B takes b - 1
+    of the n - a - 1 labels left, and the other n - a - b labels form the
+    blocks of T = S without {a, b} in _arrangements(n - a - b, T) ways; the
+    count sums this over the distinct values a >= j in S and b in S minus
+    {a}.  The counts of all keys add up to Bell(n) - 1.
+    """
+    counts = {}
+    for sizes in _ranked_partitions(n, n):
+        if len(sizes) < 2:
+            continue
+        for a in sorted(set(sizes), reverse=True):
+            rest_a = _drop(sizes, a)
+            for b in sorted(set(rest_a), reverse=True):
+                ways = math.comb(n - a - 1, b - 1) * _arrangements(n - a - b, _drop(rest_a, b))
+                for j in range(1, a + 1):
+                    key = (j, sizes)
+                    counts[key] = counts.get(key, 0) + math.comb(n - j - 1, a - j) * ways
+    return counts
+
+
+def _level_weight(d, key):
+    """The paintbox part of kappa(P^p) for every p of cylinder key (j,
+    sizes): the level-j atoms' cylinder masses, read off each atom's
+    cylinder table."""
+    j, sizes = key
+    return sum(w * _cylinder_by_sizes(s, sizes) for s, w in d.atoms_at(j))
+
+
+def _level_weights(d, n):
+    """{key: _level_weight(d, key)} over the keys of _key_counts(n)."""
+    return {key: _level_weight(d, key) for key in _key_counts(n)}
 
 
 def kappa_cylinder(d, p):
@@ -153,29 +214,32 @@ def kappa_cylinder(d, p):
     if p.is_trivial():
         raise ArgumentError("trivial partition has no dislocation cylinder")
     labels = tuple(range(1, p.n + 1))
-    return _level_cylinder(d, p) + sum(mass for mass, blocks, j in _delta_atoms(d, p.n)
-                                       if blocks(j, labels) == p.blocks)
+    return _level_weight(d, p.cylinder_key) + sum(
+        mass for mass, blocks, j in _delta_atoms(d, p.n) if blocks(j, labels) == p.blocks)
 
 
-def _cylinder_weights(d, n):
-    """{p: kappa(P^p)} over the non-trivial partitions of [n], n >= 2.
+@lru_cache(maxsize=ENUMERATION_CAP)
+def _keyed_partitions(n):
+    """(the non-trivial partitions of [n] in all_partitions order, their
+    cylinder keys), one entry per n up to the enumeration cap."""
+    parts = tuple(p for p in all_partitions(n) if not p.is_trivial())
+    return parts, tuple(p.cylinder_key for p in parts)
+
+
+def _cylinder_weights(d, n, scale):
+    """{p: kappa(P^p) / scale} over the non-trivial partitions of [n], n >= 2.
 
     The level part is restricted exchangeable: it depends on p only through
-    p.cylinder_key, its class and block-size multiset, so _level_cylinder
-    runs once per key and every partition with that key gets the value.
+    p.cylinder_key, so each key's value is computed (_level_weights) and
+    scaled once, and expanded to the partitions of that key in one pass;
+    the delta atoms then add their scaled masses to their own partitions.
     """
-    by_key = {}
-    weights = {}
-    for p in all_partitions(n):
-        if p.is_trivial():
-            continue
-        w = by_key.get(p.cylinder_key)
-        if w is None:
-            w = by_key[p.cylinder_key] = _level_cylinder(d, p)
-        weights[p] = w
+    parts, keys = _keyed_partitions(n)
+    per_key = {key: w / scale for key, w in _level_weights(d, n).items()}
+    weights = dict(zip(parts, map(per_key.__getitem__, keys)))
     labels = tuple(range(1, n + 1))
     for mass, blocks, j in _delta_atoms(d, n):
-        weights[Partition(n, blocks(j, labels))] += mass
+        weights[Partition(n, blocks(j, labels))] += mass / scale
     return weights
 
 
@@ -223,6 +287,8 @@ class SplittingRuleTable:
     @staticmethod
     def from_csv(text):
         probs = {Partition.from_text(key): float(prob) for key, prob in csv_rows(text)}
+        if not probs:
+            raise ArgumentError("splitting-table CSV holds no rows")
         n = max(p.n for p in probs)
         probs = {Partition.from_blocks(n, p.blocks): v for p, v in probs.items()}
         return SplittingRuleTable(n, probs)
@@ -237,24 +303,36 @@ def _full_table(n, probs):
     return t
 
 
+def _keyed_rate(d, n, levels):
+    """lambda_n from the level weight of each key, times the number of
+    partitions with that key, plus the delta masses."""
+    counts = _key_counts(n)
+    return (sum(counts[key] * w for key, w in levels.items())
+            + sum(mass for mass, _, _ in _delta_atoms(d, n)))
+
+
 def rate(d, n):
     """lambda_n = kappa(all non-trivial cylinders of P_n); non-decreasing in n.
 
-    This per-partition sum is the enumeration oracle of rate_closed_form.
+    Summed per cylinder key: each key's paintbox cylinder mass times the
+    number of partitions with that key (_key_counts), plus the delta
+    masses, with no partition enumerated.  It reads the cylinder DP, not
+    the split components, so it stays the independent oracle of
+    rate_closed_form.
     """
     if n < 2:
         raise ArgumentError("rates start at n = 2")
-    return sum(_cylinder_weights(d, n).values())
+    return _keyed_rate(d, n, _level_weights(d, n))
 
 
 def rate_closed_form(d, n):
-    """lambda_n summed per mixture component instead of per partition.
+    """lambda_n summed per mixture component instead of per cylinder key.
 
-    The fast path of rate(), which stays its enumeration oracle: the total
-    of the component masses that sample_split draws from.  The capped
-    level's classes j >= m_cap enter as one geometric tail per atom, and
-    the parts that do not depend on n come from the model's cached split
-    law, so a call costs O(atoms + components) for every n.
+    The fast path of rate(), which stays its oracle: the total of the
+    component masses that sample_split draws from.  The capped level's
+    classes j >= m_cap enter as one geometric tail per atom, and the parts
+    that do not depend on n come from the model's cached split law, so a
+    call costs O(atoms + components) for every n.
     """
     if n < 2:
         raise ArgumentError("rates start at n = 2")
@@ -262,14 +340,15 @@ def rate_closed_form(d, n):
 
 
 def splitting_rule(d, n):
+    """The validated table of the root split of [n] on every non-trivial
+    partition, kappa(P^p) / lambda_n, with lambda_n the keyed rate."""
     if n < 2:
         raise ArgumentError("rates start at n = 2")
-    weights = _cylinder_weights(d, n)
-    lam = sum(weights.values())
+    lam = rate(d, n)
     if lam <= 0:
         raise ModelError("zero splitting rate: degenerate dislocation")
     # the weights already cover every non-trivial partition, in order
-    t = SplittingRuleTable(n, {p: w / lam for p, w in weights.items()})
+    t = SplittingRuleTable(n, _cylinder_weights(d, n, lam))
     t.validate()
     return t
 
@@ -292,21 +371,42 @@ def table_to_eppf(table, strict=True, tol=1e-9):
     return out
 
 
-def eppf_recursion_residual(table_n, table_np1, strict=True):
-    """Max residual of the one-step consistency recursion between levels n and n+1.
+def _compositions(n):
+    """The ordered size vectors of n with at least two parts."""
+    return [(first,) + rest for first in range(n - 1, 0, -1)
+            for rest in [(n - first,)] + _compositions(n - first)]
 
-    p_n^j(n_1..n_k) should equal p_{n+1}^n(n,1) p_n^j(n_1..n_k)
-    + sum_i p_{n+1}^j(.., n_i + 1, ..) + p_{n+1}^j(n_1..n_k, 1).
-    """
-    n = table_n.n
-    ep_n = table_to_eppf(table_n, strict=strict)
-    ep_np1 = table_to_eppf(table_np1, strict=strict)
+
+def _keyed_eppf(d, n):
+    """{(j, block sizes in least-label order): the probability of each
+    partition of [n] with that class and size vector}, n >= 2, with no
+    partition enumerated.  The level part depends on the sizes only
+    through their ranking; each delta atom sits on a partition that is
+    alone with its (class, sizes)."""
+    levels = _level_weights(d, n)
+    lam = _keyed_rate(d, n, levels)
+    if lam <= 0:
+        raise ModelError("zero splitting rate: degenerate dislocation")
+    eppf = {}
+    for sizes in _compositions(n):
+        ranked = tuple(sorted(sizes, reverse=True))
+        for j in range(1, sizes[0] + 1):
+            eppf[(j, sizes)] = levels[(j, ranked)]
+    labels = tuple(range(1, n + 1))
+    for mass, blocks, j in _delta_atoms(d, n):
+        split = blocks(j, labels)
+        eppf[(split[1][0] - 1, tuple(map(len, split)))] += mass
+    return {key: w / lam for key, w in eppf.items()}
+
+
+def _recursion_residual(n, ep_n, ep_np1):
+    """Max over the keys of ep_n of the one-step consistency residual
+    between the EPPFs ep_n and ep_np1 of levels n and n + 1."""
     stick = ep_np1.get((n, (n, 1)), 0.0)
     worst = 0.0
     for (j, sizes), p in ep_n.items():
         rhs = stick * p
-        k = len(sizes)
-        for i in range(k):
+        for i in range(len(sizes)):
             grown = sizes[:i] + (sizes[i] + 1,) + sizes[i + 1:]
             rhs += ep_np1.get((j, grown), 0.0)
         rhs += ep_np1.get((j, sizes + (1,)), 0.0)
@@ -314,10 +414,29 @@ def eppf_recursion_residual(table_n, table_np1, strict=True):
     return worst
 
 
+def eppf_recursion_residual(table_n, table_np1, strict=True):
+    """Max residual of the one-step consistency recursion between levels n and n+1.
+
+    p_n^j(n_1..n_k) should equal p_{n+1}^n(n,1) p_n^j(n_1..n_k)
+    + sum_i p_{n+1}^j(.., n_i + 1, ..) + p_{n+1}^j(n_1..n_k, 1).
+    The tables must be of sizes n and n + 1.
+    """
+    n = table_n.n
+    if table_np1.n != n + 1:
+        raise ArgumentError(f"tables of sizes {n} and {table_np1.n}, not n and n + 1")
+    return _recursion_residual(n, table_to_eppf(table_n, strict=strict),
+                               table_to_eppf(table_np1, strict=strict))
+
+
 def consistency_residual(d, n):
+    """The one-step EPPF consistency residual of model d between [n] and
+    [n + 1], from the keyed EPPFs (_keyed_eppf), with no table built.
+    n + 1 stays within the tables' cap, ENUMERATION_CAP."""
     if n < 2:
         raise ArgumentError("n must be >= 2")
-    return eppf_recursion_residual(splitting_rule(d, n), splitting_rule(d, n + 1))
+    if n + 1 > ENUMERATION_CAP:
+        raise ArgumentError(f"consistency residual capped at n + 1 = {ENUMERATION_CAP}")
+    return _recursion_residual(n, _keyed_eppf(d, n), _keyed_eppf(d, n + 1))
 
 
 def _split_components(d, b):

@@ -52,8 +52,7 @@ def kingman_sample(s, n, rng):
     return _paint_partition(_paints(s, n, rng)[2], s.m)
 
 
-@lru_cache(maxsize=200_000)
-def _cylinder_prob_by_sizes(sizes, atoms, s0):
+def _cylinder_dp(sizes, atoms, s0):
     """Sum over admissible paint-index assignments, by block sizes.
 
     The probability only depends on the multiset of block sizes: distinct
@@ -88,14 +87,25 @@ def _cylinder_prob_by_sizes(sizes, atoms, s0):
                 for state, w in dp.items() if owed(state) == 0), 0.0)
 
 
+def _cylinder_by_sizes(s, sizes):
+    """The Kingman cylinder probability of any partition whose block sizes,
+    largest first, are sizes: one _cylinder_dp per multiset, kept in the
+    mass partition's own s.cylinder_table."""
+    table = s.cylinder_table
+    z = table.get(sizes)
+    if z is None:
+        z = table[sizes] = _cylinder_dp(sizes, s.atoms, s.s0)
+    return z
+
+
 def kingman_cylinder_prob(s, p):
     """Exact probability that the Kingman paintbox of s restricts to p on [n].
 
-    One cached DP per (block-size multiset, atoms, dust): see
-    _cylinder_prob_by_sizes; 8 atoms on 8 singletons take well under a
-    millisecond.
+    Read off the table of s by p's block-size multiset
+    (_cylinder_by_sizes); 8 atoms on 8 singletons take well under a
+    millisecond to fill in.
     """
-    return _cylinder_prob_by_sizes(p.size_multiset, s.atoms, s.s0)
+    return _cylinder_by_sizes(s, p.size_multiset)
 
 
 def _check_nondegenerate(s, base):

@@ -16,6 +16,7 @@ import numpy as np
 from .errors import ArgumentError
 
 TOL = 1e-12
+ENUMERATION_CAP = 12   # the largest n whose Bell(n) partitions are enumerated
 
 
 class _lazy:
@@ -144,6 +145,15 @@ class MassPartition:
         probs.flags.writeable = cum.flags.writeable = False
         return probs, cum
 
+    @_lazy
+    def cylinder_table(self):
+        """{block-size multiset: Kingman cylinder probability}, empty until
+        paintbox.kingman_cylinder_prob fills it one multiset at a time; one
+        table per mass partition, as every cylinder of it shares its atoms
+        and dust.  It holds at most one entry per integer partition asked
+        for."""
+        return {}
+
     @property
     def m(self):
         return len(self.atoms)
@@ -196,7 +206,8 @@ class FiniteMeasureOnPartitions:
 
 @lru_cache(maxsize=None)
 def all_partitions(n):
-    """All set partitions of [n], canonical order. Capped at n = 12 (Bell(12) ~ 4.2M).
+    """All set partitions of [n], canonical order. Capped at ENUMERATION_CAP = 12
+    (Bell(12) ~ 4.2M).
 
     x joins each block of a partition of [x - 1] in turn, then opens its
     own; as x exceeds every earlier label, the block tuples come out
@@ -204,8 +215,8 @@ def all_partitions(n):
     """
     if n < 1:
         raise ArgumentError("n must be positive")
-    if n > 12:
-        raise ArgumentError("exhaustive enumeration capped at n = 12")
+    if n > ENUMERATION_CAP:
+        raise ArgumentError(f"exhaustive enumeration capped at n = {ENUMERATION_CAP}")
     parts = [((1,),)]
     for x in range(2, n + 1):
         nxt = []

@@ -5,10 +5,11 @@ import math
 
 import numpy as np
 
-from .errors import ArgumentError, UnsupportedCaseError
+from .errors import ArgumentError, ResourceBudgetError, UnsupportedCaseError
 from .growth import _alphagamma_leaf_depths, leaf_depths, sample_fragmentation_tree
 
 GH_LEAF_CAP = 10
+GH_NODE_BUDGET = 5_000_000   # branch-and-bound nodes of one gh_distance_rooted call
 
 
 def _tree_points(mt):
@@ -81,7 +82,9 @@ def gh_distance_rooted(a, b):
 
     Every correspondence contains one of this form and distortion is monotone
     under inclusion, so the restricted minimum is the true minimum.  Branch
-    and bound over interleaved assignments, seeded by gh_upper_bound.
+    and bound over interleaved assignments, seeded by gh_upper_bound.  A
+    search that would open more than GH_NODE_BUDGET nodes raises
+    ResourceBudgetError instead of running on.
     """
     if a.n > GH_LEAF_CAP or b.n > GH_LEAF_CAP:
         raise UnsupportedCaseError("exact GH capped at %d leaves" % GH_LEAF_CAP)
@@ -96,8 +99,12 @@ def gh_distance_rooted(a, b):
     items = [("a", i) for i in range(1, na)] + [("b", j) for j in range(1, nb)]
     items.sort(key=lambda it: -(da[0][it[1]] if it[0] == "a" else db[0][it[1]]))
     pairs = [(0, 0)]
+    budget = [GH_NODE_BUDGET]
 
     def recurse(idx, cur):
+        budget[0] -= 1
+        if budget[0] < 0:
+            raise ResourceBudgetError("exact GH search exceeded %d nodes" % GH_NODE_BUDGET)
         if idx == len(items):
             best[0] = min(best[0], cur)
             return

@@ -17,7 +17,10 @@ same state.
 from the model alone; the per-model split law of `dislocation._split_law`
 must give the same list at every block size.
 `validate_partition_reference` is the element-by-element loop that
-`Partition.validate` replaced."""
+`Partition.validate` replaced.
+`rate_reference` is the total rate as a sum over every non-trivial
+partition, the enumeration that `dislocation.rate` replaced by a sum over
+cylinder keys with counts."""
 
 from functools import lru_cache
 from itertools import accumulate, count
@@ -25,11 +28,11 @@ from itertools import accumulate, count
 import numpy as np
 
 from fragbox.dislocation import (_check_alphagamma_params, _colour_masses, _delta_atoms,
-                                 _pick, _truncated_geometric)
+                                 _pick, _truncated_geometric, kappa_cylinder)
 from fragbox.errors import ArgumentError, ModelError, ResourceBudgetError
 from fragbox.growth import Tree
 from fragbox.paintbox import ConstrainedState, _paint_partition, _paints, _psi
-from fragbox.partitions import Partition, _maximal_strict_subsets
+from fragbox.partitions import Partition, _maximal_strict_subsets, all_partitions
 
 
 # one chain n = 2..7 (n = 2 ends the recursion); a law at n = 7 holds about 66 MB
@@ -247,3 +250,11 @@ def validate_partition_reference(n, blocks):
     mins = [b[0] for b in blocks]
     if mins != sorted(mins):
         raise ArgumentError("blocks not in least-element order")
+
+
+def rate_reference(d, n):
+    """lambda_n as kappa_cylinder summed over the Bell(n) - 1 non-trivial
+    partitions of [n], one at a time."""
+    if n < 2:
+        raise ArgumentError("rates start at n = 2")
+    return sum(kappa_cylinder(d, p) for p in all_partitions(n) if not p.is_trivial())

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -11,12 +13,14 @@ from fragbox import (ArgumentError, DiscreteDislocation, ModelError,
                      sampling_consistency_residual, skewed_pd_ranked_split,
                      skewed_pd_splitting_table, splitting_rule, table_to_eppf,
                      FiniteMeasureOnPartitions, classify_exchangeability)
-from fragbox.dislocation import (_cylinder_weights, _delta_atoms, _level_cylinder,
+from fragbox import dislocation, partitions
+from fragbox.dislocation import (_cylinder_weights, _delta_atoms, _key_counts, _keyed_eppf,
                                  _split_components)
 from fragbox.harness import chi_square_gof, single_atom_model
+from fragbox.paintbox import kingman_cylinder_prob
 from fragbox.partitions import _maximal_strict_subsets
-from oracles import (alphagamma_tree_distribution, outcome, sample_split_reference,
-                     split_components_reference)
+from oracles import (alphagamma_tree_distribution, outcome, rate_reference,
+                     sample_split_reference, split_components_reference)
 from strategies import capped_dislocations, dislocations
 
 
@@ -169,6 +173,73 @@ def test_normalization_identity():
                 continue
             stick = table_to_eppf(tb)[(n, (n, 1))] if (n, (n, 1)) in table_to_eppf(tb) else 0.0
             assert abs(rate(m, n + 1) * (1 - stick) - rate(m, n)) < 1e-10
+
+
+def test_recursion_residual_needs_tables_of_n_and_n_plus_1():
+    d = single_atom_model()
+    t3, t4 = splitting_rule(d, 3), splitting_rule(d, 4)
+    for small, big in ((t3, splitting_rule(d, 6)), (t4, t4), (t4, t3)):
+        with pytest.raises(ArgumentError):
+            eppf_recursion_residual(small, big)
+    assert eppf_recursion_residual(t3, t4) <= 1e-12
+
+
+def test_splitting_rule_csv_header_only():
+    with pytest.raises(ArgumentError):
+        SplittingRuleTable.from_csv("partition,probability\n")
+
+
+def bell(n):
+    row = [1]
+    for _ in range(n - 1):
+        nxt = [row[-1]]
+        for x in row:
+            nxt.append(nxt[-1] + x)
+        row = nxt
+    return row[-1]
+
+
+@pytest.mark.parametrize("n", range(2, 10))
+def test_key_counts_match_enumeration(n):
+    want = Counter(p.cylinder_key for p in all_partitions(n) if not p.is_trivial())
+    assert _key_counts(n) == want
+
+
+def test_key_counts_sum_to_bell():
+    assert [bell(n) for n in range(1, 8)] == [1, 2, 5, 15, 52, 203, 877]
+    for n in range(2, 13):
+        assert sum(_key_counts(n).values()) == bell(n) - 1
+
+
+@settings(max_examples=40, deadline=None)
+@given(dislocations(), st.integers(2, 8))
+def test_keyed_eppf_and_rate_match_tables(d, n):
+    # the keyed EPPF and rate against the per-partition table and sum
+    lam = rate_reference(d, n)
+    assert abs(rate(d, n) - lam) <= 1e-12
+    if lam <= 0:
+        with pytest.raises(ModelError):
+            _keyed_eppf(d, n)
+        return
+    want = table_to_eppf(splitting_rule(d, n))
+    got = _keyed_eppf(d, n)
+    assert set(got) == set(want)
+    assert max(abs(got[key] - want[key]) for key in want) <= 1e-12
+
+
+def test_keyed_routes_enumerate_no_partition(monkeypatch):
+    def refuse(n):
+        raise AssertionError("all_partitions called")
+
+    monkeypatch.setattr(dislocation, "all_partitions", refuse)
+    monkeypatch.setattr(partitions, "all_partitions", refuse)
+    d = DiscreteDislocation.from_level_dict(
+        {1: [((0.5, 0.3), 1.0)], 2: [((0.6, 0.2), 0.5)], 3: [((0.5, 0.4), 0.8)]},
+        c=(0.1, 0.05), k=(0.0, 0.1))
+    assert abs(rate(d, 12) - rate_closed_form(d, 12)) <= 1e-10
+    assert consistency_residual(d, 11) <= 1e-10
+    with pytest.raises(ArgumentError):
+        consistency_residual(d, 12)
 
 
 def test_corrupted_table_detected():
@@ -341,12 +412,13 @@ def test_kappa_cylinder_matches_table(d, n):
 @settings(max_examples=60)
 @given(dislocations(), st.integers(2, 6))
 def test_keyed_cylinder_weights_match_per_partition(d, n):
-    # one _level_cylinder per (class, sizes) key gives every partition the
-    # value its own evaluation gives, in all_partitions order
-    want = {p: _level_cylinder(d, p) for p in all_partitions(n) if not p.is_trivial()}
+    # one level weight per (class, sizes) key gives every partition the
+    # value its own cylinder evaluation gives, in all_partitions order
+    want = {p: sum(w * kingman_cylinder_prob(s, p) for s, w in d.atoms_at(p.cylinder_class()))
+            for p in all_partitions(n) if not p.is_trivial()}
     for mass, blocks, j in _delta_atoms(d, n):
         want[Partition.from_blocks(n, blocks(j, tuple(range(1, n + 1))))] += mass
-    got = _cylinder_weights(d, n)
+    got = _cylinder_weights(d, n, 1.0)
     assert list(got) == list(want)
     assert got == want
 

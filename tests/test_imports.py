@@ -161,9 +161,10 @@ def test_unbounded_caches_detected():
 
 # (module, function) -> why its cache may grow without bound.  all_partitions
 # keeps Bell(n) partitions per n for the process: 30.6 MB at n = 10, about
-# 1.1 GB at its cap n = 12 (a FOUND line of CHANGES.md); ROADMAP item 6
-# bounds it or drops it once exact tables are keyed by (class, block sizes).
-UNBOUNDED_CACHE_ALLOWED = {("partitions.py", "all_partitions"): "ROADMAP item 6"}
+# 1.1 GB at its cap n = 12 (a FOUND line of CHANGES.md); ROADMAP item 8
+# bounds it or drops it now that rates and residuals are keyed by (class,
+# block sizes) and only splitting_rule and the exchangeability checks expand.
+UNBOUNDED_CACHE_ALLOWED = {("partitions.py", "all_partitions"): "ROADMAP item 8"}
 
 
 def test_no_unbounded_caches():

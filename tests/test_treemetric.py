@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fragbox import (ArgumentError, Tree, UnsupportedCaseError, crt_scale,
-                     fill_fraction, gh_distance_rooted, gh_upper_bound,
+from fragbox import (ArgumentError, ResourceBudgetError, Tree,
+                     UnsupportedCaseError, crt_scale, fill_fraction,
+                     gh_distance_rooted, gh_upper_bound,
                      grow_alphagamma, mean_depth, reduced_ladder, reduced_tree,
                      sample_fragmentation_tree, scaling_exponent, tree_height)
+from fragbox import treemetric
 from fragbox.harness import single_atom_model
 from fragbox.treemetric import (GH_LEAF_CAP, _correspondence_distortion,
                                 _greedy_bound, _greedy_correspondence,
@@ -222,6 +224,20 @@ def test_gh_leaf_cap():
     big = random_metric_tree(rng, leaves=11)
     with pytest.raises(UnsupportedCaseError):
         gh_distance_rooted(big, big)
+
+
+def test_gh_node_budget(monkeypatch):
+    # a search that would open more nodes than GH_NODE_BUDGET raises; the
+    # default budget lets the same search finish
+    rng = np.random.default_rng(7)
+    a, b = random_metric_tree(rng, leaves=4), random_metric_tree(rng, leaves=4)
+    want = gh_distance_rooted(a, b)
+    assert want < gh_upper_bound(a, b)   # the search has to leave its seed
+    monkeypatch.setattr(treemetric, "GH_NODE_BUDGET", 10)
+    with pytest.raises(ResourceBudgetError):
+        gh_distance_rooted(a, b)
+    monkeypatch.undo()
+    assert gh_distance_rooted(a, b) == want
 
 
 def test_four_point_condition_on_trees():
