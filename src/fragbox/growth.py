@@ -210,8 +210,13 @@ class Tree:
 # (two reads, two writes and an advance) costs more than the scalar calls
 # it replaces
 _WORD_DRAWS_MIN_N = 6
-# the most raw words _word_schedule holds at once
+# from this many leaves on, _word_schedule walks the leaf-or-token tests
+# alone and decodes the other draws as arrays; below it the fixed cost of
+# those numpy calls is more than the per-step loop they save
+_WORD_WALK_MIN_N = 80
+# the most raw words the array replay holds at once (at least 3, one step)
 _WORD_CHUNK = 2048
+_LOW32 = 0xFFFFFFFF
 
 
 def _call_schedule(alpha, n, rng):
@@ -240,91 +245,180 @@ def _call_schedule(alpha, n, rng):
 
 
 @functools.lru_cache(maxsize=8)
-def _step_weights(alpha, n):
-    """The selection weights of steps 2..n-1 of growing n leaves, computed
-    as arrays and kept as two lists: m(1-a) on the leaves, and the total,
-    m(1-a) + a(m-1) >= 1, which is m - a up to rounding.  A fit or a ladder
-    grows many trees at one (alpha, n), so the lists are cached."""
+def _leaf_bounds(alpha, n):
+    """The leaf tests of steps 2..n-1 of growing n leaves as bounds on the
+    uniform, for a fit or a ladder grows many trees at one (alpha, n).
+
+    Step m picks a leaf when u * total < w_leaf in floating point, with
+    w_leaf = m(1-a) and total = m(1-a) + a(m-1) >= 1 (m - a up to rounding).
+    The product is non-decreasing in u, so on the uniforms u = x 2**-53 of
+    numpy's doubles the test is x < X_m, for X_m the least x (or 2**53) with
+    x 2**-53 total >= w_leaf; X_m lies within 4 of w_leaf / total * 2**53.
+    Returns the bounds X_m 2**-53 on u as a list: a leaf when u < bound."""
     ms = np.arange(2, n, dtype=float)
     w_leaf = ms * (1 - alpha)
     total = w_leaf + alpha * (ms - 1)
     assert np.abs(total - (ms - alpha)).max(initial=0.0) < 1e-9
-    return w_leaf.tolist(), total.tolist()
+    x = np.clip(np.floor(w_leaf / total * 2.0 ** 53)[:, None] + np.arange(-4.0, 5.0),
+                0.0, 2.0 ** 53)
+    token = ~(x * 2.0 ** -53 * total[:, None] < w_leaf[:, None])
+    # a token at x = 2**53 (u = 1), and a leaf below the window unless it starts at 0
+    assert token[:, -1].all() and (~token[:, 0] | (x[:, 0] == 0)).all()
+    bound = x[np.arange(len(x)), token.argmax(axis=1)]
+    return (bound * 2.0 ** -53).tolist()
 
 
 def _word_schedule(alpha, n, bg):
     """_call_schedule on a PCG64 bit generator, replayed bit for bit from
-    raw 64-bit words drawn in chunks of at most _WORD_CHUNK and read through
-    a local cursor i.
+    raw 64-bit words.
 
     numpy makes a double of one word, (w >> 11) * 2**-53, and integers(k)
     with Lemire's 32-bit rejection method on next_uint32, which takes the
     low half of a fresh word and keeps the high half for its next call; the
     generator's own buffered half (has_uint32, uinteger) is served first.
-    At the end the generator is put back at its start, advanced by the words
-    used and given the buffered half, so it ends where the calls would have
-    left it.
+    Below _WORD_WALK_MIN_N leaves one loop replays a step at a time
+    (_replay_steps); from there on the leaf-or-token tests are walked alone
+    and the other draws decoded as arrays (_replay_walk).  Either replay
+    stops short of a bounded draw that Lemire may reject (prod mod 2**32 <
+    k, about once in 2**32 / k draws): the generator is put back at its
+    start, advanced by the words used and given the buffered half, so it
+    stands where the calls would have left it; that step is made by the
+    calls themselves and the replay starts again after it.
     """
-    start = bg.state
-    has_half, half = bool(start["has_uint32"]), start["uinteger"]
-    drawn = min(_WORD_CHUNK, 2 * n)
-    words = bg.random_raw(drawn).tolist()
+    replay = _replay_steps if n < _WORD_WALK_MIN_N else _replay_walk
+    picks, coins = [], []
     # step 1 draws its uniform unless alpha = 1
-    picks, coins, i = [], [], int(alpha < 1)
-    # a step takes at most 3 words while Lemire accepts, so it starts with
-    # the cursor at most at last
-    last = len(words) - 3
-    try:
-        for m, wl, tot in zip(range(2, n), *_step_weights(alpha, n)):
-            if i > last:
-                size = min(_WORD_CHUNK, 2 * (n - m) + 3)
-                words = words[i:] + bg.random_raw(size).tolist()
-                drawn, i, last = drawn + size, 0, len(words) - 3
-            leaf = (words[i] >> 11) * 2.0 ** -53 * tot < wl
-            i += 1
-            k = m if leaf else m - 1
-            j = 0
-            if k > 1:
-                if has_half:
-                    u = half
-                    has_half = False
-                else:
-                    w = words[i]
-                    u, half, has_half = w & 0xFFFFFFFF, w >> 32, True
-                    i += 1
-                prod = u * k
-                if prod & 0xFFFFFFFF < k:
-                    # Lemire may reject (about once in 2**32 / k draws):
-                    # top up first, so that the redraws and the coin cannot
-                    # run out of words short of 2**11 rejections in a row,
-                    # each of probability below 1/2
-                    words = words[i:] + bg.random_raw(_WORD_CHUNK).tolist()
-                    drawn, i, last = drawn + _WORD_CHUNK, 0, len(words) - 3
-                    threshold = (0x100000000 - k) % k
-                    while prod & 0xFFFFFFFF < threshold:
-                        if has_half:
-                            u = half
-                            has_half = False
-                        else:
-                            w = words[i]
-                            u, half, has_half = w & 0xFFFFFFFF, w >> 32, True
-                            i += 1
-                        prod = u * k
-                j = prod >> 32
-            if leaf:
-                picks.append(j)
-            else:
-                picks.append(~j)
-                coins.append((words[i] >> 11) * 2.0 ** -53)
-                i += 1
-    finally:
-        bg.state = start
-        bg.advance(drawn - (len(words) - i))
+    m, i = 2, int(alpha < 1)
+    while m < n:
+        start = bg.state
+        try:
+            m, k, used, has_half, half = replay(alpha, n, bg, m, i, bool(start["has_uint32"]),
+                                                start["uinteger"], picks, coins)
+        finally:
+            bg.state = start
+        bg.advance(used)
         # advance clears the half; uinteger keeps the last half even once used
         state = bg.state
         state["has_uint32"], state["uinteger"] = int(has_half), half
         bg.state = state
+        if m < n:
+            # step m has drawn its uniform; k = m at a leaf, m - 1 at a token
+            rng = np.random.Generator(bg)
+            j = int(rng.integers(k))
+            if k == m:
+                picks.append(j)
+            else:
+                picks.append(~j)
+                coins.append(rng.random())
+            m, i = m + 1, 0
     return picks, coins
+
+
+def _replay_steps(alpha, n, bg, m, i, has_half, half, picks, coins):
+    """Steps m..n-1 of _word_schedule one at a time, on 3 words a step (the
+    most a step takes) drawn at once after the i words the replay skips.
+    Returns (m, k, words used, has_half, half): m = n at the end, else the
+    step whose bounded draw in [0, k) Lemire may reject, its uniform used."""
+    words = bg.random_raw(i + 3 * (n - m)).tolist()
+    for m, bound in zip(range(m, n), _leaf_bounds(alpha, n)[m - 2:]):
+        leaf = (words[i] >> 11) * 2.0 ** -53 < bound
+        i += 1
+        k = m if leaf else m - 1
+        j = 0
+        if k > 1:
+            if has_half:
+                prod = half * k
+                if prod & _LOW32 < k:
+                    return m, k, i, has_half, half
+                has_half = False
+            else:
+                w = words[i]
+                prod = (w & _LOW32) * k
+                if prod & _LOW32 < k:
+                    return m, k, i, has_half, half
+                half, has_half = w >> 32, True
+                i += 1
+            j = prod >> 32
+        if leaf:
+            picks.append(j)
+        else:
+            picks.append(~j)
+            coins.append((words[i] >> 11) * 2.0 ** -53)
+            i += 1
+    return n, 0, i, has_half, half
+
+
+def _replay_walk(alpha, n, bg, m, i, has_half, half, picks, coins):
+    """Steps m..n-1 of _word_schedule in rounds of at most _WORD_CHUNK // 3
+    steps, with the signature and return of _replay_steps.
+
+    A round holds 3 words a step.  From step 3 on every step makes one
+    bounded draw, which takes a fresh word and a buffered half in turn, so
+    a step's words follow from its uniform's position, and only a token
+    (whose coin comes next) moves the later ones.  A Python loop walks the
+    uniforms, each tested against its bound from _leaf_bounds, and keeps
+    the positions of the tokens' coins; numpy then gives every step's
+    32-bit value, index and coin.  A token at step 2 draws no index (k = 1)
+    and is taken before the walk.
+    """
+    bounds = _leaf_bounds(alpha, n)
+    words, drawn = np.empty(0, np.uint64), 0
+    while m < n:
+        size = min(n - m, _WORD_CHUNK // 3)
+        need = 3 * size + i - len(words)
+        if need > 0:
+            # the cursor may start past the words held (step 1's uniform)
+            words, i = np.concatenate((words[i:], bg.random_raw(need))), max(i - len(words), 0)
+            drawn += need
+            doubles = (words >> 11) * 2.0 ** -53
+            uniforms = memoryview(doubles)
+        if m == 2 and not uniforms[i] < bounds[0]:
+            picks.append(-1)
+            coins.append(uniforms[i + 1])
+            i, m, size = i + 2, 3, size - 1
+        # the walk: a step takes its uniform, a fresh word every other step
+        # and, at a token, a coin, whose position it keeps
+        h, p0, coin_at = int(has_half), i, []
+        for s, bound in zip(itertools.cycle((1, 2) if h else (2, 1)), bounds[m - 2:m - 2 + size]):
+            if uniforms[i] < bound:
+                i += s
+            else:
+                i += s
+                coin_at.append(i)
+                i += 1
+        # the decode.  Had no step drawn a coin, step s would draw its
+        # uniform (3s + 1 - h) // 2 words after p0, and at a token its coin
+        # (3s - h) // 2 + 2 words after p0; the j-th coin lies j words later
+        coin_at = np.asarray(coin_at, np.intp)
+        tsteps = (2 * (coin_at - np.arange(len(coin_at))) + (h - 3 - 2 * p0)) // 3
+        token = np.zeros(size, bool)
+        token[tsteps] = True
+        # steps h, h + 2, ... take fresh words, 3 words apart but for coins;
+        # in order, their low and high halves are the 32-bit values drawn
+        fresh = (size + 1 - h) // 2
+        fw = words[np.arange(p0 + h + 1, p0 + h + 1 + 3 * fresh, 3)
+                   + np.searchsorted(tsteps, np.arange(h, size, 2))]
+        u = fw.astype("<u8", copy=False).view("<u4")
+        if h:
+            u = np.concatenate(([np.uint32(half)], u))
+        k = np.arange(m, m + size, dtype=np.uint64) - token
+        prod = u[:size] * k
+        # steps before d are done; Lemire may reject at step d
+        maybe = prod & _LOW32 < k
+        d = int(maybe.argmax()) if maybe.any() else size
+        j = (prod >> 32).view(np.int64)
+        picks += np.where(token, ~j, j)[:d].tolist()
+        before = len(coin_at) if d == size else int(np.searchsorted(tsteps, d))
+        coins += doubles[coin_at[:before]].tolist()
+        # the state after the first d steps
+        has_half, c = h != d & 1, (d + 1 - h) // 2
+        if c:
+            half = int(fw[c - 1] >> 32)
+        if d < size:
+            return (m + d, int(k[d]), drawn - len(words) + p0 + (3 * d + 1 - h) // 2 + before + 1,
+                    has_half, half)
+        m += size
+    return n, 0, drawn - len(words) + i, has_half, half
 
 
 def _grow(alpha, gamma, n, rng):

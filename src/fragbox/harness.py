@@ -287,7 +287,8 @@ def _exp_grow(cfg):
     rows = [(c, o, e) for c, o, e in zip(last.categories, last.observed, last.expected)]
     return {"gate_passed": passed, "p_value": last.p_value,
             "statistic": last.statistic}, {
-        "frequencies.csv": csv_text(rows, ("category", "observed", "expected"))}
+        "frequencies.csv": csv_text(rows, ("category", "observed", "expected"))}, {
+        "gate_p_values": [rep.p_value for rep in reports]}
 
 
 def _exp_consistency(cfg):
@@ -509,21 +510,24 @@ def _check_params(params, kinds, required, where):
 
 
 def run_experiment(cfg):
-    """Dispatch by tag; returns the result bundle and writes it when cfg.out set."""
+    """Dispatch by tag; returns the result bundle and writes it when cfg.out set.
+
+    An experiment returns its summary and tables, and may add a dict of run
+    metrics (such as the p-value of every gate strike) for metrics.json."""
     cfg.validate()
     if cfg.tag not in _DISPATCH:
         raise ArgumentError("unknown experiment tag %r" % cfg.tag)
     run, kinds = _DISPATCH[cfg.tag]
     _check_params(cfg.params, kinds, (), cfg.tag)
     t0 = time.monotonic()
-    summary, tables = run(cfg)
+    summary, tables, *more = run(cfg)
     bundle = {
         "config": json.loads(cfg.to_json()),
         "library_version": _version,
         "summary": summary,
     }
     # the wall time varies run to run, so it stays out of summary.json
-    metrics = {"wall_time_s": round(time.monotonic() - t0, 3)}
+    metrics = {"wall_time_s": round(time.monotonic() - t0, 3), **(more[0] if more else {})}
     if cfg.out:
         import os
         os.makedirs(cfg.out, exist_ok=True)

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import ArgumentError, ResourceBudgetError, UnsupportedCaseError
-from .partitions import Partition, restrict_partition
+from .partitions import TOL, Partition, restrict_partition
 
 REJECTION_BUDGET = 10_000_000
 
@@ -109,9 +109,10 @@ def kingman_cylinder_prob(s, p):
 
 
 def _check_nondegenerate(s, base):
+    # dust up to TOL is the rounding residue of atoms that add up to 1
     k = base.k
     ell = sum(1 for b in base.blocks if len(b) >= 2)
-    if s.s0 > 0:
+    if s.s0 > TOL:
         if s.m < ell:
             raise UnsupportedCaseError(
                 "degenerate conditioning: fewer atoms than non-singleton blocks")

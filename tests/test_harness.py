@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 from collections import namedtuple
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -148,7 +149,23 @@ def test_run_outputs_byte_stable(tmp_path):
         run_experiment(ExperimentConfig("grow", {"n": 3}, 500, 9, str(tmp_path / out)))
     summary = (tmp_path / "a" / "summary.json").read_bytes()
     assert summary == (tmp_path / "b" / "summary.json").read_bytes()
-    assert json.loads((tmp_path / "a" / "metrics.json").read_text())["wall_time_s"] >= 0
+    metrics = json.loads((tmp_path / "a" / "metrics.json").read_text())
+    assert metrics["wall_time_s"] >= 0
+    # the p-value of every gate strike, the last one the summary's
+    assert 1 <= len(metrics["gate_p_values"]) <= harness.GATE_STRIKES
+    assert metrics["gate_p_values"][-1] == json.loads(summary)["summary"]["p_value"]
+
+
+def test_metrics_list_every_gate_strike(tmp_path):
+    # with no p-value above the threshold all strikes run, each on its own
+    # seed, and metrics.json lists them in order; summary.json keeps the last
+    with mock.patch.object(harness, "P_THRESHOLD", 1.0):
+        bundle = run_experiment(ExperimentConfig("grow", {"n": 3}, 200, 9, str(tmp_path)))
+    p_values = json.loads((tmp_path / "metrics.json").read_text())["gate_p_values"]
+    assert p_values == bundle["metrics"]["gate_p_values"]
+    assert len(set(p_values)) == harness.GATE_STRIKES
+    assert not bundle["summary"]["gate_passed"]
+    assert p_values[-1] == bundle["summary"]["p_value"]
 
 
 def test_run_unknown_tag():

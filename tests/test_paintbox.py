@@ -187,6 +187,19 @@ def test_modified_paintbox_errors():
                                Partition.from_blocks(5, [[1, 2], [3, 4], [5]]))
 
 
+def test_rounding_dust_is_conservative():
+    # the atoms add up to 1 but for rounding, so s0 = 1.1e-16: two atoms
+    # cannot paint the three blocks of the base, and both calls fail at once
+    # instead of drawing against a cylinder of probability 1e-17
+    s = MassPartition((0.9463144927379392, 0.05368550726206069))
+    assert 0 < s.s0 <= 1e-12
+    base = P("1|2|3 4")
+    with pytest.raises(UnsupportedCaseError):
+        modified_paintbox_prob(s, base, base)
+    with pytest.raises(UnsupportedCaseError):
+        modified_paintbox_sample(s, base, 5, np.random.default_rng(0))
+
+
 def test_modified_paintbox_vs_rejection():
     rng = np.random.default_rng(6)
     s = MassPartition((0.5, 0.5))
