@@ -206,14 +206,10 @@ class Tree:
         return shape[top]
 
 
-# below this many leaves the generator state handling of _word_schedule
-# (two reads, two writes and an advance) costs more than the scalar calls
-# it replaces
-_WORD_DRAWS_MIN_N = 6
-# from this many leaves on, _word_schedule walks the leaf-or-token tests
-# alone and decodes the other draws as arrays; below it the fixed cost of
-# those numpy calls is more than the per-step loop they save
-_WORD_WALK_MIN_N = 80
+# below this many leaves the fixed cost of _word_schedule (the generator
+# state handling and the numpy calls of a round, about 30 us) is more than
+# the scalar calls it replaces
+_WORD_DRAWS_MIN_N = 16
 # the most raw words the array replay holds at once (at least 3, one step)
 _WORD_CHUNK = 2048
 _LOW32 = 0xFFFFFFFF
@@ -276,24 +272,22 @@ def _word_schedule(alpha, n, bg):
     with Lemire's 32-bit rejection method on next_uint32, which takes the
     low half of a fresh word and keeps the high half for its next call; the
     generator's own buffered half (has_uint32, uinteger) is served first.
-    Below _WORD_WALK_MIN_N leaves one loop replays a step at a time
-    (_replay_steps); from there on the leaf-or-token tests are walked alone
-    and the other draws decoded as arrays (_replay_walk).  Either replay
-    stops short of a bounded draw that Lemire may reject (prod mod 2**32 <
-    k, about once in 2**32 / k draws): the generator is put back at its
-    start, advanced by the words used and given the buffered half, so it
-    stands where the calls would have left it; that step is made by the
-    calls themselves and the replay starts again after it.
+    _replay_walk walks the leaf-or-token tests alone and decodes the other
+    draws as arrays.  It stops short of a bounded draw that Lemire may
+    reject (prod mod 2**32 < k, about once in 2**32 / k draws): the
+    generator is put back at its start, advanced by the words used and
+    given the buffered half, so it stands where the calls would have left
+    it; that step is made by the calls themselves and the replay starts
+    again after it.
     """
-    replay = _replay_steps if n < _WORD_WALK_MIN_N else _replay_walk
     picks, coins = [], []
     # step 1 draws its uniform unless alpha = 1
     m, i = 2, int(alpha < 1)
     while m < n:
         start = bg.state
         try:
-            m, k, used, has_half, half = replay(alpha, n, bg, m, i, bool(start["has_uint32"]),
-                                                start["uinteger"], picks, coins)
+            m, k, used, has_half, half = _replay_walk(alpha, n, bg, m, i, bool(start["has_uint32"]),
+                                                      start["uinteger"], picks, coins)
         finally:
             bg.state = start
         bg.advance(used)
@@ -314,43 +308,12 @@ def _word_schedule(alpha, n, bg):
     return picks, coins
 
 
-def _replay_steps(alpha, n, bg, m, i, has_half, half, picks, coins):
-    """Steps m..n-1 of _word_schedule one at a time, on 3 words a step (the
-    most a step takes) drawn at once after the i words the replay skips.
-    Returns (m, k, words used, has_half, half): m = n at the end, else the
-    step whose bounded draw in [0, k) Lemire may reject, its uniform used."""
-    words = bg.random_raw(i + 3 * (n - m)).tolist()
-    for m, bound in zip(range(m, n), _leaf_bounds(alpha, n)[m - 2:]):
-        leaf = (words[i] >> 11) * 2.0 ** -53 < bound
-        i += 1
-        k = m if leaf else m - 1
-        j = 0
-        if k > 1:
-            if has_half:
-                prod = half * k
-                if prod & _LOW32 < k:
-                    return m, k, i, has_half, half
-                has_half = False
-            else:
-                w = words[i]
-                prod = (w & _LOW32) * k
-                if prod & _LOW32 < k:
-                    return m, k, i, has_half, half
-                half, has_half = w >> 32, True
-                i += 1
-            j = prod >> 32
-        if leaf:
-            picks.append(j)
-        else:
-            picks.append(~j)
-            coins.append((words[i] >> 11) * 2.0 ** -53)
-            i += 1
-    return n, 0, i, has_half, half
-
-
 def _replay_walk(alpha, n, bg, m, i, has_half, half, picks, coins):
     """Steps m..n-1 of _word_schedule in rounds of at most _WORD_CHUNK // 3
-    steps, with the signature and return of _replay_steps.
+    steps, after the i words the replay skips, from the buffered half
+    (has_half, half).  Appends to picks and coins and returns (m, k, words
+    used, has_half, half): m = n at the end, else the step whose bounded
+    draw in [0, k) Lemire may reject, its uniform used.
 
     A round holds 3 words a step.  From step 3 on every step makes one
     bounded draw, which takes a fresh word and a buffered half in turn, so

@@ -227,7 +227,6 @@ def test_word_schedule_lemire_rejection(seed, n, chunk):
     assert twin.state["state"] == state["state"]
 
 
-@pytest.mark.parametrize("walk", [True, False])
 @pytest.mark.parametrize("seed, n, chunk, redraws", [
     # seeds found by search, each with one step whose bounded draw Lemire
     # may reject: it rejects once at step 1558 (k = 1558, a leaf) and at
@@ -238,12 +237,11 @@ def test_word_schedule_lemire_rejection(seed, n, chunk):
     (495, 3000, 3 * 389, 1), (2972, 3600, 3 * 97, 1),
     # it accepts at step 953 (k = 953, a leaf) and step 2922 (k = 2921, a token)
     (774, 3000, growth._WORD_CHUNK, 0), (1438, 3000, growth._WORD_CHUNK, 0)])
-def test_word_schedule_lemire_mid_tree(seed, n, chunk, redraws, walk):
+def test_word_schedule_lemire_mid_tree(seed, n, chunk, redraws):
     # the replay hands such a step to the generator's own calls and starts
-    # again after it, in the array walk and in the per-step loop alike
+    # again after it
     rng, ref = _twin_generators(np.random.PCG64, seed, False)
-    with mock.patch.object(growth, "_WORD_CHUNK", chunk), \
-            mock.patch.object(growth, "_WORD_WALK_MIN_N", 0 if walk else n + 1):
+    with mock.patch.object(growth, "_WORD_CHUNK", chunk):
         picks, coins = _word_schedule(0.5, n, rng.bit_generator)
     assert (picks, coins) == _call_schedule(0.5, n, ref)
     state = rng.bit_generator.state
@@ -253,20 +251,6 @@ def test_word_schedule_lemire_mid_tree(seed, n, chunk, redraws, walk):
     twin = np.random.PCG64(seed)
     twin.advance((n - 1) + len(coins) + (bounded + redraws + 1) // 2)
     assert twin.state["state"] == state["state"]
-
-
-@pytest.mark.parametrize("chunk", [3, 5, 64, growth._WORD_CHUNK])
-@pytest.mark.parametrize("n", [growth._WORD_WALK_MIN_N - 1, growth._WORD_WALK_MIN_N])
-@pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0])
-def test_word_schedule_either_side_of_the_walk(alpha, n, chunk):
-    # the per-step loop just below _WORD_WALK_MIN_N, the array walk at it
-    for seed in range(3):
-        for primed in (False, True):
-            rng, ref = _twin_generators(np.random.PCG64, seed, primed)
-            with mock.patch.object(growth, "_WORD_CHUNK", chunk):
-                got = _word_schedule(alpha, n, rng.bit_generator)
-            assert got == _call_schedule(alpha, n, ref)
-            assert _same_state(rng.bit_generator.state, ref.bit_generator.state)
 
 
 @settings(max_examples=60)
