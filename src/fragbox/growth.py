@@ -409,9 +409,7 @@ def _grow(alpha, gamma, n, rng):
     parent, slot, count = [1, -1, 1], [0, 0, 1], [0, 2, 0]
     leaves, tokens = [0, 2], [1]
     root, c = 1, 0
-    for m, pick in enumerate(picks, 2):
-        # what the schedule took for granted
-        assert len(leaves) == m and len(tokens) == m - 1
+    for pick in picks:
         if pick >= 0:
             v = leaves[pick]
         else:
@@ -440,6 +438,8 @@ def _grow(alpha, gamma, n, rng):
             root = p
         leaves.append(p + 1)
         tokens.append(p)
+    # what the schedule took for granted: each step adds one leaf and one token
+    assert len(leaves) == n and len(tokens) == n - 1
     return parent, slot, count, leaves, root
 
 

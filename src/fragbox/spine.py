@@ -15,6 +15,7 @@ from .errors import ArgumentError, UnsupportedCaseError
 from .growth import _build_recursive
 
 NEGLIGIBLE = 1e-8  # e^{-a xi} below this ends an infinite window
+_RENEWAL_BLOCK = 1 << 14  # inter-arrival draws per block of renewal_moment
 
 # B_2j / (2j)! for j = 1..6: the Euler-Maclaurin terms of a zeta tail
 _EM_BERNOULLI = np.array([1 / 12, -1 / 720, 1 / 30240, -1 / 1209600, 1 / 47900160,
@@ -286,27 +287,40 @@ def pjs_tail_statistic(l, w, n, x, reps, rng, c_p=1.0, p=3.0):
 def renewal_moment(interarrival_sampler, t, p, reps, rng):
     """Monte Carlo estimate of E[(N_t / t)^p], N_t = renewal count by time t.
 
-    interarrival_sampler(rng, size) must return positive draws as an array.
-    Each round draws a chunk of inter-arrivals for the rows whose renewals
-    have not yet passed t; the chunk starts at 16 and doubles every round,
-    so a row draws at most about twice what it needs.
+    interarrival_sampler(rng, size) is called with size = (rows, chunk) and
+    must return positive draws as an array of that shape, filled row-major
+    (rng.exponential, rng.random(size) ** -2 and np.ones all are).  Each
+    round draws a chunk of inter-arrivals for the rows whose renewals have
+    not yet passed t; the chunk starts at 16 and doubles every round up to
+    _RENEWAL_BLOCK, so a row draws at most about twice what it needs.  A
+    round runs over its rows in blocks of at most _RENEWAL_BLOCK draws, in
+    row order, so the draws do not depend on the block size while no row
+    needs more than 2 * _RENEWAL_BLOCK - 16 of them.  The working set is
+    one block of draws and their running sums (128 KB each in float64)
+    plus a few arrays of reps entries, whatever t is.
     """
-    if t <= 0 or p < 1:
-        raise ArgumentError("need t > 0 and p >= 1")
+    if not (math.isfinite(t) and math.isfinite(p)) or t <= 0 or p < 1 or reps < 1:
+        raise ArgumentError("need finite t > 0, finite p >= 1 and reps >= 1")
     counts = np.zeros(reps, dtype=np.int64)
     remaining = np.full(reps, float(t))
     active = np.arange(reps)
     chunk = 16
     while len(active):
-        draws = interarrival_sampler(rng, (len(active), chunk))
-        if not np.all(draws > 0):
-            raise ArgumentError("inter-arrival draws must be positive")
-        cs = np.cumsum(draws, axis=1)
-        counts[active] += np.sum(cs <= remaining[active, None], axis=1)
-        done = cs[:, -1] > remaining[active]
-        remaining[active[~done]] -= cs[~done, -1]
-        active = active[~done]
-        chunk *= 2
+        rows = _RENEWAL_BLOCK // chunk
+        survivors = []
+        for lo in range(0, len(active), rows):
+            block = active[lo:lo + rows]
+            draws = interarrival_sampler(rng, (len(block), chunk))
+            if not np.all(draws > 0):
+                raise ArgumentError("inter-arrival draws must be positive")
+            cs = np.cumsum(draws, axis=1)
+            left = remaining[block]
+            counts[block] += np.count_nonzero(cs <= left[:, None], axis=1)
+            going = cs[:, -1] <= left
+            remaining[block[going]] = left[going] - cs[going, -1]
+            survivors.append(block[going])
+        active = np.concatenate(survivors)
+        chunk = min(2 * chunk, _RENEWAL_BLOCK)
     return float(np.mean((counts / t) ** p))
 
 

@@ -20,7 +20,12 @@ must give the same list at every block size.
 `Partition.validate` replaced.
 `rate_reference` is the total rate as a sum over every non-trivial
 partition, the enumeration that `dislocation.rate` replaced by a sum over
-cylinder keys with counts."""
+cylinder keys with counts.
+`renewal_moment_reference` draws each round of renewals as one array over
+every active row, with a chunk that doubles without limit; the blocked
+`spine.renewal_moment` must give the same float and leave the generator in
+the same state while no row needs more than 2 * _RENEWAL_BLOCK - 16
+inter-arrivals."""
 
 from functools import lru_cache
 from itertools import accumulate, count
@@ -258,3 +263,20 @@ def rate_reference(d, n):
     if n < 2:
         raise ArgumentError("rates start at n = 2")
     return sum(kappa_cylinder(d, p) for p in all_partitions(n) if not p.is_trivial())
+
+
+def renewal_moment_reference(interarrival_sampler, t, p, reps, rng):
+    counts = np.zeros(reps, dtype=np.int64)
+    remaining = np.full(reps, float(t))
+    active = np.arange(reps)
+    chunk = 16
+    while len(active):
+        draws = interarrival_sampler(rng, (len(active), chunk))
+        assert np.all(draws > 0)
+        cs = np.cumsum(draws, axis=1)
+        counts[active] += np.sum(cs <= remaining[active, None], axis=1)
+        done = cs[:, -1] > remaining[active]
+        remaining[active[~done]] -= cs[~done, -1]
+        active = active[~done]
+        chunk *= 2
+    return float(np.mean((counts / t) ** p))

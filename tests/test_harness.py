@@ -233,6 +233,12 @@ def test_cli_csv_format():
     assert r.stdout.startswith("partition,probability")
 
 
+def test_cli_renewal_non_finite_t_exit_2(capsys):
+    # t = inf never ended a row: the draws grew until memory ran out
+    for t in ("Infinity", "NaN"):
+        assert main(["renewal", "--param", f"t_grid=[{t}]"]) == 2, capsys.readouterr().err
+
+
 def test_cli_bad_input_exit_2(tmp_path, capsys):
     # malformed config file, once as a process for the real exit path
     bad = tmp_path / "bad.json"

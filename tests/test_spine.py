@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -12,9 +13,9 @@ from fragbox import (ArgumentError, KnWindow, LevyAtoms, SubordinatorPath,
                      sample_fragmentation_tree, sample_reduced_crt,
                      simulate_subordinator, spinal_levy_measure, splitting_rule)
 from fragbox.dislocation import DiscreteDislocation
-from fragbox.harness import chi_square_gof, single_atom_model
+from fragbox.harness import _interarrival, chi_square_gof, single_atom_model
 from fragbox.spine import NEGLIGIBLE, _edge_length, _exp_functional, a_alpha_constant
-from oracles import outcome, split_tree_reference
+from oracles import outcome, renewal_moment_reference, split_tree_reference
 from strategies import dislocations
 
 LOG2 = math.log(2)
@@ -375,6 +376,55 @@ def test_renewal_moment_examples():
     # a sampler with zero draws would never pass t: it is rejected, also under -O
     with pytest.raises(ArgumentError):
         renewal_moment(lambda r, s: np.zeros(s), 10.0, 2, 5, rng)
+
+
+@pytest.mark.parametrize("t, p, reps", [
+    (math.inf, 2, 5), (-math.inf, 2, 5), (math.nan, 2, 5), (10.0, math.nan, 5),
+    (10.0, math.inf, 5), (10.0, 2, 0), (10.0, 2, -3), (0.0, 2, 5), (10.0, 0.5, 5)])
+def test_renewal_moment_bad_arguments(t, p, reps):
+    # an infinite t never ended a row (the chunk doubled until memory ran
+    # out); reps = 0 and p = NaN returned NaN
+    with pytest.raises(ArgumentError):
+        renewal_moment(_interarrival("exp"), t, p, reps, np.random.default_rng(0))
+
+
+def _assert_renewal_matches_reference(kind, t, p, reps, seed):
+    sampler = _interarrival(kind)
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    est = renewal_moment(sampler, t, p, reps, rng)
+    assert est == renewal_moment_reference(sampler, t, p, reps, ref_rng)
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+# a round with chunk c runs in blocks of _RENEWAL_BLOCK / c = 1024, 512, 256,
+# ... rows; at t = 100 the Exp(1) rows finish in rounds 3 and 4, the Pareto
+# rows in rounds 1 and 2
+@pytest.mark.parametrize("reps", [1, 255, 256, 257, 1023, 1024, 1025, 2049, 3000])
+@pytest.mark.parametrize("kind", ["exp", "const", "pareto"])
+def test_renewal_moment_block_edges_match_reference(kind, reps):
+    _assert_renewal_matches_reference(kind, 100.0, 2, reps, 24 + reps)
+
+
+@settings(max_examples=40)
+@given(kind=st.sampled_from(["exp", "const", "pareto"]),
+       t=st.floats(0.5, 400.0), p=st.floats(1.0, 4.0),
+       reps=st.integers(1, 2600), seed=st.integers(0, 2 ** 32 - 1))
+def test_renewal_moment_matches_reference(kind, t, p, reps, seed):
+    _assert_renewal_matches_reference(kind, t, p, reps, seed)
+
+
+@pytest.mark.parametrize("t, reps, target", [(100.0, 10 ** 5, 1.01), (2e6, 2, 1.0)])
+def test_renewal_moment_working_set(t, reps, target):
+    # one round of one array held about 125 MB at reps = 10^5 (t = 100) and
+    # 40 MB for two rows at t = 2e6; blocks keep it to a few arrays of reps
+    tracemalloc.start()
+    try:
+        est = renewal_moment(_interarrival("exp"), t, 2, reps, np.random.default_rng(107))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2 ** 20, peak
+    assert abs(est - target) <= 0.02 * target
 
 
 def test_reduced_crt_shapes():
