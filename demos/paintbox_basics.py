@@ -37,7 +37,7 @@ def main():
     for _ in range(reps):
         p = modified_paintbox_sample(s, base, 4, rng)
         counts[p.to_text()] = counts.get(p.to_text(), 0) + 1
-    print("rejection-sampled frequencies agree:")
+    print("sampled frequencies agree:")
     for p in cats:
         print(f"  f({p.to_text():>9}) = {counts.get(p.to_text(), 0) / reps:.4f}")
 

@@ -274,11 +274,12 @@ def _word_schedule(alpha, n, bg):
     generator's own buffered half (has_uint32, uinteger) is served first.
     _replay_walk walks the leaf-or-token tests alone and decodes the other
     draws as arrays.  It stops short of a bounded draw that Lemire may
-    reject (prod mod 2**32 < k, about once in 2**32 / k draws): the
-    generator is put back at its start, advanced by the words used and
-    given the buffered half, so it stands where the calls would have left
-    it; that step is made by the calls themselves and the replay starts
-    again after it.
+    reject (prod mod 2**32 < k, about once in 2**32 / k draws).  The
+    generator is wound back over the words drawn but not used (advance by
+    a negative count, which wraps modulo 2**128) and given the buffered
+    half, so it stands where the calls would have left it; that step is
+    made by the calls themselves and the replay starts again after it.  If
+    the walk raises, the generator is put back at its start.
     """
     picks, coins = [], []
     # step 1 draws its uniform unless alpha = 1
@@ -286,11 +287,13 @@ def _word_schedule(alpha, n, bg):
     while m < n:
         start = bg.state
         try:
-            m, k, used, has_half, half = _replay_walk(alpha, n, bg, m, i, bool(start["has_uint32"]),
-                                                      start["uinteger"], picks, coins)
-        finally:
+            m, k, unused, has_half, half = _replay_walk(alpha, n, bg, m, i,
+                                                        bool(start["has_uint32"]),
+                                                        start["uinteger"], picks, coins)
+        except BaseException:
             bg.state = start
-        bg.advance(used)
+            raise
+        bg.advance(-unused)
         # advance clears the half; uinteger keeps the last half even once used
         state = bg.state
         state["has_uint32"], state["uinteger"] = int(has_half), half
@@ -312,8 +315,8 @@ def _replay_walk(alpha, n, bg, m, i, has_half, half, picks, coins):
     """Steps m..n-1 of _word_schedule in rounds of at most _WORD_CHUNK // 3
     steps, after the i words the replay skips, from the buffered half
     (has_half, half).  Appends to picks and coins and returns (m, k, words
-    used, has_half, half): m = n at the end, else the step whose bounded
-    draw in [0, k) Lemire may reject, its uniform used.
+    drawn but not used, has_half, half): m = n at the end, else the step
+    whose bounded draw in [0, k) Lemire may reject, its uniform used.
 
     A round holds 3 words a step.  From step 3 on every step makes one
     bounded draw, which takes a fresh word and a buffered half in turn, so
@@ -325,14 +328,13 @@ def _replay_walk(alpha, n, bg, m, i, has_half, half, picks, coins):
     and is taken before the walk.
     """
     bounds = _leaf_bounds(alpha, n)
-    words, drawn = np.empty(0, np.uint64), 0
+    words = np.empty(0, np.uint64)
     while m < n:
         size = min(n - m, _WORD_CHUNK // 3)
         need = 3 * size + i - len(words)
         if need > 0:
             # the cursor may start past the words held (step 1's uniform)
             words, i = np.concatenate((words[i:], bg.random_raw(need))), max(i - len(words), 0)
-            drawn += need
             doubles = (words >> 11) * 2.0 ** -53
             uniforms = memoryview(doubles)
         if m == 2 and not uniforms[i] < bounds[0]:
@@ -378,10 +380,10 @@ def _replay_walk(alpha, n, bg, m, i, has_half, half, picks, coins):
         if c:
             half = int(fw[c - 1] >> 32)
         if d < size:
-            return (m + d, int(k[d]), drawn - len(words) + p0 + (3 * d + 1 - h) // 2 + before + 1,
+            return (m + d, int(k[d]), len(words) - (p0 + (3 * d + 1 - h) // 2 + before + 1),
                     has_half, half)
         m += size
-    return n, 0, drawn - len(words) + i, has_half, half
+    return n, 0, len(words) - i, has_half, half
 
 
 def _grow(alpha, gamma, n, rng):

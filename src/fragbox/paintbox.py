@@ -4,13 +4,25 @@ All samplers take an explicit numpy Generator and are pure given that handle.
 """
 
 import math
+import numbers
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate
 
 from .errors import ArgumentError, ResourceBudgetError, UnsupportedCaseError
 from .partitions import TOL, Partition, restrict_partition
 
-REJECTION_BUDGET = 10_000_000
+COLOURING_BUDGET = 1 << 16  # label cells (colourings x base.n) of one base colouring table
+
+
+def _check_count(name, x, least):
+    """x must be an integer (a numpy integer will do, a bool or a float such
+    as 4.0 will not) and at least least."""
+    if type(x) is not int and (isinstance(x, bool) or not isinstance(x, numbers.Integral)):
+        raise ArgumentError(f"{name} must be an integer, got {x!r}")
+    if x < least:
+        raise ArgumentError(f"{name} must be at least {least}, got {x!r}")
 
 
 def _paints(s, n, rng):
@@ -26,11 +38,21 @@ def _colour_blocks(colours, m, labels=None):
     (colour >= m) a singleton, as tuples of the paints' labels: the r-th
     paint is labelled labels[r - 1], or r by default.  For increasing labels
     the tuples are canonical: blocks open in order of first sight, so by
-    least label, and labels join them in increasing order."""
-    blocks = {}
+    least label, and labels join them in increasing order.  One pass: an
+    atom colour's block is a list opened at its first paint, a dust paint
+    goes straight in as a 1-tuple."""
+    blocks, by_colour = [], {}
     for r, ci in enumerate(colours, 1) if labels is None else zip(labels, colours):
-        blocks.setdefault(ci if ci < m else -r, []).append(r)
-    return tuple(map(tuple, blocks.values()))
+        if ci < m:
+            block = by_colour.get(ci)
+            if block is None:
+                by_colour[ci] = block = [r]
+                blocks.append(block)
+            else:
+                block.append(r)
+        else:
+            blocks.append((r,))
+    return tuple(map(tuple, blocks))
 
 
 def _paint_partition(colours, m):
@@ -48,7 +70,7 @@ def kingman_sample(s, n, rng):
     block size) conditions the paints in between and groups them into the
     block's own labels.
     """
-    assert n >= 1
+    _check_count("n", n, 1)
     return _paint_partition(_paints(s, n, rng)[2], s.m)
 
 
@@ -149,25 +171,106 @@ def modified_paintbox_prob(s, base, refinement_target):
     return kingman_cylinder_prob(s, refinement_target) / z_base
 
 
-def modified_paintbox_sample(s, base, n, rng):
-    """Rejection-sample a Kingman partition of [n] on the cylinder of base.
+def _colouring_count(sizes, m, dusty):
+    """The number of admissible colourings of blocks of these sizes: distinct
+    atoms of m, or dust (if dusty) on any set of the singletons."""
+    singles = sizes.count(1) if dusty else 0
+    return sum(math.comb(singles, j) * math.perm(m, len(sizes) - j)
+               for j in range(singles + 1))
 
-    Each attempt is one kingman_sample draw (one rng.random(n)), so the
-    stream is that of kingman_sample until the first draw whose restriction
-    to [base.n] is base.  An attempt is tested on its colours: the blocks of
-    its first base.n paints (_colour_blocks) must be base.blocks.  Only the
-    accepted draw becomes a Partition.  (s, base) is checked once
-    (_base_cylinder), not once per draw.
+
+def _colourings(s, base):
+    """Every admissible colouring of base's blocks under s, as a list of
+    (colours of the blocks, weight).
+
+    A colouring gives each block a distinct atom, or dust (colour m) if the
+    block is a single label and s0 > 0, and weighs prod s_c^|B|, with s0 for
+    a dust singleton; the weights add up to base's Kingman cylinder
+    probability.  The colourings come in lexicographic order, atoms
+    0..m-1 before dust, and a partial colouring is only extended while
+    enough atoms are left for the blocks that need one, so no partial list
+    is longer than the last.
     """
-    if n < base.n:
-        raise ArgumentError("n must be at least base.n")
-    _base_cylinder(s, base)
-    k, m, want = base.n, s.m, base.blocks
-    for _ in range(REJECTION_BUDGET):
-        colours = _paints(s, n, rng)[2]
-        if _colour_blocks(colours[:k].tolist(), m) == want:
-            return _paint_partition(colours, m)
-    raise ResourceBudgetError("rejection budget exhausted")
+    m, sizes = s.m, [len(b) for b in base.blocks]
+    dusty = s.s0 > 0
+    probs = s.atoms + (s.s0,)
+    palette = list(range(m + 1))  # one int object per colour, shared by every cell
+    partial = [((), 1.0)]
+    for i, t in enumerate(sizes):
+        # blocks after this one that only an atom can take
+        owed = sum(1 for u in sizes[i + 1:] if u > 1 or not dusty)
+        choices = palette if dusty and t == 1 else palette[:m]
+        partial = [(cols + (a,), w * probs[a] ** t)
+                   for cols, w in partial
+                   for left in (m - sum(c < m for c in cols),)
+                   for a in choices
+                   if a == m or (a not in cols and left > owed)]
+    return partial
+
+
+@lru_cache(maxsize=8)
+def _base_colourings(s, base):
+    """The colouring table of (s, base) that modified_paintbox_sample draws
+    from, as (cum, flat).
+
+    flat holds the colours of labels 1..base.n under each colouring of
+    positive weight (_colourings), one colouring after the other, and cum
+    the running sums of their weights over their total, the last one set
+    to 1.0.  The total is checked against base's cylinder probability
+    (_base_cylinder, which also refuses a degenerate or null base) to
+    1e-12 relative, or to (colourings + m) units of 2^-52 relative when
+    that is larger, the rounding error the two sums may carry.
+
+    Budget: a base with more than COLOURING_BUDGET = 2^16 label cells
+    (colourings x base.n) raises ResourceBudgetError before its colourings
+    are listed.  A table then keeps at most 2^16 slots in flat (512 KB),
+    2^16 running sums (2 MB as float objects) and the m + 1 <= 2^16 colour
+    ints that flat points at (up to 1.8 MB), under 4.5 MB, and the
+    colourings and weights take up to about 8 MB more while it is built.
+    The cache keeps 8 tables, so at most about 36 MB in all.
+    """
+    z = _base_cylinder(s, base)
+    k, blocks = base.n, base.blocks
+    count = _colouring_count([len(b) for b in blocks], s.m, s.s0 > 0)
+    if count * k > COLOURING_BUDGET:
+        raise ResourceBudgetError(
+            f"{count} colourings of a base on {k} labels exceed {COLOURING_BUDGET} label cells")
+    flat, weights = [], []
+    for cols, w in _colourings(s, base):
+        if w > 0.0:
+            labels = [0] * k
+            for block, c in zip(blocks, cols):
+                for r in block:
+                    labels[r - 1] = c
+            flat += labels
+            weights.append(w)
+    total = math.fsum(weights)
+    # the cylinder DP adds up to m terms on each path, the sums here one
+    # term per colouring: past 1e-12, rounding alone can part them
+    assert abs(total - z) <= max(1e-12, (len(weights) + s.m) * 2.0 ** -52) * z, (total, z)
+    cum = [c / total for c in accumulate(weights)]
+    cum[-1] = 1.0
+    return cum, flat
+
+
+def modified_paintbox_sample(s, base, n, rng):
+    """Sample a Kingman partition of [n] conditioned to restrict to base on
+    [base.n], exactly and without rejection.
+
+    One rng.random() and a bisect pick a colouring of base's blocks by its
+    weight (_base_colourings, built once per (s, base)); then one _paints
+    call of rng.random(n - base.n) paints labels base.n + 1..n, and
+    _colour_blocks groups all n labels.  Given the colours of the first
+    base.n paints, the others are iid from s, so the draw has the law of
+    the Kingman partition given its cylinder.  A base with more colourings
+    than the table's budget raises ResourceBudgetError.
+    """
+    k = base.n
+    _check_count("n", n, k)
+    cum, flat = _base_colourings(s, base)
+    i = bisect_right(cum, rng.random()) * k
+    colours = flat[i:i + k] + _paints(s, n - k, rng)[2].tolist()
+    return Partition(n, _colour_blocks(colours, s.m))
 
 
 @dataclass
@@ -208,8 +311,11 @@ def gnedin_constrained_run(y_sampler, psi, n, rng):
     rng.random() per skip, and a long run costs O(J_n).
     """
     psi = tuple(psi)
-    if not psi or any(q < 1 for q in psi):
+    if not psi:
         raise ArgumentError("psi must be positive integers")
+    for q in psi:
+        _check_count("a psi entry", q, 1)
+    _check_count("n", n, 1)
     if n < psi[0]:
         raise ArgumentError("need n >= psi_1 to attain the first record")
     G = _draw_y(y_sampler, rng)  # threshold G_K, starts at G_1

@@ -11,11 +11,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dislocation import _split_law, rate_closed_form
-from .errors import ArgumentError, UnsupportedCaseError
+from .errors import ArgumentError, ResourceBudgetError, UnsupportedCaseError
 from .growth import _build_recursive
 
 NEGLIGIBLE = 1e-8  # e^{-a xi} below this ends an infinite window
 _RENEWAL_BLOCK = 1 << 14  # inter-arrival draws per block of renewal_moment
+RENEWAL_DRAW_BUDGET = 10 ** 9  # inter-arrival draws of one renewal_moment call
 
 # B_2j / (2j)! for j = 1..6: the Euler-Maclaurin terms of a zeta tail
 _EM_BERNOULLI = np.array([1 / 12, -1 / 720, 1 / 30240, -1 / 1209600, 1 / 47900160,
@@ -297,19 +298,26 @@ def renewal_moment(interarrival_sampler, t, p, reps, rng):
     row order, so the draws do not depend on the block size while no row
     needs more than 2 * _RENEWAL_BLOCK - 16 of them.  The working set is
     one block of draws and their running sums (128 KB each in float64)
-    plus a few arrays of reps entries, whatever t is.
+    plus a few arrays of reps entries, whatever t is.  A call that would
+    draw more than RENEWAL_DRAW_BUDGET inter-arrivals in all raises
+    ResourceBudgetError before the block that would pass it (criterion 7,
+    reps 10^5 at t = 100, draws about 1.3 * 10^7).
     """
     if not (math.isfinite(t) and math.isfinite(p)) or t <= 0 or p < 1 or reps < 1:
         raise ArgumentError("need finite t > 0, finite p >= 1 and reps >= 1")
     counts = np.zeros(reps, dtype=np.int64)
     remaining = np.full(reps, float(t))
     active = np.arange(reps)
-    chunk = 16
+    chunk, drawn = 16, 0
     while len(active):
         rows = _RENEWAL_BLOCK // chunk
         survivors = []
         for lo in range(0, len(active), rows):
             block = active[lo:lo + rows]
+            drawn += len(block) * chunk
+            if drawn > RENEWAL_DRAW_BUDGET:
+                raise ResourceBudgetError(
+                    f"renewal moment needs more than {RENEWAL_DRAW_BUDGET} inter-arrival draws")
             draws = interarrival_sampler(rng, (len(block), chunk))
             if not np.all(draws > 0):
                 raise ArgumentError("inter-arrival draws must be positive")

@@ -21,6 +21,11 @@ must give the same list at every block size.
 `rate_reference` is the total rate as a sum over every non-trivial
 partition, the enumeration that `dislocation.rate` replaced by a sum over
 cylinder keys with counts.
+`modified_paintbox_rejection` is the rejection loop that
+`paintbox.modified_paintbox_sample` replaced by an exact draw of the base's
+colours: it redraws all n paints until the first base.n of them form the
+base, so it is the sampler's oracle in law, and the restriction loop of the
+paintbox tests pins it draw for draw.
 `renewal_moment_reference` draws each round of renewals as one array over
 every active row, with a chunk that doubles without limit; the blocked
 `spine.renewal_moment` must give the same float and leave the generator in
@@ -36,7 +41,8 @@ from fragbox.dislocation import (_check_alphagamma_params, _colour_masses, _delt
                                  _pick, _truncated_geometric, kappa_cylinder)
 from fragbox.errors import ArgumentError, ModelError, ResourceBudgetError
 from fragbox.growth import Tree
-from fragbox.paintbox import ConstrainedState, _paint_partition, _paints, _psi
+from fragbox.paintbox import (ConstrainedState, _base_cylinder, _colour_blocks,
+                              _paint_partition, _paints, _psi)
 from fragbox.partitions import Partition, _maximal_strict_subsets, all_partitions
 
 
@@ -263,6 +269,22 @@ def rate_reference(d, n):
     if n < 2:
         raise ArgumentError("rates start at n = 2")
     return sum(kappa_cylinder(d, p) for p in all_partitions(n) if not p.is_trivial())
+
+
+def modified_paintbox_rejection(s, base, n, rng, attempts=10 ** 7):
+    """A Kingman partition of [n] on the cylinder of base, by rejection:
+    each attempt is one _paints draw of all n paints, and the first whose
+    first base.n paints have base's blocks (_colour_blocks) is kept.  It
+    costs 1 / z attempts on average, z base's cylinder probability."""
+    if n < base.n:
+        raise ArgumentError("n must be at least base.n")
+    _base_cylinder(s, base)
+    k, m, want = base.n, s.m, base.blocks
+    for _ in range(attempts):
+        colours = _paints(s, n, rng)[2]
+        if _colour_blocks(colours[:k].tolist(), m) == want:
+            return _paint_partition(colours, m)
+    raise ResourceBudgetError("rejection budget exhausted")
 
 
 def renewal_moment_reference(interarrival_sampler, t, p, reps, rng):

@@ -1,19 +1,21 @@
 import math
 import warnings
+from collections import Counter
 from itertools import product
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fragbox import (ArgumentError, MassPartition, Partition,
+from fragbox import (ArgumentError, MassPartition, Partition, ResourceBudgetError,
                      UnsupportedCaseError, all_partitions,
                      gnedin_constrained_run, kingman_cylinder_prob,
                      kingman_sample, modified_paintbox_prob,
                      modified_paintbox_sample, restrict_partition)
-from fragbox.harness import chi_square_gof
-from fragbox.paintbox import _colour_blocks
-from oracles import gnedin_skip_reference, gnedin_walk_reference
+from fragbox import paintbox
+from fragbox.harness import chi_square_gof, gof_gate
+from fragbox.paintbox import _base_colourings, _colour_blocks, _colouring_count, _colourings
+from oracles import gnedin_skip_reference, gnedin_walk_reference, modified_paintbox_rejection
 
 
 def P(text):
@@ -260,8 +262,9 @@ def _modified_sample_by_restriction(s, base, n, rng):
 @settings(max_examples=150)
 @given(boxes(min_atoms=1), st.integers(1, 4), st.data())
 def test_modified_sample_matches_restriction_loop(s, k, data):
-    # the colour test accepts exactly the attempts the Partition test
-    # accepted, on the same stream: same draws, same generator state after
+    # the rejection oracle's colour test accepts exactly the attempts the
+    # Partition test accepted, on the same stream: same draws, same
+    # generator state after
     bases = all_partitions(k)
     base = bases[data.draw(st.integers(0, len(bases) - 1))]
     n = data.draw(st.integers(k, 9))
@@ -272,11 +275,158 @@ def test_modified_sample_matches_restriction_loop(s, k, data):
     seed = data.draw(st.integers(0, 2 ** 32 - 1))
     fast, slow = np.random.default_rng(seed), np.random.default_rng(seed)
     for _ in range(5):
-        p = modified_paintbox_sample(s, base, n, fast)
+        p = modified_paintbox_rejection(s, base, n, fast)
         q = _modified_sample_by_restriction(s, base, n, slow)
         assert p == q and p.blocks == q.blocks
         assert fast.bit_generator.state == slow.bit_generator.state
     assert fast.random() == slow.random()
+
+
+def brute_force_colourings(s, base):
+    """Oracle: every colour of {atoms, dust} on every block, filtered for
+    distinct atoms and dust on singletons only (and only if s0 > 0)."""
+    m, probs = s.m, s.atoms + (s.s0,)
+    out = []
+    for cols in product(range(m + 1), repeat=base.k):
+        atoms = [c for c in cols if c < m]
+        if len(set(atoms)) < len(atoms):
+            continue
+        if any(c == m and (len(b) > 1 or s.s0 == 0) for c, b in zip(cols, base.blocks)):
+            continue
+        w = 1.0
+        for c, b in zip(cols, base.blocks):
+            w *= probs[c] ** len(b)
+        out.append((cols, w))
+    return out
+
+
+@settings(max_examples=150)
+@given(boxes(), st.integers(1, 4), st.data())
+def test_colouring_table_matches_bruteforce(s, k, data):
+    bases = all_partitions(k)
+    base = bases[data.draw(st.integers(0, len(bases) - 1))]
+    got, want = _colourings(s, base), brute_force_colourings(s, base)
+    assert [c for c, _ in got] == [c for c, _ in want]
+    assert [w for _, w in got] == pytest.approx([w for _, w in want], rel=1e-14)
+    assert len(got) == _colouring_count([len(b) for b in base.blocks], s.m, s.s0 > 0)
+    assert math.fsum(w for _, w in got) == pytest.approx(kingman_cylinder_prob(s, base),
+                                                         rel=1e-12, abs=0)
+    try:
+        cum, flat = _base_colourings(s, base)
+    except (UnsupportedCaseError, ArgumentError):
+        return
+    # every row of the table paints labels 1..k into base's blocks, and
+    # the running sums rise to 1
+    assert len(flat) == k * len(cum) and cum[-1] == 1.0
+    assert all(a < b for a, b in zip(cum, cum[1:]))
+    for i in range(len(cum)):
+        assert _colour_blocks(flat[i * k:(i + 1) * k], s.m) == base.blocks
+
+
+@pytest.mark.parametrize("atoms, base, n", [
+    ((0.5, 0.2, 0.1), "1 3|2|4", 6),   # dust, and a block of two labels
+    ((0.6, 0.4), "1 2|3", 5),          # conservative
+    ((0.4, 0.3), "1|2|3", 5),          # dust on any of the singletons
+])
+def test_modified_sample_gof(atoms, base, n):
+    s, base = MassPartition(atoms), P(base)
+    cats = [p for p in all_partitions(n)
+            if restrict_partition(p, base.n) == base and modified_paintbox_prob(s, base, p) > 0]
+    probs = [modified_paintbox_prob(s, base, p) for p in cats]
+
+    def once(rng):
+        counts = {c: 0 for c in cats}
+        for _ in range(20_000):
+            counts[modified_paintbox_sample(s, base, n, rng)] += 1
+        return chi_square_gof([counts[c] for c in cats], probs)
+
+    passed, reports = gof_gate(once, 251, f"modified-{base.to_text()}-{n}")
+    assert passed, reports[-1].p_value
+
+
+def test_modified_sample_matches_rejection_in_law():
+    # two samples, one from each sampler, against each other: a chi-square
+    # test of homogeneity, outcomes seen fewer than 20 times in all pooled
+    stats = pytest.importorskip("scipy.stats")
+    s, base, n = MassPartition((0.5, 0.3)), P("1 2|3"), 5
+    direct, rejection = np.random.default_rng(41), np.random.default_rng(42)
+    a = Counter(modified_paintbox_sample(s, base, n, direct) for _ in range(20_000))
+    b = Counter(modified_paintbox_rejection(s, base, n, rejection) for _ in range(20_000))
+    both = a + b
+    keys = [p for p, c in both.items() if c >= 20]
+    table = [[counts[q] for q in keys] for counts in (a, b)]
+    rare = [sum(c for p, c in counts.items() if both[p] < 20) for counts in (a, b)]
+    if any(rare):
+        table = [row + [r] for row, r in zip(table, rare)]
+    assert stats.chi2_contingency(table)[1] > 1e-3
+
+
+def test_modified_sample_draws_one_uniform_then_the_free_paints():
+    # the stream: one random() picks the colouring, then random(n - k)
+    s, base, n = MassPartition((0.5, 0.3)), P("1|2"), 6
+    rng, ref = np.random.default_rng(9), np.random.default_rng(9)
+    p = modified_paintbox_sample(s, base, n, rng)
+    u, paints = ref.random(), ref.random(n - 2)
+    cum, flat = _base_colourings(s, base)
+    i = next(j for j, c in enumerate(cum) if u < c)
+    colours = flat[2 * i:2 * i + 2] + np.searchsorted(s.colour_table[1], paints).tolist()
+    assert p.blocks == _colour_blocks(colours, s.m)
+    assert rng.bit_generator.state == ref.bit_generator.state
+
+
+def test_colouring_budget(monkeypatch):
+    # a base with more label cells than COLOURING_BUDGET raises before its
+    # table is built; the default budget builds the same table
+    s, base = MassPartition((0.3, 0.2, 0.2, 0.1)), P("1|2|3")
+    count = _colouring_count([1, 1, 1], 4, True)
+    assert count == len(_colourings(s, base))
+    _base_colourings.cache_clear()
+    monkeypatch.setattr(paintbox, "COLOURING_BUDGET", 3 * count - 1)
+    with pytest.raises(ResourceBudgetError):
+        modified_paintbox_sample(s, base, 4, np.random.default_rng(0))
+    monkeypatch.setattr(paintbox, "COLOURING_BUDGET", 3 * count)
+    assert modified_paintbox_sample(s, base, 4, np.random.default_rng(0)).n == 4
+
+
+def test_colouring_table_at_the_budget():
+    # 65535 atoms on the base {1}: 2^16 colourings of one label, right at
+    # the budget.  The cylinder DP adds the atoms one by one and the table
+    # total is exact, so the two differ by 1.0e-12 relative from rounding
+    # alone; the check allows for it, and the table still draws
+    s, base = MassPartition((0.9 / 65535,) * 65535), P("1")
+    cum, flat = _base_colourings(s, base)
+    assert len(cum) == len(flat) == 2 ** 16
+    assert modified_paintbox_sample(s, base, 3, np.random.default_rng(0)).n == 3
+    _base_colourings.cache_clear()
+
+
+@pytest.mark.parametrize("n", [4.0, 10.7, True, "4", None])
+def test_samplers_reject_non_integer_n(n):
+    s, rng = MassPartition((0.5, 0.3)), np.random.default_rng(0)
+    with pytest.raises(ArgumentError):
+        kingman_sample(s, n, rng)
+    with pytest.raises(ArgumentError):
+        modified_paintbox_sample(s, P("1|2"), n, rng)
+    with pytest.raises(ArgumentError):
+        gnedin_constrained_run(lambda r: 0.5, (1,), n, rng)
+
+
+def test_samplers_reject_n_below_one():
+    s, rng = MassPartition((0.5, 0.3)), np.random.default_rng(0)
+    for n in (0, -3):
+        with pytest.raises(ArgumentError):
+            kingman_sample(s, n, rng)
+        with pytest.raises(ArgumentError):
+            modified_paintbox_sample(s, P("1"), n, rng)
+    # numpy integers are integers
+    assert kingman_sample(s, np.int64(4), rng).n == 4
+    assert modified_paintbox_sample(s, P("1|2"), np.int32(4), rng).n == 4
+
+
+@pytest.mark.parametrize("psi", [(1.5,), (True,), (1, 2.0), (1, "2"), (0,)])
+def test_gnedin_rejects_non_integer_psi(psi):
+    with pytest.raises(ArgumentError):
+        gnedin_constrained_run(lambda r: 0.5, psi, 100, np.random.default_rng(0))
 
 
 @settings(max_examples=100)

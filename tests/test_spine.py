@@ -7,11 +7,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import stats
 
-from fragbox import (ArgumentError, KnWindow, LevyAtoms, SubordinatorPath,
-                     UnsupportedCaseError, crt_scale, pjs_limit_functional,
+from fragbox import (ArgumentError, KnWindow, LevyAtoms, ResourceBudgetError,
+                     SubordinatorPath, UnsupportedCaseError, crt_scale, pjs_limit_functional,
                      pjs_tail_statistic, renewal_moment, sample_Kn,
                      sample_fragmentation_tree, sample_reduced_crt,
                      simulate_subordinator, spinal_levy_measure, splitting_rule)
+from fragbox import spine
+from fragbox.cli import main
 from fragbox.dislocation import DiscreteDislocation
 from fragbox.harness import _interarrival, chi_square_gof, single_atom_model
 from fragbox.spine import NEGLIGIBLE, _edge_length, _exp_functional, a_alpha_constant
@@ -386,6 +388,26 @@ def test_renewal_moment_bad_arguments(t, p, reps):
     # out); reps = 0 and p = NaN returned NaN
     with pytest.raises(ArgumentError):
         renewal_moment(_interarrival("exp"), t, p, reps, np.random.default_rng(0))
+
+
+def test_renewal_draw_budget(monkeypatch):
+    # a call that would draw more inter-arrivals than RENEWAL_DRAW_BUDGET
+    # raises; the default budget lets the same call finish on the same draws
+    args = (_interarrival("exp"), 100.0, 2, 300)
+    want = renewal_moment(*args, np.random.default_rng(3))
+    monkeypatch.setattr(spine, "RENEWAL_DRAW_BUDGET", 10 ** 4)
+    with pytest.raises(ResourceBudgetError):
+        renewal_moment(*args, np.random.default_rng(3))
+    monkeypatch.undo()
+    assert renewal_moment(*args, np.random.default_rng(3)) == want
+
+
+def test_cli_renewal_huge_t_exit_2(monkeypatch, capsys):
+    # t = 1e300 is finite, so it passes the argument check, but no row
+    # would ever pass it: the draw budget ends the run with exit code 2
+    monkeypatch.setattr(spine, "RENEWAL_DRAW_BUDGET", 10 ** 6)
+    assert main(["renewal", "--param", "t_grid=[1e300]"]) == 2
+    assert "inter-arrival draws" in capsys.readouterr().err
 
 
 def _assert_renewal_matches_reference(kind, t, p, reps, seed):
