@@ -16,7 +16,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .errors import ArgumentError, ModelError, ResourceBudgetError
+from .errors import ArgumentError, ModelError, ResourceBudgetError, _check_count
 from .paintbox import _colour_blocks, _cylinder_by_sizes, _paints
 from .partitions import (ENUMERATION_CAP, Partition, _lazy, all_partitions, csv_rows,
                          csv_text, MassPartition)
@@ -83,9 +83,7 @@ class DiscreteDislocation:
 
     def atoms_at(self, j):
         """The nu_j atom list; level m_cap serves every j >= m_cap."""
-        if j < 1:
-            raise ArgumentError("level must be >= 1")
-        return self.levels[min(j, self.m_cap) - 1]
+        return self.levels[min(_check_count("level", j, 1), self.m_cap) - 1]
 
     def c_at(self, j):
         return self.c[j - 1] if 1 <= j <= len(self.c) else 0.0
@@ -226,16 +224,16 @@ def _keyed_partitions(n):
     return parts, tuple(p.cylinder_key for p in parts)
 
 
-def _cylinder_weights(d, n, scale):
+def _cylinder_weights(d, n, levels, scale):
     """{p: kappa(P^p) / scale} over the non-trivial partitions of [n], n >= 2.
 
     The level part is restricted exchangeable: it depends on p only through
-    p.cylinder_key, so each key's value is computed (_level_weights) and
-    scaled once, and expanded to the partitions of that key in one pass;
+    p.cylinder_key, so each key's value (levels, from _level_weights) is
+    scaled once and expanded to the partitions of that key in one pass;
     the delta atoms then add their scaled masses to their own partitions.
     """
     parts, keys = _keyed_partitions(n)
-    per_key = {key: w / scale for key, w in _level_weights(d, n).items()}
+    per_key = {key: w / scale for key, w in levels.items()}
     weights = dict(zip(parts, map(per_key.__getitem__, keys)))
     labels = tuple(range(1, n + 1))
     for mass, blocks, j in _delta_atoms(d, n):
@@ -320,8 +318,7 @@ def rate(d, n):
     the split components, so it stays the independent oracle of
     rate_closed_form.
     """
-    if n < 2:
-        raise ArgumentError("rates start at n = 2")
+    n = _check_count("n", n, 2)
     return _keyed_rate(d, n, _level_weights(d, n))
 
 
@@ -334,21 +331,21 @@ def rate_closed_form(d, n):
     that do not depend on n come from the model's cached split law, so a
     call costs O(atoms + components) for every n.
     """
-    if n < 2:
-        raise ArgumentError("rates start at n = 2")
+    n = _check_count("n", n, 2)
     return sum((mass for mass, _ in _split_components(d, n)), 0.0)
 
 
 def splitting_rule(d, n):
     """The validated table of the root split of [n] on every non-trivial
-    partition, kappa(P^p) / lambda_n, with lambda_n the keyed rate."""
-    if n < 2:
-        raise ArgumentError("rates start at n = 2")
-    lam = rate(d, n)
+    partition, kappa(P^p) / lambda_n, with lambda_n the keyed rate.  Each
+    key's level weight is computed once and serves both."""
+    n = _check_count("n", n, 2)
+    levels = _level_weights(d, n)
+    lam = _keyed_rate(d, n, levels)
     if lam <= 0:
         raise ModelError("zero splitting rate: degenerate dislocation")
     # the weights already cover every non-trivial partition, in order
-    t = SplittingRuleTable(n, _cylinder_weights(d, n, lam))
+    t = SplittingRuleTable(n, _cylinder_weights(d, n, levels, lam))
     t.validate()
     return t
 
@@ -432,8 +429,7 @@ def consistency_residual(d, n):
     """The one-step EPPF consistency residual of model d between [n] and
     [n + 1], from the keyed EPPFs (_keyed_eppf), with no table built.
     n + 1 stays within the tables' cap, ENUMERATION_CAP."""
-    if n < 2:
-        raise ArgumentError("n must be >= 2")
+    n = _check_count("n", n, 2)
     if n + 1 > ENUMERATION_CAP:
         raise ArgumentError(f"consistency residual capped at n + 1 = {ENUMERATION_CAP}")
     return _recursion_residual(n, _keyed_eppf(d, n), _keyed_eppf(d, n + 1))
@@ -620,8 +616,7 @@ def sample_split(d, b, rng):
     """Draw one root split of a block of size b >= 2, without building P_b
     tables: the validated Partition of the model's cached law _split_law(d)
     on the labels 1..b."""
-    if b < 2:
-        raise ArgumentError("blocks of size 1 do not split")
+    b = _check_count("b", b, 2)
     p = Partition(b, _split_law(d).split(tuple(range(1, b + 1)), rng))
     p.validate()
     return p
@@ -672,7 +667,7 @@ def _alphagamma_root_splits(alpha, gamma, m):
     return law
 
 
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=64, typed=True)
 def alphagamma_growth_split_oracle(alpha, gamma, n):
     """Exact root-split law of the n-leaf alpha-gamma tree, 2 <= n <= 10.
 
@@ -682,11 +677,10 @@ def alphagamma_growth_split_oracle(alpha, gamma, n):
     ResourceBudgetError.  Its test oracle at n <= 7 is the root-split
     marginal of alphagamma_tree_distribution in tests/oracles.py, which
     enumerates whole tree histories.  Tables are cached and shared: their
-    probs are read-only.
+    probs are read-only; the cache is typed, so n = 4.0 fails the size check.
     """
     _check_alphagamma_params(alpha, gamma)
-    if n < 2:
-        raise ArgumentError("root splits need n >= 2")
+    n = _check_count("n", n, 2)
     if n > 10:
         raise ResourceBudgetError("alpha-gamma root-split chain capped at n = 10")
     return _full_table(n, _alphagamma_root_splits(alpha, gamma, n))

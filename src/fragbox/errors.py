@@ -1,4 +1,6 @@
-"""Error types shared across the library."""
+"""Error types shared across the library, and its one check of a size."""
+
+import numbers
 
 
 class ArgumentError(ValueError):
@@ -15,3 +17,21 @@ class ResourceBudgetError(RuntimeError):
 
 class ModelError(ValueError):
     """The model itself is degenerate (e.g. zero splitting rate)."""
+
+
+def _is_integer_type(kind):
+    """Whether values of type kind are integers: int or another Integral
+    (numpy's integers), never bool or a float type, so not 4.0 either."""
+    return kind is int or (issubclass(kind, numbers.Integral) and not issubclass(kind, bool))
+
+
+def _check_count(name, x, least):
+    """x as an int, if it is an integer (see _is_integer_type) of at least
+    least; anything else raises ArgumentError."""
+    if type(x) is not int:
+        if not _is_integer_type(type(x)):
+            raise ArgumentError(f"{name} must be an integer, got {x!r}")
+        x = int(x)
+    if x < least:
+        raise ArgumentError(f"{name} must be at least {least}, got {x!r}")
+    return x

@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ArgumentError
+from .errors import ArgumentError, _check_count
 from .dislocation import _check_alphagamma_params, _split_law
 from .partitions import Hierarchy, Partition
 
@@ -231,7 +231,6 @@ def _call_schedule(alpha, n, rng):
     for m in range(2, n):
         w_leaf = m * (1 - alpha)
         total = w_leaf + alpha * (m - 1)
-        assert abs(total - (m - alpha)) < 1e-9
         if random() * total < w_leaf:
             picks.append(int(integers(m)))
         else:
@@ -254,7 +253,6 @@ def _leaf_bounds(alpha, n):
     ms = np.arange(2, n, dtype=float)
     w_leaf = ms * (1 - alpha)
     total = w_leaf + alpha * (ms - 1)
-    assert np.abs(total - (ms - alpha)).max(initial=0.0) < 1e-9
     x = np.clip(np.floor(w_leaf / total * 2.0 ** 53)[:, None] + np.arange(-4.0, 5.0),
                 0.0, 2.0 ** 53)
     token = ~(x * 2.0 ** -53 * total[:, None] < w_leaf[:, None])
@@ -398,8 +396,7 @@ def _grow(alpha, gamma, n, rng):
     g / ((k_B - 1) a).
     """
     _check_alphagamma_params(alpha, gamma)
-    if n < 1:
-        raise ArgumentError("n must be positive")
+    n = _check_count("n", n, 1)
     if n == 1:
         return [-1], [0], [0], [0], 0
     if n >= _WORD_DRAWS_MIN_N and type(rng.bit_generator) is np.random.PCG64:
@@ -526,8 +523,7 @@ def _build_recursive(labels, split_fn, rng, edge_fn=None):
 def sample_markov_branching(rule_source, n, rng):
     """Recursive Markov branching tree from per-size splitting tables;
     rule_source(b) is asked once per block size b in the tree."""
-    if n < 1:
-        raise ArgumentError("n must be positive")
+    n = _check_count("n", n, 1)
     draws = {}
 
     def split(labs, r):
@@ -543,8 +539,7 @@ def sample_fragmentation_tree(d, n, rng):
     tables: every split draws from the model's one cached split law
     (dislocation._split_law), which reads the block size off the block's
     own labels and groups them."""
-    if n < 1:
-        raise ArgumentError("n must be positive")
+    n = _check_count("n", n, 1)
     return _build_recursive(range(1, n + 1), _split_law(d).split, rng)
 
 
@@ -698,10 +693,11 @@ def reduced_ladder(t, k, ns):
     least n for which it is a vertex of T_n, so at size n an edge is as long
     as the number of labels <= n in its segment.  Costs one walk of
     T_max(ns) plus one searchsorted per (edge, n)."""
-    ns = list(ns)
     if t.length is not None:
         raise ArgumentError("reduced_ladder reads a tree with unit edges")
-    if not 1 <= k <= t.n or any(not k <= n <= t.n for n in ns):
+    k = _check_count("k", k, 1)
+    ns = [_check_count("n", n, k) for n in ns]
+    if max(ns, default=k) > t.n:
         raise ArgumentError(f"need 1 <= k <= n <= {t.n} for every n")
     if not ns:
         return []
@@ -721,8 +717,7 @@ def special_branch_count(t, j, m):
     The m least labels of v escape its child `below` on the path exactly
     when they differ from the m least labels of `below`; one post-order pass
     keeps the m least labels of every vertex, so this costs O(n m)."""
-    if m < 1:
-        raise ArgumentError("m must be positive")
+    m = _check_count("m", m, 1)
     path = t.path_to_root(t.leaf_node(j))
     leaf_label, children = t.leaf_label, t.children
     least = {}

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .errors import ArgumentError
+from .errors import ArgumentError, _check_count
 from . import __version__ as _version
 from .dislocation import (DiscreteDislocation, alphagamma_growth_split_oracle,
                           consistency_residual, sampling_consistency_residual,
@@ -196,8 +196,7 @@ def dislocation_from_params(p):
             j = int(key)
         except (TypeError, ValueError):
             raise ArgumentError(f"level key {key!r} is not an integer") from None
-        if j < 1:
-            raise ArgumentError(f"level key {key!r} must be at least 1")
+        _check_count("a level key", j, 1)
         if not isinstance(entries, list) or not all(map(_is_atom_entry, entries)):
             raise ArgumentError(f"level {key!r}: each entry must be [atoms, weight]")
         levels[j] = [(tuple(a), w) for a, w in entries]

@@ -4,25 +4,15 @@ All samplers take an explicit numpy Generator and are pure given that handle.
 """
 
 import math
-import numbers
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate
 
-from .errors import ArgumentError, ResourceBudgetError, UnsupportedCaseError
+from .errors import ArgumentError, ResourceBudgetError, UnsupportedCaseError, _check_count
 from .partitions import TOL, Partition, restrict_partition
 
 COLOURING_BUDGET = 1 << 16  # label cells (colourings x base.n) of one base colouring table
-
-
-def _check_count(name, x, least):
-    """x must be an integer (a numpy integer will do, a bool or a float such
-    as 4.0 will not) and at least least."""
-    if type(x) is not int and (isinstance(x, bool) or not isinstance(x, numbers.Integral)):
-        raise ArgumentError(f"{name} must be an integer, got {x!r}")
-    if x < least:
-        raise ArgumentError(f"{name} must be at least {least}, got {x!r}")
 
 
 def _paints(s, n, rng):
@@ -70,7 +60,7 @@ def kingman_sample(s, n, rng):
     block size) conditions the paints in between and groups them into the
     block's own labels.
     """
-    _check_count("n", n, 1)
+    n = _check_count("n", n, 1)
     return _paint_partition(_paints(s, n, rng)[2], s.m)
 
 
@@ -266,7 +256,7 @@ def modified_paintbox_sample(s, base, n, rng):
     than the table's budget raises ResourceBudgetError.
     """
     k = base.n
-    _check_count("n", n, k)
+    n = _check_count("n", n, k)
     cum, flat = _base_colourings(s, base)
     i = bisect_right(cum, rng.random()) * k
     colours = flat[i:i + k] + _paints(s, n - k, rng)[2].tolist()
@@ -315,7 +305,7 @@ def gnedin_constrained_run(y_sampler, psi, n, rng):
         raise ArgumentError("psi must be positive integers")
     for q in psi:
         _check_count("a psi entry", q, 1)
-    _check_count("n", n, 1)
+    n = _check_count("n", n, 1)
     if n < psi[0]:
         raise ArgumentError("need n >= psi_1 to attain the first record")
     G = _draw_y(y_sampler, rng)  # threshold G_K, starts at G_1

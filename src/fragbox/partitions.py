@@ -13,7 +13,7 @@ from itertools import chain
 
 import numpy as np
 
-from .errors import ArgumentError
+from .errors import ArgumentError, _check_count, _is_integer_type
 
 TOL = 1e-12
 ENUMERATION_CAP = 12   # the largest n whose Bell(n) partitions are enumerated
@@ -60,8 +60,7 @@ class Partition:
         if not all(blocks):
             raise ArgumentError("empty block")
         elements = list(chain.from_iterable(blocks))
-        kinds = set(map(type, elements))
-        if bool in kinds or not all(hasattr(kind, "__index__") for kind in kinds):
+        if not all(map(_is_integer_type, set(map(type, elements)))):
             raise ArgumentError("the elements of a partition must be integers")
         if sorted(elements) != list(range(1, self.n + 1)):
             raise ArgumentError("blocks must partition [n]")
@@ -204,17 +203,17 @@ class FiniteMeasureOnPartitions:
             raise ArgumentError("weights must be non-negative")
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def all_partitions(n):
     """All set partitions of [n], canonical order. Capped at ENUMERATION_CAP = 12
-    (Bell(12) ~ 4.2M).
+    (Bell(12) ~ 4.2M).  The cache is typed, so 4.0 or True never finds the
+    entry of 4 or 1 and fails the size check.
 
     x joins each block of a partition of [x - 1] in turn, then opens its
     own; as x exceeds every earlier label, the block tuples come out
     canonical and need no sorting or validation.
     """
-    if n < 1:
-        raise ArgumentError("n must be positive")
+    n = _check_count("n", n, 1)
     if n > ENUMERATION_CAP:
         raise ArgumentError(f"exhaustive enumeration capped at n = {ENUMERATION_CAP}")
     parts = [((1,),)]
@@ -229,14 +228,14 @@ def all_partitions(n):
 
 def restrict_partition(p, m):
     """Trace the blocks on [m] and drop what becomes empty."""
-    if not (1 <= m <= p.n):
+    if _check_count("m", m, 1) > p.n:
         raise ArgumentError("m out of range")
     blocks = [[x for x in b if x <= m] for b in p.blocks]
     return Partition.from_blocks(m, [b for b in blocks if b])
 
 
 def restrict_hierarchy(h, m):
-    if not (1 <= m <= h.n):
+    if _check_count("m", m, 1) > h.n:
         raise ArgumentError("m out of range")
     return Hierarchy.from_sets(m, {frozenset(x for x in a if x <= m) for a in h.members})
 

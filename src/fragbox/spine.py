@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dislocation import _split_law, rate_closed_form
-from .errors import ArgumentError, ResourceBudgetError, UnsupportedCaseError
+from .errors import ArgumentError, ResourceBudgetError, UnsupportedCaseError, _check_count
 from .growth import _build_recursive
 
 NEGLIGIBLE = 1e-8  # e^{-a xi} below this ends an infinite window
@@ -124,8 +124,7 @@ def spinal_levy_measure(d, k):
     """
     if not d.theorem2_mode:
         raise UnsupportedCaseError("spinal measures need a conservative (theorem-2) model")
-    if k < 1:
-        raise ArgumentError("k must be positive")
+    k = _check_count("k", k, 1)
     m_cap = d.m_cap
     rates = {}
     # explicit levels l = k..m_cap-1, then the capped level's tail
@@ -176,6 +175,7 @@ def sample_Kn(path, w, n, rng):
     multinomial over the jumps in the window plus an "outside" bin, so the
     cost is O(jumps), not O(n).
     """
+    n = _check_count("n", n, 0)
     span = w.tau_prime - w.tau
     if np.isfinite(span) and path.horizon < span:
         raise ArgumentError("path horizon shorter than the window")
@@ -264,8 +264,9 @@ def pjs_tail_statistic(l, w, n, x, reps, rng, c_p=1.0, p=3.0):
     """
     if l.tail_alpha is None:
         raise ArgumentError("tail spec required")
-    if n < 2 or x < 1:
-        raise ArgumentError("need n >= 2 and x >= 1")
+    n, reps = _check_count("n", n, 2), _check_count("reps", reps, 1)
+    if x < 1:
+        raise ArgumentError("need x >= 1")
     alpha = l.tail_alpha
     span = w.tau_prime - w.tau
     if not np.isfinite(span):
@@ -303,8 +304,9 @@ def renewal_moment(interarrival_sampler, t, p, reps, rng):
     ResourceBudgetError before the block that would pass it (criterion 7,
     reps 10^5 at t = 100, draws about 1.3 * 10^7).
     """
-    if not (math.isfinite(t) and math.isfinite(p)) or t <= 0 or p < 1 or reps < 1:
-        raise ArgumentError("need finite t > 0, finite p >= 1 and reps >= 1")
+    reps = _check_count("reps", reps, 1)
+    if not (math.isfinite(t) and math.isfinite(p)) or t <= 0 or p < 1:
+        raise ArgumentError("need finite t > 0 and finite p >= 1")
     counts = np.zeros(reps, dtype=np.int64)
     remaining = np.full(reps, float(t))
     active = np.arange(reps)
@@ -353,7 +355,6 @@ def sample_reduced_crt(d, k, alpha, rng, lengths=True, leaf_cap=100.0):
     """
     if not d.theorem2_mode:
         raise UnsupportedCaseError("reduced-tree sampling needs a theorem-2 model")
-    if k < 1:
-        raise ArgumentError("k must be positive")
+    k = _check_count("k", k, 1)
     edge = (lambda j: _edge_length(d, j, alpha, rng, leaf_cap)) if lengths else (lambda j: 1.0)
     return _build_recursive(range(1, k + 1), _split_law(d).split, rng, edge)

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 
-from .errors import ArgumentError, ResourceBudgetError, UnsupportedCaseError
+from .errors import ArgumentError, ResourceBudgetError, UnsupportedCaseError, _check_count
 from .growth import _alphagamma_leaf_depths, leaf_depths, sample_fragmentation_tree
 
 GH_LEAF_CAP = 10
@@ -152,7 +152,7 @@ def scaling_exponent(model, n_grid, reps, statistic, rng):
     """Slope (with stderr) of log mean statistic against log n.  The height
     is the greatest leaf depth and mean_depth the mean: the values of
     growth.tree_height and growth.mean_depth, from the same draws."""
-    n_grid = list(n_grid)
+    n_grid, reps = list(n_grid), _check_count("reps", reps, 1)
     if len(n_grid) < 3:
         raise ArgumentError("need at least 3 grid points")
     stat_fn = {"height": np.max, "mean_depth": np.mean}.get(statistic)
@@ -175,6 +175,7 @@ def fill_fraction(t, k):
     Returns a dict distance -> fraction of leaves at that unit-edge distance,
     ready for 'mass within radius' queries.
     """
+    k = _check_count("k", k, 1)
     node_of, parent_of = t.node_of, t.parent_of
     spanning = set()
     for lab in range(1, min(k, t.n) + 1):

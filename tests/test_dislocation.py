@@ -15,7 +15,7 @@ from fragbox import (ArgumentError, DiscreteDislocation, ModelError,
                      FiniteMeasureOnPartitions, classify_exchangeability)
 from fragbox import dislocation, partitions
 from fragbox.dislocation import (_cylinder_weights, _delta_atoms, _key_counts, _keyed_eppf,
-                                 _split_components)
+                                 _level_weights, _split_components)
 from fragbox.harness import chi_square_gof, single_atom_model
 from fragbox.paintbox import kingman_cylinder_prob
 from fragbox.partitions import _maximal_strict_subsets
@@ -418,7 +418,7 @@ def test_keyed_cylinder_weights_match_per_partition(d, n):
             for p in all_partitions(n) if not p.is_trivial()}
     for mass, blocks, j in _delta_atoms(d, n):
         want[Partition.from_blocks(n, blocks(j, tuple(range(1, n + 1))))] += mass
-    got = _cylinder_weights(d, n, 1.0)
+    got = _cylinder_weights(d, n, _level_weights(d, n), 1.0)
     assert list(got) == list(want)
     assert got == want
 

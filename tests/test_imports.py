@@ -2,9 +2,10 @@
 and bench/ uses what it imports, every module-level private function and
 class in the package has a reference in it, every module-level constant of
 the package is read somewhere in src, tests, bench or demos, no cache in the
-package grows without bound unless allow-listed, and nothing in the package
-imports scipy, a test-only dependency whose `scipy.stats` takes several
-times as long to import as fragbox."""
+package grows without bound unless allow-listed, no size is checked by hand
+instead of by errors._check_count, and nothing in the package imports scipy,
+a test-only dependency whose `scipy.stats` takes several times as long to
+import as fragbox."""
 
 import ast
 import subprocess
@@ -170,6 +171,54 @@ UNBOUNDED_CACHE_ALLOWED = {("partitions.py", "all_partitions"): "ROADMAP item 8"
 def test_no_unbounded_caches():
     found = {(p.name, fn) for p in MODULES for _, fn in unbounded_caches(p.read_text())}
     assert found == set(UNBOUNDED_CACHE_ALLOWED)
+
+
+SIZE_NAMES = {"n", "b", "k", "m", "j", "reps"}
+
+
+def hand_written_size_checks(source):
+    """Lines of the ifs whose body raises ArgumentError and whose test
+    compares a size name (SIZE_NAMES) with < or <= to an int literal, on
+    either side, anywhere in the test: size checks that let a float such as
+    4.0 through, where errors._check_count does not."""
+    def raises_argument_error(stmt):
+        return any(isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
+                   and getattr(node.exc.func, "id", None) == "ArgumentError"
+                   for node in ast.walk(stmt))
+
+    def size_vs_literal(a, b):
+        return (isinstance(a, ast.Name) and a.id in SIZE_NAMES
+                and isinstance(b, ast.Constant) and type(b.value) is int)
+
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.If) and any(map(raises_argument_error, node.body)):
+            for cmp in ast.walk(node.test):
+                if isinstance(cmp, ast.Compare):
+                    sides = [cmp.left] + cmp.comparators
+                    if any(isinstance(op, (ast.Lt, ast.LtE))
+                           and (size_vs_literal(a, b) or size_vs_literal(b, a))
+                           for op, a, b in zip(cmp.ops, sides, sides[1:])):
+                        lines.append(node.lineno)
+                        break
+    return sorted(lines)
+
+
+def test_hand_written_size_checks_detected():
+    src = ("def f(n, k, x, reps, t):\n"
+           "    if n < 2:\n        raise ArgumentError('n')\n"
+           "    if not (1 <= k <= t) or x < 1:\n        raise ArgumentError('k')\n"
+           "    if x < 1 or t.n < 2:\n        raise ArgumentError('x')\n"
+           "    if reps < 1:\n        raise ValueError('reps')\n"
+           "    if n > 10:\n        raise ArgumentError('cap')\n"
+           "    if k < 2.5:\n        raise ArgumentError('float')\n"
+           "    if t:\n        if reps <= 0:\n            raise ArgumentError('reps')\n")
+    assert hand_written_size_checks(src) == [2, 4, 15]
+
+
+def test_no_hand_written_size_checks():
+    found = {(p.name, line) for p in MODULES for line in hand_written_size_checks(p.read_text())}
+    assert found == set()
 
 
 def imported_modules(source):
