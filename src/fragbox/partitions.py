@@ -55,7 +55,8 @@ class Partition:
         """Canonical blocks of [n]: none empty, of integer elements (no bool,
         no float such as 1.0) that together hold each of 1..n once, each
         block sorted, and listed by least element.  Each test is one pass in
-        C over the blocks."""
+        C over the blocks, after the size check of n."""
+        _check_count("n", self.n, 0)
         blocks = self.blocks
         if not all(blocks):
             raise ArgumentError("empty block")
@@ -173,7 +174,7 @@ class Hierarchy:
         return h
 
     def validate(self):
-        ground = frozenset(range(1, self.n + 1))
+        ground = frozenset(range(1, _check_count("n", self.n, 0) + 1))
         if ground not in self.members or frozenset() not in self.members:
             raise ArgumentError("hierarchy must contain [n] and the empty set")
         for x in ground:

@@ -7,6 +7,7 @@ All paths are compound Poisson after truncation; the power tail x^(-a) on
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -113,6 +114,9 @@ class KnWindow:
             raise ArgumentError("need epsilon, tau >= 0 and tau_prime >= tau")
 
 
+# a reduced-CRT sample reads it once per edge; typed, so that 2.0 or True
+# never finds the entry of 2 or 1 and skips the size check
+@lru_cache(maxsize=256, typed=True)
 def spinal_levy_measure(d, k):
     """Spinal jump intensity seen from a block of size k, plus the killing rate.
 

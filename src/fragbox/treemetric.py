@@ -2,6 +2,7 @@
 experiments built on them."""
 
 import math
+from bisect import bisect_left
 
 import numpy as np
 
@@ -13,12 +14,18 @@ GH_NODE_BUDGET = 5_000_000   # branch-and-bound nodes of one gh_distance_rooted 
 
 
 def _tree_points(mt):
-    """All vertices of a tree with lengths and their pairwise path metric.
+    """All vertices of a tree with lengths and their pairwise path metric,
+    as nested lists of Python floats.
 
     The root comes first, and each vertex is listed after its parent and
     before its descendants, so its row is its parent's row plus its own edge
-    length on the vertices listed before it; the root row is the depth."""
+    length on the vertices listed before it; the root row is the depth.  On
+    the 4-21 vertices of a reduced tree on 2-10 leaves numpy's cost is call
+    overhead, so lists beat an array up to 8 leaves and are about even at
+    10; above 10 leaves (the GH cap) the quadratic Python loop is slower."""
     children, length = mt.children, mt.length
+    if length is None:
+        raise ArgumentError("GH distances need a tree with edge lengths")
     verts, par, stack = [mt.root], [0], [0]
     while stack:
         i = stack.pop()
@@ -26,48 +33,80 @@ def _tree_points(mt):
             par.append(i)
             stack.append(len(verts))
             verts.append(c)
-    d = np.zeros((len(verts), len(verts)))
+    d = [[0.0]]
     for i in range(1, len(verts)):
-        d[i, :i] = d[:i, i] = d[par[i], :i] + length[verts[i]]
+        ell = float(length[verts[i]])
+        row = [x + ell for x in d[par[i]]]
+        for r, x in zip(d, row):
+            r.append(x)
+        row.append(0.0)
+        d.append(row)
     return verts, d
 
 
 def _correspondence_distortion(da, db, fa, gb):
     """Distortion of graph(f) union graph(g); fa maps A-index -> B-index, gb B -> A.
 
-    The pairs are (i, fa[i]) then (gb[j], j); their distortion is the largest
-    entry of |da - db| restricted to them, diagonal (0) included."""
-    ia = np.concatenate([np.arange(len(fa)), gb])
-    ib = np.concatenate([fa, np.arange(len(gb))])
-    diff = da[ia][:, ia] - db[ib][:, ib]
-    return float(np.abs(diff, out=diff).max())
+    The pairs are (i, fa[i]) then (gb[j], j), each kept once; their
+    distortion is the largest |da - db| over two of them, 0 if there is one.
+    A double loop over the pairs: faster than gathering the two submatrices
+    with numpy up to 8 leaves, about even at 10, slower above."""
+    pairs = list(dict.fromkeys([*zip(range(len(fa)), fa), *zip(gb, range(len(gb)))]))
+    worst = 0.0
+    for x, (a1, b1) in enumerate(pairs):
+        ra, rb = da[a1], db[b1]
+        for a2, b2 in pairs[x + 1:]:
+            gap = abs(ra[a2] - rb[b2])
+            if gap > worst:
+                worst = gap
+    return worst
 
 
 def gh_upper_bound(a, b):
     """Distortion/2 of a greedy depth-profile correspondence (roots paired).
 
-    Costs the two path metrics plus a few array operations on them: no
-    search."""
+    Costs the two path metrics, a sort and a bisection per vertex, and one
+    pass over pairs of the correspondence: no search.  Everything runs on
+    Python floats, which is faster than numpy for reduced trees of 2-8
+    leaves (about 2x at 2 leaves), about even at 10 and slower above."""
     return _greedy_bound(_tree_points(a)[1], _tree_points(b)[1])
 
 
 def _greedy_bound(da, db):
-    """gh_upper_bound on the path metrics of the two trees, roots first:
-    one (na, nb) argmin each way and one distortion matrix per tree pair."""
+    """gh_upper_bound on the path metrics of the two trees, roots first."""
     return _correspondence_distortion(da, db, *_greedy_correspondence(da, db)) / 2.0
 
 
 def _greedy_correspondence(da, db):
     """(fa, gb): every vertex goes to the vertex of the other tree nearest in
-    depth, the first in stable depth order on a tie; the roots to each other."""
-    deptha = da[0]
-    depthb = db[0]
-    order_a = np.argsort(deptha, kind="stable")
-    order_b = np.argsort(depthb, kind="stable")
-    fa = order_b[np.abs(depthb[order_b][None, :] - deptha[:, None]).argmin(axis=1)]
-    gb = order_a[np.abs(deptha[order_a][None, :] - depthb[:, None]).argmin(axis=1)]
-    fa[0], gb[0] = 0, 0
-    return fa, gb
+    depth, the first in stable depth order on a tie; the roots to each other.
+
+    One stable sort of each tree's depths and one bisection per vertex, on
+    Python floats: faster than numpy's argmin below 10 leaves, about even
+    at 10, slower above."""
+    return _nearest_in_depth(da[0], db[0]), _nearest_in_depth(db[0], da[0])
+
+
+def _nearest_in_depth(depths, other):
+    """For each of depths but the root's (which goes to 0), the index in
+    other of the first minimiser of |o - x| in stable depth order.
+
+    The rounded gaps never shrink away from bisect_left's k on either side,
+    so the right side's first minimiser is k, and the left side's is the
+    leftmost of the run of gaps equal to the one at k - 1, which wins ties
+    with k."""
+    order = sorted(range(len(other)), key=other.__getitem__)
+    ranked = [other[j] for j in order]
+    out = [0]
+    for x in depths[1:]:
+        k = bisect_left(ranked, x)
+        if k == len(ranked) or (k and x - ranked[k - 1] <= ranked[k] - x):
+            k -= 1
+            gap = x - ranked[k]
+            while k and x - ranked[k - 1] == gap:
+                k -= 1
+        out.append(order[k])
+    return out
 
 
 def gh_distance_rooted(a, b):
@@ -90,7 +129,6 @@ def gh_distance_rooted(a, b):
         raise UnsupportedCaseError("exact GH capped at %d leaves" % GH_LEAF_CAP)
     da, db = _tree_points(a)[1], _tree_points(b)[1]
     best = [2.0 * _greedy_bound(da, db) + 1e-15]
-    da, db = da.tolist(), db.tolist()   # the search reads single entries
     na, nb = len(da), len(db)
     # items: ('a', i) needs an image in B, ('b', j) needs a preimage in A;
     # index 0 on both sides is the root, pinned to the root.  Deep vertices

@@ -30,7 +30,11 @@ paintbox tests pins it draw for draw.
 every active row, with a chunk that doubles without limit; the blocked
 `spine.renewal_moment` must give the same float and leave the generator in
 the same state while no row needs more than 2 * _RENEWAL_BLOCK - 16
-inter-arrivals."""
+inter-arrivals.
+`tree_points_reference` is the numpy row recurrence that
+`treemetric._tree_points` replaced by nested lists of Python floats: the
+same vertex order and the same additions, so the two metrics must be equal
+entry for entry."""
 
 from functools import lru_cache
 from itertools import accumulate, count
@@ -302,3 +306,20 @@ def renewal_moment_reference(interarrival_sampler, t, p, reps, rng):
         active = active[~done]
         chunk *= 2
     return float(np.mean((counts / t) ** p))
+
+
+def tree_points_reference(mt):
+    """(vertices, path metric as an array): each vertex after its parent,
+    its row the parent's row plus its own edge length."""
+    children, length = mt.children, mt.length
+    verts, par, stack = [mt.root], [0], [0]
+    while stack:
+        i = stack.pop()
+        for c in children.get(verts[i], []):
+            par.append(i)
+            stack.append(len(verts))
+            verts.append(c)
+    d = np.zeros((len(verts), len(verts)))
+    for i in range(1, len(verts)):
+        d[i, :i] = d[:i, i] = d[par[i], :i] + length[verts[i]]
+    return verts, d

@@ -5,7 +5,7 @@ ArgumentError, and the least value and a numpy integer are accepted."""
 import numpy as np
 import pytest
 
-from fragbox import (ArgumentError, KnWindow, LevyAtoms, Partition, all_partitions,
+from fragbox import (ArgumentError, Hierarchy, KnWindow, LevyAtoms, Partition, all_partitions,
                      alphagamma_growth_split_oracle, consistency_residual, fill_fraction,
                      grow_alphagamma, pjs_tail_statistic, rate, rate_closed_form,
                      reduced_ladder, renewal_moment, restrict_hierarchy, restrict_partition,
@@ -72,6 +72,27 @@ def test_sizes_are_checked(name):
             call(bad)
     call(np.int64(least))
     call(np.int32(least))
+
+
+# a Partition or Hierarchy checks its own n when it is validated:
+# name -> (a valid n, call on n)
+OWN_SIZES = {
+    "Partition.from_blocks": (2, lambda n: Partition.from_blocks(n, [[1], [2]])),
+    "Partition.validate": (1, lambda n: Partition(n, ((1,),)).validate()),
+    "Hierarchy.from_sets": (2, lambda n: Hierarchy.from_sets(n, [{1}, {2}, {1, 2}])),
+    "Hierarchy.validate": (1, lambda n: Hierarchy(
+        n, frozenset({frozenset(), frozenset({1})})).validate()),
+}
+
+
+@pytest.mark.parametrize("name", OWN_SIZES)
+def test_own_sizes_are_checked(name):
+    n, call = OWN_SIZES[name]
+    call(n)
+    call(np.int64(n))
+    for bad in (float(n), True, np.float64(n)):
+        with pytest.raises(ArgumentError, match="n must be an integer"):
+            call(bad)
 
 
 def test_check_count():
