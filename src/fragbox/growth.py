@@ -2,18 +2,18 @@
 
 import functools
 import itertools
-from dataclasses import dataclass, field
+import math
+import numbers
 
 import numpy as np
 
-from .errors import ArgumentError, _check_count
+from .errors import ArgumentError, _check_count, _is_integer_type
 from .dislocation import _check_alphagamma_params, _split_law
-from .partitions import Hierarchy, Partition
+from .partitions import Hierarchy, Partition, _lazy
 
 _FMT = repr  # shortest round-trip decimal for golden files
 
 
-@dataclass
 class Tree:
     """Rooted tree with labelled leaves: a hierarchy on [n], or the same
     hierarchy embedded in a continuum tree.
@@ -25,35 +25,72 @@ class Tree:
     orders are read off the leaf labels.  The set-of-subsets view demanded
     by the hierarchy formalism is derived lazily, so that sequential growth
     stays O(1) amortized per insertion.
+
+    `parent_of` and `node_of` are built on first use.  Root climbs read
+    three node views, which build no dict where a tree has lists to serve
+    them (_GrownTree): `_up` (node -> parent), `leaf_node` (label -> node,
+    the one check of a label) and `_slot_of` (node -> its index in its
+    parent's child list).
     """
 
-    children: dict          # node id -> list of child ids (internal nodes only)
-    leaf_label: dict        # node id -> leaf label
-    root: int
-    length: dict = None     # node id -> edge length; None: unit edges
-    _parent_of: dict = field(default=None, repr=False, compare=False)
-    _node_of: dict = field(default=None, repr=False, compare=False)
+    __hash__ = None     # compared by value, and mutable
 
-    @property
+    def __init__(self, children, leaf_label, root, length=None, parent_of=None):
+        self.children = children        # node id -> list of child ids (internal nodes only)
+        self.leaf_label = leaf_label    # node id -> leaf label
+        self.root = root
+        self.length = length            # node id -> edge length; None: unit edges
+        if parent_of is not None:
+            self.parent_of = parent_of
+
+    def __eq__(self, other):
+        if not isinstance(other, Tree):
+            return NotImplemented
+        return (self.children, self.leaf_label, self.root, self.length) == \
+            (other.children, other.leaf_label, other.root, other.length)
+
+    def __repr__(self):
+        return (f"Tree(children={self.children!r}, leaf_label={self.leaf_label!r}, "
+                f"root={self.root!r}, length={self.length!r})")
+
+    @_lazy
     def parent_of(self):
         """node id -> parent id, built on first use."""
-        if self._parent_of is None:
-            self._parent_of = {c: v for v, cs in self.children.items() for c in cs}
-        return self._parent_of
+        return {c: v for v, cs in self.children.items() for c in cs}
 
-    @property
+    @_lazy
     def node_of(self):
         """leaf label -> node id, built on first use."""
-        if self._node_of is None:
-            self._node_of = {lab: u for u, lab in self.leaf_label.items()}
-        return self._node_of
+        return {lab: u for u, lab in self.leaf_label.items()}
+
+    @_lazy
+    def _up(self):
+        """The parent view: node id -> parent id."""
+        return self.parent_of
+
+    @_lazy
+    def _slot_of(self):
+        """The slot view: a function from a node but the root to its index
+        in its parent's child list, looked up in that list."""
+        children, up = self.children, self._up
+        return lambda u: children[up[u]].index(u)
+
+    def leaf_node(self, label):
+        """The node view, leaf label -> node id, and the one check of a
+        label: an integer (errors._is_integer_type, so no bool and no 1.0)
+        that labels a leaf of this tree, else ArgumentError."""
+        if type(label) is int or _is_integer_type(type(label)):
+            node = self.node_of.get(label)
+            if node is not None:
+                return node
+        raise ArgumentError(f"no leaf labelled {label!r}")
 
     def path_to_root(self, u):
         """[u, parent of u, ..., root]."""
-        parent_of, root = self.parent_of, self.root
+        up, root = self._up, self.root
         path = [u]
         while u != root:
-            u = parent_of[u]
+            u = up[u]
             path.append(u)
         return path
 
@@ -131,8 +168,9 @@ class Tree:
         internal vertices have >= 2 children and the leaves carry 1..n.
         With lengths: internal vertices have >= 1 child, the leaf labels are
         distinct, every vertex but the root has a length, no other key does,
-        and no length is negative.  The walk appends each child list to the
-        list it iterates, and the checks are set operations on the result."""
+        and every length is finite and non-negative (so not NaN).  The walk
+        appends each child list to the list it iterates, and the checks are
+        set operations on the result."""
         children, leaf_label, length = self.children, self.leaf_label, self.length
         size = len(children) + len(leaf_label)
         order = [self.root]
@@ -163,22 +201,20 @@ class Tree:
         if length.keys() != seen:
             raise ArgumentError("every vertex but the root, and no other, needs "
                                 "an edge length")
-        if any(l < 0 for l in length.values()):
-            raise ArgumentError("negative edge length")
+        if not all(0 <= l < math.inf for l in length.values()):
+            raise ArgumentError("edge lengths must be finite and non-negative")
 
     def scaled(self, factor):
-        """The same tree with every edge length multiplied by factor."""
+        """The same tree with every edge length multiplied by factor, a
+        finite real > 0 (not a bool)."""
         if self.length is None:
             raise ArgumentError("only a tree with edge lengths can be scaled")
+        real = type(factor) is float or (isinstance(factor, numbers.Real)
+                                         and not isinstance(factor, bool))
+        if not (real and 0 < factor < math.inf):
+            raise ArgumentError(f"scale factor must be a finite real > 0, got {factor!r}")
         return Tree(self.children, self.leaf_label, self.root,
                     {v: l * factor for v, l in self.length.items()})
-
-    def leaf_node(self, label):
-        """The node carrying this leaf label."""
-        try:
-            return self.node_of[label]
-        except KeyError:
-            raise ArgumentError(f"no leaf labelled {label}") from None
 
     def to_text(self):
         """Parenthesized labelled form, children ordered by least label, with
@@ -205,6 +241,68 @@ class Tree:
                 "(" + ",".join(sorted(shape.pop(c) for c in self.children[u])) + ")"
         return shape[top]
 
+
+class _GrownTree(Tree):
+    """A unit-edge Tree that keeps the growth core's node-indexed lists
+    (see _grow): node u hangs from parent[u] (-1 at the root) as child
+    number slot[u] and has count[u] children, and leaves[m - 1] is leaf m.
+
+    It reads as any Tree.  `children` and `leaf_label` are built together
+    on first use by one routine (_read_lists), `parent_of` and `node_of`
+    each on first use, and the node views are the lists themselves.  The
+    lazy attributes live on this class and not on Tree, because a class
+    attribute of the same name makes every read of `t.children` on every
+    tree slower (Python 3.11 then does not specialize the lookup)."""
+
+    def __init__(self, parent, slot, count, leaves, root):
+        self.root, self.length = root, None
+        self._lists, self._leaves, self._up = (parent, slot, count), leaves, parent
+
+    def _read_lists(self):
+        """(children, leaf_label) of the lists, children in slot order."""
+        parent, slot, count = self._lists
+        children = {}
+        for u, p in enumerate(parent):
+            if p >= 0:
+                kids = children.get(p)
+                if kids is None:
+                    kids = children[p] = [0] * count[p]
+                kids[slot[u]] = u
+        return children, dict(zip(self._leaves, range(1, len(self._leaves) + 1)))
+
+    @_lazy
+    def children(self):
+        children, self.leaf_label = self._read_lists()
+        return children
+
+    @_lazy
+    def leaf_label(self):
+        self.children, leaf_label = self._read_lists()
+        return leaf_label
+
+    @_lazy
+    def parent_of(self):
+        parent_of = dict(enumerate(self._up))
+        del parent_of[self.root]
+        return parent_of
+
+    @_lazy
+    def node_of(self):
+        return dict(zip(range(1, len(self._leaves) + 1), self._leaves))
+
+    @_lazy
+    def _slot_of(self):
+        return self._lists[1].__getitem__
+
+    def leaf_node(self, label):
+        if (type(label) is int or _is_integer_type(type(label))) \
+                and 0 < label <= len(self._leaves):
+            return self._leaves[label - 1]
+        raise ArgumentError(f"no leaf labelled {label!r}")
+
+    @property
+    def n(self):
+        return len(self._leaves)
 
 # below this many leaves the fixed cost of _word_schedule (the generator
 # state handling and the numpy calls of a round, about 30 us) is more than
@@ -447,7 +545,8 @@ def grow_alphagamma(alpha, gamma, n, rng):
 
     Leaf m is the m-th leaf grown, so the tree after m steps is the result
     restricted to [m] (reduced_ladder reads those trees off it).  The growth
-    core (_grow) gives node-indexed lists, read into the Tree in one pass.
+    core (_grow) gives node-indexed lists, and the Tree keeps them: its
+    dicts are built on first use, and its node views read the lists.
 
     Stream contract: the same draws as rng.random() and rng.integers(k), in
     the loop's order, and the same end state of rng.  On a PCG64 generator
@@ -455,15 +554,7 @@ def grow_alphagamma(alpha, gamma, n, rng):
     bit generators, and trees under _WORD_DRAWS_MIN_N leaves, make those
     calls.
     """
-    parent, slot, count, leaves, root = _grow(alpha, gamma, n, rng)
-    children, parent_of = {}, dict(enumerate(parent))
-    del parent_of[root]
-    for u, p in parent_of.items():
-        kids = children.get(p)
-        if kids is None:
-            kids = children[p] = [0] * count[p]
-        kids[slot[u]] = u
-    return Tree(children, dict(zip(leaves, range(1, n + 1))), root, None, parent_of)
+    return _GrownTree(*_grow(alpha, gamma, n, rng))
 
 
 def _alphagamma_leaf_depths(alpha, gamma, n, rng):
@@ -632,13 +723,17 @@ def _path_joins(t, labels):
     the earlier ones, and the node it meets records its label; a leaf
     records its own label, a node no path met None.  Over the labels 1, 2,
     ... a node so records the least n for which it is a vertex of T_n, the
-    restriction of t to [n]."""
-    parent_of, root, joins = t.parent_of, t.root, {}
+    restriction of t to [n].  A label given again is passed over.  Reads
+    the node views alone (leaf_node, _up), so it builds no dict of a grown
+    tree."""
+    up, root, joins = t._up, t.root, {}
     for lab in labels:
         v = t.leaf_node(lab)
+        if v in joins:
+            continue
         joins[v] = lab
         while v != root:
-            v = parent_of[v]
+            v = up[v]
             if v in joins:
                 if joins[v] is None:
                     joins[v] = lab
@@ -651,35 +746,52 @@ def _reduced(t, labels):
     """reduced_tree(t, labels), and for each of its vertices the segment of
     t it stands for: the retained node, then the suppressed ancestors above
     it, so that the segment's length is the edge length.  The retained
-    nodes are those _path_joins gives a label, and in its climbing order a
-    segment runs from one of them to the next; so this costs O(size of the
-    union of the root paths) and never walks the rest of t."""
-    labels = sorted(set(labels))
-    if not labels:
-        raise ArgumentError("need at least one label")
+    nodes are those _path_joins gives a label (the leaves and the nodes
+    where their root paths meet, in any order of the labels), and in its
+    climbing order a segment runs from one of them to the next; so this
+    costs O(size of the union of the root paths) and never walks the rest
+    of t.  The node above a segment's top is retained, unless the top is
+    t's root, so a retained node's children are the segments whose tops
+    hang from it, ordered by the slot view; one with none is a leaf, and
+    its label is the one it records.  Reads the node views alone."""
     joins = _path_joins(t, labels)
+    if not joins:
+        raise ArgumentError("need at least one label")
     segment = {}        # retained node -> [it, the suppressed ancestors above it]
     for v, lab in joins.items():    # the first node is a leaf, so seg is bound
         if lab is None:
             seg.append(v)
         else:
             seg = segment[v] = [v]
-    top = {seg[-1]: v for v, seg in segment.items()}    # segment top -> its node
+    up, slot_of, root = t._up, t._slot_of, t.root
+    below = {}          # retained node -> [(slot of a top below it, that top's node)]
+    for v, seg in segment.items():
+        s = seg[-1]
+        if s == root:
+            start = v
+        else:
+            kids = below.get(up[s])
+            if kids is None:
+                below[up[s]] = [(slot_of(s), v)]
+            else:
+                kids.append((slot_of(s), v))
     # ids follow t's pre-order with the last child first, as in _postorder;
     # 0 is the virtual root above t's root
     children, length, leaf_label, segments = {0: []}, {}, {}, {}
-    stack = [(0, top[t.root])]
+    stack = [(0, start)]
     while stack:
         pid, v = stack.pop()
         vid = len(segments) + 1
         children[pid].append(vid)
-        segments[vid] = segment[v]
-        length[vid] = float(len(segment[v]))
-        if v in t.leaf_label:
-            leaf_label[vid] = t.leaf_label[v]
+        seg = segments[vid] = segment[v]
+        length[vid] = float(len(seg))
+        kids = below.get(v)
+        if kids is None:
+            leaf_label[vid] = int(joins[v])
         else:
             children[vid] = []
-            stack.extend((vid, top[c]) for c in t.children[v] if c in top)
+            kids.sort()     # slots differ, so the nodes are never compared
+            stack += [(vid, w) for _, w in kids]
     rt = Tree(children, leaf_label, 0, length)
     rt.validate()
     return rt, segments

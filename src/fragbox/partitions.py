@@ -17,6 +17,7 @@ from .errors import ArgumentError, _check_count, _is_integer_type
 
 TOL = 1e-12
 ENUMERATION_CAP = 12   # the largest n whose Bell(n) partitions are enumerated
+PARTITIONS_KEPT = 9    # the largest n whose partitions all_partitions keeps
 
 
 class _lazy:
@@ -204,19 +205,23 @@ class FiniteMeasureOnPartitions:
             raise ArgumentError("weights must be non-negative")
 
 
-@lru_cache(maxsize=None, typed=True)
 def all_partitions(n):
     """All set partitions of [n], canonical order. Capped at ENUMERATION_CAP = 12
-    (Bell(12) ~ 4.2M).  The cache is typed, so 4.0 or True never finds the
-    entry of 4 or 1 and fails the size check.
-
-    x joins each block of a partition of [x - 1] in turn, then opens its
-    own; as x exceeds every earlier label, the block tuples come out
-    canonical and need no sorting or validation.
-    """
+    (Bell(12) ~ 4.2M).  The partitions of n <= PARTITIONS_KEPT are kept for
+    the process (at most 21147 of them, at n = 9; the exact tables go up to
+    n = 8), and larger n are enumerated afresh on every call, as Bell(10)
+    partitions alone hold about 30 MB.  all_partitions.cache_info() reports
+    the kept sizes."""
     n = _check_count("n", n, 1)
     if n > ENUMERATION_CAP:
         raise ArgumentError(f"exhaustive enumeration capped at n = {ENUMERATION_CAP}")
+    return _kept_partitions(n) if n <= PARTITIONS_KEPT else _enumerate_partitions(n)
+
+
+def _enumerate_partitions(n):
+    """The partitions of [n], n >= 1: x joins each block of a partition of
+    [x - 1] in turn, then opens its own; as x exceeds every earlier label,
+    the block tuples come out canonical and need no sorting or validation."""
     parts = [((1,),)]
     for x in range(2, n + 1):
         nxt = []
@@ -225,6 +230,10 @@ def all_partitions(n):
             nxt.append(p + ((x,),))
         parts = nxt
     return tuple(Partition(n, p) for p in parts)
+
+
+_kept_partitions = lru_cache(maxsize=PARTITIONS_KEPT)(_enumerate_partitions)
+all_partitions.cache_info = _kept_partitions.cache_info
 
 
 def restrict_partition(p, m):

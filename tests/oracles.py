@@ -34,7 +34,11 @@ inter-arrivals.
 `tree_points_reference` is the numpy row recurrence that
 `treemetric._tree_points` replaced by nested lists of Python floats: the
 same vertex order and the same additions, so the two metrics must be equal
-entry for entry."""
+entry for entry.
+`grown_tree_reference` is the eager read-off of the growth core's lists that
+`growth.grow_alphagamma` made before a grown tree kept its lists: the
+dicts that a grown tree derives on first use must be equal to it, key order
+included."""
 
 from functools import lru_cache
 from itertools import accumulate, count
@@ -323,3 +327,16 @@ def tree_points_reference(mt):
     for i in range(1, len(verts)):
         d[i, :i] = d[:i, i] = d[par[i], :i] + length[verts[i]]
     return verts, d
+
+
+def grown_tree_reference(parent, slot, count, leaves, root):
+    """The Tree of growth._grow's lists, with children, leaf_label and
+    parent_of built at once, in one pass over the parent list."""
+    children, parent_of = {}, dict(enumerate(parent))
+    del parent_of[root]
+    for u, p in parent_of.items():
+        kids = children.get(p)
+        if kids is None:
+            kids = children[p] = [0] * count[p]
+        kids[slot[u]] = u
+    return Tree(children, dict(zip(leaves, range(1, len(leaves) + 1))), root, None, parent_of)

@@ -1,3 +1,4 @@
+import math
 import os
 from unittest import mock
 
@@ -7,17 +8,19 @@ from hypothesis import assume, given, settings, strategies as st
 
 from fragbox import (ArgumentError, DiscreteDislocation, Tree,
                      alphagamma_growth_split_oracle, delete_leaf,
-                     delete_uniform_leaf, grow_alphagamma, leaf_depths,
+                     delete_uniform_leaf, gh_upper_bound, grow_alphagamma, leaf_depths,
                      reduced_ladder, reduced_tree, sample_fragmentation_tree,
                      sample_markov_branching, sample_reduced_crt, sample_split,
                      skewed_pd_splitting_table, special_branch_count,
                      spine_depth, splitting_rule, tree_height)
 from fragbox import dislocation, growth
-from fragbox.growth import (_alphagamma_leaf_depths, _call_schedule, _reduced,
+from fragbox.growth import (_alphagamma_leaf_depths, _call_schedule, _grow, _reduced,
                             _word_schedule)
 from fragbox.harness import chi_square_gof, gof_gate, single_atom_model
 from fragbox.paintbox import _colour_blocks
-from oracles import alphagamma_tree_distribution, outcome, split_tree_reference
+from fragbox.treemetric import _tree_points
+from oracles import (alphagamma_tree_distribution, grown_tree_reference, outcome,
+                     split_tree_reference)
 from strategies import capped_dislocations, dislocations
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
@@ -664,6 +667,95 @@ def test_reduced_ladder_is_the_delete_leaf_chain(source, big_n, k, data):
         reduced_ladder(reduced_tree(t, range(1, k + 1)), 1, [1])
 
 
+_DICTS = ("children", "leaf_label", "parent_of", "node_of")
+
+
+@settings(max_examples=60)
+@given(st.floats(0, 1), st.floats(0, 1), st.integers(1, 256), st.integers(0, 2 ** 32 - 1))
+def test_grown_tree_derives_the_eager_read_off(alpha, gamma_frac, n, seed):
+    # a grown tree keeps the core's lists and builds each dict on first
+    # use, equal to the old eager read-off (oracles.grown_tree_reference),
+    # key order included; the generator ends where it did
+    gamma = alpha * gamma_frac
+    rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    t = grow_alphagamma(alpha, gamma, n, rng)
+    want = grown_tree_reference(*_grow(alpha, gamma, n, ref))
+    assert rng.bit_generator.state == ref.bit_generator.state
+    assert not set(_DICTS) & vars(t).keys()
+    assert t.n == n and t.root == want.root and t.length is None
+    for name in _DICTS:
+        assert list(getattr(t, name).items()) == list(getattr(want, name).items())
+    assert t == want and repr(t) == repr(want)
+
+
+@settings(max_examples=100)
+@given(st.floats(0, 1), st.floats(0, 1), st.integers(1, 256), st.integers(0, 2 ** 32 - 1),
+       st.data())
+def test_reduced_trees_of_grown_tree_and_dict_copy_agree(alpha, gamma_frac, n, seed, data):
+    # reduced_tree, _reduced and reduced_ladder read a grown tree through
+    # its lists and build none of its dicts, and give what the same calls
+    # give on its dict copy: node ids, lengths, segments, the path metric's
+    # vertex order and rows, and the GH bound to the last bit
+    t = grow_alphagamma(alpha, alpha * gamma_frac, n, np.random.default_rng(seed))
+    labels = data.draw(st.lists(st.integers(1, n), min_size=1, max_size=12))
+    k = data.draw(st.integers(1, min(n, 6)))
+    ns = data.draw(st.lists(st.integers(k, n), max_size=4))
+
+    def calls(tree):
+        rt, segments = _reduced(tree, labels)
+        ladder = reduced_ladder(tree, k, ns)
+        spine = reduced_tree(tree, range(1, k + 1))
+        return ([(r.to_text(), r.children, r.leaf_label, r.length, _tree_points(r))
+                 for r in [rt, spine, *ladder]],
+                segments, gh_upper_bound(rt, spine).hex())
+
+    grown = calls(t)
+    assert not set(_DICTS) & vars(t).keys()
+    assert grown == calls(Tree(t.children, t.leaf_label, t.root))
+
+
+@settings(max_examples=60)
+@given(st.floats(0, 1), st.floats(0, 1), st.integers(1, 256), st.integers(0, 2 ** 32 - 1),
+       st.data())
+def test_grown_tree_and_dict_copy_agree(alpha, gamma_frac, n, seed, data):
+    t = grow_alphagamma(alpha, alpha * gamma_frac, n, np.random.default_rng(seed))
+    d = Tree(t.children, t.leaf_label, t.root)
+    t.validate()
+    d.validate()
+    assert t.shape_text() == d.shape_text() and t.to_text() == d.to_text()
+    lab = data.draw(st.integers(1, n))
+    assert spine_depth(t, lab) == spine_depth(d, lab)
+    assert t.path_to_root(t.leaf_node(lab)) == d.path_to_root(d.leaf_node(lab))
+    if n > 1:
+        assert t.root_split() == d.root_split()
+        assert delete_leaf(t, lab) == delete_leaf(d, lab)
+
+
+@pytest.mark.parametrize("grown", [True, False])
+def test_labels_are_checked(grown):
+    # every label passes one check: an integer that labels a leaf; 0 and -1
+    # would index the leaf list from its end, and 1.0 and True would find
+    # leaf 1 in a dict
+    n = 10
+    t = grow_alphagamma(0.5, 0.3, n, np.random.default_rng(3))
+    if not grown:
+        t = Tree(t.children, t.leaf_label, t.root)
+    for bad in (0, -1, n + 1, 1.5, 1.0, True, "1", None):
+        for call in (lambda: reduced_tree(t, [bad, 2]), lambda: reduced_tree(t, [2, bad]),
+                     lambda: _reduced(t, [bad]), lambda: spine_depth(t, bad),
+                     lambda: delete_leaf(t, bad), lambda: t.leaf_node(bad)):
+            with pytest.raises(ArgumentError):
+                call()
+    for bad_k, bad_ns in ((0, [n]), (1.0, [n]), (True, [n]), (2, [n + 1]), (2, [1.5]),
+                          (2, [True]), (n + 1, [n])):
+        with pytest.raises(ArgumentError):
+            reduced_ladder(t, bad_k, bad_ns)
+    # numpy integers are labels, read as ints
+    rt = reduced_tree(t, [np.int64(2), np.uint8(5), 2])
+    assert rt == reduced_tree(t, [2, 5])
+    assert {type(lab) for lab in rt.leaf_label.values()} == {int}
+
+
 def test_tree_with_and_without_lengths():
     # one tree type: the :length suffixes and the degree-1 virtual root only
     # appear on a tree with lengths, and validate keys on the same thing
@@ -690,6 +782,23 @@ def test_tree_with_and_without_lengths():
                 Tree({0: [1, 2], 1: [3, 4], 2: [3, 4]}, {3: 1, 4: 2}, 0)):  # shared children
         with pytest.raises(ArgumentError):
             bad.validate()
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -1.0])
+def test_validate_rejects_non_finite_lengths(bad):
+    # NaN passes a test of l < 0 and would give NaN GH distances
+    t = Tree({0: [1], 1: [2, 3]}, {2: 1, 3: 2}, 0, {1: 1.0, 2: bad, 3: 1.0})
+    with pytest.raises(ArgumentError, match="finite and non-negative"):
+        t.validate()
+
+
+def test_scaled_takes_a_finite_positive_real():
+    rc = reduced_tree(cherry(), [1, 2])
+    for good in (2, 0.5, np.float64(2.0), np.int64(3)):
+        assert rc.scaled(good).length == {v: l * good for v, l in rc.length.items()}
+    for bad in (-1, 0, 0.0, -0.5, math.nan, math.inf, True, "2", None, 1j):
+        with pytest.raises(ArgumentError, match="finite real"):
+            rc.scaled(bad)
 
 
 def test_validate_lengths_duplicate_label():

@@ -160,12 +160,10 @@ def test_unbounded_caches_detected():
     assert unbounded_caches(src) == [(3, "a"), (5, "b"), (7, "c"), (9, "d"), (15, None)]
 
 
-# (module, function) -> why its cache may grow without bound.  all_partitions
-# keeps Bell(n) partitions per n for the process: 30.6 MB at n = 10, about
-# 1.1 GB at its cap n = 12 (a FOUND line of CHANGES.md); ROADMAP item 8
-# bounds it or drops it now that rates and residuals are keyed by (class,
-# block sizes) and only splitting_rule and the exchangeability checks expand.
-UNBOUNDED_CACHE_ALLOWED = {("partitions.py", "all_partitions"): "ROADMAP item 8"}
+# (module, function) -> why its cache may grow without bound: none may.
+# all_partitions, the last entry, now keeps n <= partitions.PARTITIONS_KEPT
+# in a bounded cache and enumerates larger n afresh.
+UNBOUNDED_CACHE_ALLOWED = {}
 
 
 def test_no_unbounded_caches():

@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -6,7 +9,7 @@ from fragbox import (ArgumentError, FiniteMeasureOnPartitions, Hierarchy,
                      MassPartition, Partition, all_partitions, children_of,
                      classify_exchangeability, restrict_hierarchy,
                      restrict_partition)
-from fragbox.partitions import _maximal_strict_subsets
+from fragbox.partitions import PARTITIONS_KEPT, _maximal_strict_subsets
 from oracles import validate_partition_reference
 
 
@@ -34,6 +37,25 @@ def test_all_partitions_matches_old_generator(n):
     for p in ps:
         p.validate()
         assert p.size_multiset == tuple(sorted(map(len, p.blocks), reverse=True))
+
+
+def test_all_partitions_keeps_small_n_only():
+    # n <= PARTITIONS_KEPT (the exact tables' n <= 8 among them) is
+    # enumerated once per process; n = 10 is enumerated afresh and, once
+    # its caller lets go, nothing holds its 115975 partitions
+    assert PARTITIONS_KEPT >= 8
+    for n in range(1, PARTITIONS_KEPT + 1):
+        first = all_partitions(n)
+        misses = all_partitions.cache_info().misses
+        assert all_partitions(n) is first
+        assert all_partitions.cache_info().misses == misses
+    assert all_partitions.cache_info().maxsize == PARTITIONS_KEPT
+    parts = all_partitions(10)
+    assert len(parts) == 115975 and all_partitions(10) is not parts
+    kept = weakref.ref(parts[-1])
+    del parts
+    gc.collect()
+    assert kept() is None
 
 
 @pytest.mark.parametrize("n", range(1, 7))
