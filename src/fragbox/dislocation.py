@@ -18,8 +18,8 @@ import numpy as np
 
 from .errors import ArgumentError, ModelError, ResourceBudgetError, _check_count
 from .paintbox import _colour_blocks, _cylinder_by_sizes, _paints
-from .partitions import (ENUMERATION_CAP, Partition, _lazy, all_partitions, csv_rows,
-                         csv_text, MassPartition)
+from .partitions import (ENUMERATION_CAP, PARTITIONS_KEPT, Partition, _kept_partition,
+                         _lazy, all_partitions, csv_rows, csv_text, MassPartition)
 
 _EXCLUDED_TOL = 1e-12
 
@@ -216,12 +216,20 @@ def kappa_cylinder(d, p):
         mass for mass, blocks, j in _delta_atoms(d, p.n) if blocks(j, labels) == p.blocks)
 
 
-@lru_cache(maxsize=ENUMERATION_CAP)
 def _keyed_partitions(n):
     """(the non-trivial partitions of [n] in all_partitions order, their
-    cylinder keys), one entry per n up to the enumeration cap."""
+    cylinder keys).  Kept for n <= PARTITIONS_KEPT, as all_partitions keeps
+    those partitions, and built afresh for larger n, whose partitions
+    all_partitions does not keep either."""
+    return _kept_keyed_partitions(n) if n <= PARTITIONS_KEPT else _list_keyed_partitions(n)
+
+
+def _list_keyed_partitions(n):
     parts = tuple(p for p in all_partitions(n) if not p.is_trivial())
     return parts, tuple(p.cylinder_key for p in parts)
+
+
+_kept_keyed_partitions = lru_cache(maxsize=PARTITIONS_KEPT)(_list_keyed_partitions)
 
 
 def _cylinder_weights(d, n, levels, scale):
@@ -615,10 +623,12 @@ def _split_law(d):
 def sample_split(d, b, rng):
     """Draw one root split of a block of size b >= 2, without building P_b
     tables: the validated Partition of the model's cached law _split_law(d)
-    on the labels 1..b."""
+    on the labels 1..b.  For b <= PARTITIONS_KEPT it is the kept one
+    (partitions._kept_partition), validated when first drawn."""
     b = _check_count("b", b, 2)
-    p = Partition(b, _split_law(d).split(tuple(range(1, b + 1)), rng))
-    p.validate()
+    p = _kept_partition(b, _split_law(d).split(tuple(range(1, b + 1)), rng))
+    if b > PARTITIONS_KEPT:
+        p.validate()
     return p
 
 

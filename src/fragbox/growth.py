@@ -9,7 +9,7 @@ import numpy as np
 
 from .errors import ArgumentError, _check_count, _is_integer_type
 from .dislocation import _check_alphagamma_params, _split_law
-from .partitions import Hierarchy, Partition, _lazy
+from .partitions import Hierarchy, Partition, _kept_partition, _lazy
 
 _FMT = repr  # shortest round-trip decimal for golden files
 
@@ -303,6 +303,35 @@ class _GrownTree(Tree):
     @property
     def n(self):
         return len(self._leaves)
+
+    def root_split(self):
+        """Tree.root_split read off the lists, with no dict of the tree
+        built.  Each label in turn climbs to the root's child above it,
+        stopping at the first node that already knows that child, and every
+        node it passed then knows it too, so the cost is O(nodes).  Blocks
+        open at their least label and take labels in increasing order, so
+        they are canonical, and the Partition is the kept one for n <=
+        PARTITIONS_KEPT (partitions._kept_partition)."""
+        parent, root, leaves = self._up, self.root, self._leaves
+        if len(leaves) == 1:
+            raise ArgumentError("a single leaf has no root split")
+        top = [-1] * len(parent)    # node -> the root's child above it, once known
+        blocks = {}                 # the root's child -> its labels, by least label
+        for label, u in enumerate(leaves, 1):
+            v = u
+            while top[v] < 0 and parent[v] != root:
+                v = parent[v]
+            c = v if top[v] < 0 else top[v]
+            while u != v:
+                top[u] = c
+                u = parent[u]
+            top[v] = c
+            block = blocks.get(c)
+            if block is None:
+                blocks[c] = [label]
+            else:
+                block.append(label)
+        return _kept_partition(len(leaves), tuple(map(tuple, blocks.values())))
 
 # below this many leaves the fixed cost of _word_schedule (the generator
 # state handling and the numpy calls of a round, about 30 us) is more than

@@ -7,6 +7,8 @@ on wall clock or worker count.  JSON output sorts keys; CSV uses LF endings.
 import hashlib
 import json
 import math
+import os
+import sys
 import time
 from dataclasses import dataclass, field, fields
 
@@ -508,6 +510,13 @@ def _check_params(params, kinds, required, where):
         raise ArgumentError(f"{where} needs parameter(s) {', '.join(missing)}")
 
 
+def _environment():
+    """The Python and numpy versions and the CPU count, for metrics.json;
+    read from modules every run has loaded already."""
+    return {"python": "%d.%d.%d" % sys.version_info[:3], "numpy": np.__version__,
+            "cpu_count": os.cpu_count()}
+
+
 def run_experiment(cfg):
     """Dispatch by tag; returns the result bundle and writes it when cfg.out set.
 
@@ -525,10 +534,11 @@ def run_experiment(cfg):
         "library_version": _version,
         "summary": summary,
     }
-    # the wall time varies run to run, so it stays out of summary.json
-    metrics = {"wall_time_s": round(time.monotonic() - t0, 3), **(more[0] if more else {})}
+    # the wall time and the environment vary run to run and host to host,
+    # so they stay out of summary.json
+    metrics = {"wall_time_s": round(time.monotonic() - t0, 3), "environment": _environment(),
+               **(more[0] if more else {})}
     if cfg.out:
-        import os
         os.makedirs(cfg.out, exist_ok=True)
         for name, obj in (("summary.json", bundle), ("metrics.json", metrics)):
             with open(os.path.join(cfg.out, name), "w") as f:

@@ -10,7 +10,7 @@ from functools import lru_cache
 from itertools import accumulate
 
 from .errors import ArgumentError, ResourceBudgetError, UnsupportedCaseError, _check_count
-from .partitions import TOL, Partition, restrict_partition
+from .partitions import TOL, _kept_partition, restrict_partition
 
 COLOURING_BUDGET = 1 << 16  # label cells (colourings x base.n) of one base colouring table
 
@@ -46,9 +46,10 @@ def _colour_blocks(colours, m, labels=None):
 
 
 def _paint_partition(colours, m):
-    """The Partition of _colour_blocks(colours, m).  Its blocks are canonical
+    """The Partition of _colour_blocks(colours, m): the kept one for n <=
+    PARTITIONS_KEPT (partitions._kept_partition).  Its blocks are canonical
     by construction, whatever the colours, so they are not validated again."""
-    return Partition(len(colours), _colour_blocks(colours.tolist(), m))
+    return _kept_partition(len(colours), _colour_blocks(colours.tolist(), m))
 
 
 def kingman_sample(s, n, rng):
@@ -247,20 +248,24 @@ def modified_paintbox_sample(s, base, n, rng):
     """Sample a Kingman partition of [n] conditioned to restrict to base on
     [base.n], exactly and without rejection.
 
-    One rng.random() and a bisect pick a colouring of base's blocks by its
-    weight (_base_colourings, built once per (s, base)); then one _paints
-    call of rng.random(n - base.n) paints labels base.n + 1..n, and
-    _colour_blocks groups all n labels.  Given the colours of the first
-    base.n paints, the others are iid from s, so the draw has the law of
-    the Kingman partition given its cylinder.  A base with more colourings
-    than the table's budget raises ResourceBudgetError.
+    One rng.random(n - base.n + 1) draws every uniform: the first and a
+    bisect pick a colouring of base's blocks by its weight
+    (_base_colourings, built once per (s, base)), the others paint labels
+    base.n + 1..n against s's running colour sums, and _colour_blocks
+    groups all n labels.  These are the doubles, in the same order, of one
+    rng.random() and then one rng.random(n - base.n).  Given the colours of
+    the first base.n paints, the others are iid from s, so the draw has the
+    law of the Kingman partition given its cylinder.  The partition is the
+    kept one for n <= PARTITIONS_KEPT (partitions._kept_partition).  A base
+    with more colourings than the table's budget raises ResourceBudgetError.
     """
     k = base.n
     n = _check_count("n", n, k)
     cum, flat = _base_colourings(s, base)
-    i = bisect_right(cum, rng.random()) * k
-    colours = flat[i:i + k] + _paints(s, n - k, rng)[2].tolist()
-    return Partition(n, _colour_blocks(colours, s.m))
+    u = rng.random(n - k + 1)
+    i = bisect_right(cum, u.item(0)) * k
+    colours = flat[i:i + k] + s.colour_table[1].searchsorted(u[1:]).tolist()
+    return _kept_partition(n, _colour_blocks(colours, s.m))
 
 
 @dataclass

@@ -17,7 +17,7 @@ from .errors import ArgumentError, _check_count, _is_integer_type
 
 TOL = 1e-12
 ENUMERATION_CAP = 12   # the largest n whose Bell(n) partitions are enumerated
-PARTITIONS_KEPT = 9    # the largest n whose partitions all_partitions keeps
+PARTITIONS_KEPT = 9    # the largest n whose partitions are kept for the process
 
 
 class _lazy:
@@ -133,6 +133,15 @@ class MassPartition:
             raise ArgumentError("atoms sum above 1")
 
     @_lazy
+    def _hash(self):
+        """The dataclass hash of (atoms,), computed once: a mass partition
+        keys the paintbox caches on every modified-paintbox draw."""
+        return hash((self.atoms,))
+
+    def __hash__(self):
+        return self._hash
+
+    @_lazy
     def s0(self):
         return min(max(1.0 - sum(self.atoms), 0.0), 1.0)
 
@@ -234,6 +243,27 @@ def _enumerate_partitions(n):
 
 _kept_partitions = lru_cache(maxsize=PARTITIONS_KEPT)(_enumerate_partitions)
 all_partitions.cache_info = _kept_partitions.cache_info
+
+# canonical blocks -> the one Partition of them that the samplers return,
+# for partitions of [n] with n <= PARTITIONS_KEPT: at most Bell(n) entries
+# for each such n (21147 at n = 9), filled only by what is sampled
+_KEPT_PARTITIONS = {}
+
+
+def _kept_partition(n, blocks):
+    """The Partition of n and blocks, canonical blocks of [n] (sorted, in
+    least-element order) that a sampler built.  For n <= PARTITIONS_KEPT it
+    is the one kept object of those blocks, validated when first seen and
+    later found by its blocks, so a counting dict hashes it once and finds
+    it by identity.  For larger n it is a fresh Partition, not validated, as
+    its blocks are canonical by construction."""
+    p = _KEPT_PARTITIONS.get(blocks)
+    if p is None:
+        p = Partition(n, blocks)
+        if n <= PARTITIONS_KEPT:
+            p.validate()
+            _KEPT_PARTITIONS[blocks] = p
+    return p
 
 
 def restrict_partition(p, m):

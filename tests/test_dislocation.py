@@ -1,3 +1,5 @@
+import gc
+import weakref
 from collections import Counter
 
 import numpy as np
@@ -15,10 +17,10 @@ from fragbox import (ArgumentError, DiscreteDislocation, ModelError,
                      FiniteMeasureOnPartitions, classify_exchangeability)
 from fragbox import dislocation, partitions
 from fragbox.dislocation import (_cylinder_weights, _delta_atoms, _key_counts, _keyed_eppf,
-                                 _level_weights, _split_components)
+                                 _keyed_partitions, _level_weights, _split_components)
 from fragbox.harness import chi_square_gof, single_atom_model
 from fragbox.paintbox import kingman_cylinder_prob
-from fragbox.partitions import _maximal_strict_subsets
+from fragbox.partitions import PARTITIONS_KEPT, _maximal_strict_subsets
 from oracles import (alphagamma_tree_distribution, outcome, rate_reference,
                      sample_split_reference, split_components_reference)
 from strategies import capped_dislocations, dislocations
@@ -421,6 +423,21 @@ def test_keyed_cylinder_weights_match_per_partition(d, n):
     got = _cylinder_weights(d, n, _level_weights(d, n), 1.0)
     assert list(got) == list(want)
     assert got == want
+
+
+def test_keyed_partitions_keep_small_n_only():
+    # as all_partitions: n <= PARTITIONS_KEPT is listed once per process,
+    # n = 10 afresh, and nothing holds its partitions once the caller lets go
+    for n in range(2, PARTITIONS_KEPT + 1):
+        assert _keyed_partitions(n) is _keyed_partitions(n)
+    assert dislocation._kept_keyed_partitions.cache_info().maxsize == PARTITIONS_KEPT
+    parts, keys = _keyed_partitions(PARTITIONS_KEPT + 1)
+    assert len(parts) == len(keys) == 115975 - 1
+    assert _keyed_partitions(PARTITIONS_KEPT + 1)[0] is not parts
+    kept = weakref.ref(parts[-1])
+    del parts, keys
+    gc.collect()
+    assert kept() is None
 
 
 # ---------------------------------------------------------------------------

@@ -714,6 +714,23 @@ def test_reduced_trees_of_grown_tree_and_dict_copy_agree(alpha, gamma_frac, n, s
     assert grown == calls(Tree(t.children, t.leaf_label, t.root))
 
 
+@settings(max_examples=100)
+@given(st.floats(0, 1), st.floats(0, 1), st.integers(1, 64), st.integers(0, 2 ** 32 - 1))
+def test_grown_root_split_reads_the_lists(alpha, gamma_frac, n, seed):
+    # the root split of a fresh grown tree builds none of its dicts and is
+    # the root split of its dict copy; a single leaf has none in either
+    t = grow_alphagamma(alpha, alpha * gamma_frac, n, np.random.default_rng(seed))
+    if n == 1:
+        for tree in (t, Tree(t.children, t.leaf_label, t.root)):
+            with pytest.raises(ArgumentError):
+                tree.root_split()
+        return
+    p = t.root_split()
+    assert not set(_DICTS) & vars(t).keys()
+    want = Tree(t.children, t.leaf_label, t.root).root_split()
+    assert p == want and p.blocks == want.blocks
+
+
 @settings(max_examples=60)
 @given(st.floats(0, 1), st.floats(0, 1), st.integers(1, 256), st.integers(0, 2 ** 32 - 1),
        st.data())

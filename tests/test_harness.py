@@ -1,9 +1,12 @@
+import ast
 import json
 import math
 import os
+import platform
 import subprocess
 import sys
 from collections import namedtuple
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -151,9 +154,26 @@ def test_run_outputs_byte_stable(tmp_path):
     assert summary == (tmp_path / "b" / "summary.json").read_bytes()
     metrics = json.loads((tmp_path / "a" / "metrics.json").read_text())
     assert metrics["wall_time_s"] >= 0
+    # the environment stamp goes there too, read from modules already loaded
+    assert metrics["environment"] == {
+        "python": "%d.%d.%d" % sys.version_info[:3], "numpy": np.__version__,
+        "cpu_count": os.cpu_count()}
+    assert platform.python_version() == metrics["environment"]["python"]
+    assert "environment" not in json.loads(summary)
     # the p-value of every gate strike, the last one the summary's
     assert 1 <= len(metrics["gate_p_values"]) <= harness.GATE_STRIKES
     assert metrics["gate_p_values"][-1] == json.loads(summary)["summary"]["p_value"]
+
+
+def test_environment_stamp_imports_nothing_new():
+    # the stamp reads sys and numpy, which every run has loaded; the
+    # harness imports neither platform nor importlib.metadata to get it
+    tree = ast.parse(Path(harness.__file__).read_text())
+    imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                for alias in node.names}
+    imported |= {node.module for node in ast.walk(tree)
+                 if isinstance(node, ast.ImportFrom) and node.level == 0}
+    assert not imported & {"platform", "importlib", "importlib.metadata"}
 
 
 def test_metrics_list_every_gate_strike(tmp_path):

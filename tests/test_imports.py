@@ -2,10 +2,11 @@
 and bench/ uses what it imports, every module-level private function and
 class in the package has a reference in it, every module-level constant of
 the package is read somewhere in src, tests, bench or demos, no cache in the
-package grows without bound unless allow-listed, no size is checked by hand
-instead of by errors._check_count, and nothing in the package imports scipy,
-a test-only dependency whose `scipy.stats` takes several times as long to
-import as fragbox."""
+package grows without bound unless allow-listed, no module-level dict, list
+or set that a function writes to goes without an allow-listed bound, no
+size is checked by hand instead of by errors._check_count, and nothing in
+the package imports scipy, a test-only dependency whose `scipy.stats` takes
+several times as long to import as fragbox."""
 
 import ast
 import subprocess
@@ -169,6 +170,76 @@ UNBOUNDED_CACHE_ALLOWED = {}
 def test_no_unbounded_caches():
     found = {(p.name, fn) for p in MODULES for _, fn in unbounded_caches(p.read_text())}
     assert found == set(UNBOUNDED_CACHE_ALLOWED)
+
+
+_CONTAINERS = (ast.Dict, ast.List, ast.Set, ast.DictComp, ast.ListComp, ast.SetComp)
+_CONTAINER_CALLS = {"dict", "list", "set", "defaultdict", "OrderedDict", "Counter", "deque"}
+_MUTATORS = {"append", "extend", "insert", "add", "update", "setdefault", "pop", "popitem",
+             "remove", "discard", "clear", "sort", "reverse", "appendleft", "__setitem__",
+             "__delitem__"}
+
+
+def written_module_state(source):
+    """Names of the module-level dicts, lists and sets (literals,
+    comprehensions or calls such as dict()) that a function writes to, or
+    writes into an item of: by item assignment or deletion, augmented
+    assignment, or a mutating method call, in a function or lambda at any
+    depth."""
+    tree = ast.parse(source)
+    state = set()
+    for node in tree.body:
+        targets = (node.targets if isinstance(node, ast.Assign)
+                   else [node.target] if isinstance(node, ast.AnnAssign) else [])
+        value = getattr(node, "value", None)
+        call = value.func if isinstance(value, ast.Call) else None
+        if isinstance(value, _CONTAINERS) or (
+                call is not None
+                and getattr(call, "attr", getattr(call, "id", None)) in _CONTAINER_CALLS):
+            state.update(t.id for t in targets if isinstance(t, ast.Name))
+
+    def named(node):
+        """The state name under node's item and attribute reads, or None."""
+        while isinstance(node, (ast.Subscript, ast.Attribute)):
+            node = node.value
+        return node.id if isinstance(node, ast.Name) and node.id in state else None
+
+    written = set()
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        for node in ast.walk(fn):
+            if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign, ast.Delete)):
+                for t in getattr(node, "targets", None) or [node.target]:
+                    if isinstance(t, ast.Subscript) or isinstance(node, ast.AugAssign):
+                        written.add(named(t))
+            elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                  and node.func.attr in _MUTATORS):
+                written.add(named(node.func.value))
+    return sorted(written - {None})
+
+
+def test_written_module_state_detected():
+    src = ("import collections\n"
+           "A = {}\nB = []\nC = set()\nD = collections.defaultdict(list)\n"
+           "E = {1: 2}\nF = (1, 2)\nG: dict = {}\nH = [x for x in F]\nUNUSED = {}\n"
+           "def f(k):\n    A[k] = 1\n    B.append(k)\n    return E[k] + F[0]\n"
+           "def g(k):\n    global H\n    H += [k]\n    del G[k]\n"
+           "    return lambda: C.add(k) or D[k].append(k)\n")
+    assert written_module_state(src) == ["A", "B", "C", "D", "G", "H"]
+
+
+# (module, name) -> the bound on a module-level dict, list or set that a
+# function writes to; each must state one
+MODULE_STATE_ALLOWED = {
+    ("partitions.py", "_KEPT_PARTITIONS"):
+        "Bell(n) entries for each n <= PARTITIONS_KEPT = 9: it stores only the "
+        "canonical partitions of such [n], each validated when first seen",
+}
+
+
+def test_no_unbounded_module_state():
+    found = {(p.name, name) for p in MODULES for name in written_module_state(p.read_text())}
+    assert found == set(MODULE_STATE_ALLOWED)
 
 
 SIZE_NAMES = {"n", "b", "k", "m", "j", "reps"}

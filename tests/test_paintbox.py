@@ -1,5 +1,6 @@
 import math
 import warnings
+from bisect import bisect_right
 from collections import Counter
 from itertools import product
 
@@ -371,6 +372,40 @@ def test_modified_sample_draws_one_uniform_then_the_free_paints():
     i = next(j for j, c in enumerate(cum) if u < c)
     colours = flat[2 * i:2 * i + 2] + np.searchsorted(s.colour_table[1], paints).tolist()
     assert p.blocks == _colour_blocks(colours, s.m)
+    assert rng.bit_generator.state == ref.bit_generator.state
+
+
+def _modified_sample_two_calls(s, base, n, rng):
+    """modified_paintbox_sample as it drew before its one rng.random(n - k
+    + 1): one rng.random() for the colouring, then _paints of the others."""
+    k = base.n
+    cum, flat = _base_colourings(s, base)
+    i = bisect_right(cum, rng.random()) * k
+    colours = flat[i:i + k] + paintbox._paints(s, n - k, rng)[2].tolist()
+    return Partition(n, _colour_blocks(colours, s.m))
+
+
+def test_modified_sample_keeps_its_stream():
+    # pinned draws at seed 2024, and the generator's next double after them
+    s, base, rng = MassPartition((0.5, 0.3)), P("1|2"), np.random.default_rng(2024)
+    assert [modified_paintbox_sample(s, base, 6, rng).to_text() for _ in range(8)] == [
+        "1 5|2|3 4|6", "1 3 4 5 6|2", "1 3 5|2 4 6", "1 4 5|2 6|3", "1 3 4 6|2|5",
+        "1 4 5 6|2|3", "1 6|2 3 5|4", "1|2 3 6|4|5"]
+    assert rng.random().hex() == "0x1.f62da81a88c60p-3"
+
+
+@pytest.mark.parametrize("atoms,base", [((0.5, 0.3), "1|2"), ((0.6, 0.4), "1 2|3"),
+                                        ((0.3, 0.2, 0.1), "1"), ((0.4, 0.3, 0.2), "1|2 3|4")])
+@pytest.mark.parametrize("seed", [0, 7, 2 ** 31 + 5])
+def test_modified_sample_draws_as_two_calls(atoms, base, seed):
+    # one rng.random(n - k + 1) gives the doubles of random() then
+    # random(n - k): the same draws and the same end state, n = k included
+    s, base = MassPartition(atoms), P(base)
+    rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    for n in (base.n, base.n + 1, 7, 12):
+        for _ in range(20):
+            assert modified_paintbox_sample(s, base, n, rng) == \
+                _modified_sample_two_calls(s, base, n, ref)
     assert rng.bit_generator.state == ref.bit_generator.state
 
 

@@ -1,5 +1,6 @@
 import gc
 import weakref
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -7,9 +8,11 @@ from hypothesis import given, settings, strategies as st
 
 from fragbox import (ArgumentError, FiniteMeasureOnPartitions, Hierarchy,
                      MassPartition, Partition, all_partitions, children_of,
-                     classify_exchangeability, restrict_hierarchy,
-                     restrict_partition)
-from fragbox.partitions import PARTITIONS_KEPT, _maximal_strict_subsets
+                     classify_exchangeability, grow_alphagamma, kingman_sample,
+                     modified_paintbox_sample, partitions, restrict_hierarchy,
+                     restrict_partition, sample_split)
+from fragbox.harness import single_atom_model
+from fragbox.partitions import PARTITIONS_KEPT, _kept_partition, _maximal_strict_subsets
 from oracles import validate_partition_reference
 
 
@@ -58,6 +61,64 @@ def test_all_partitions_keeps_small_n_only():
     assert kept() is None
 
 
+def _sampled_partitions(n, seed):
+    """Partitions of [n] from every sampler that returns kept ones."""
+    rng = np.random.default_rng(seed)
+    s, d = MassPartition((0.5, 0.3)), single_atom_model()
+    out = [kingman_sample(s, n, rng) for _ in range(20)]
+    out += [modified_paintbox_sample(s, P("1"), n, rng) for _ in range(20)]
+    if n >= 2:
+        out += [sample_split(d, n, rng) for _ in range(20)]
+        out += [grow_alphagamma(0.5, 0.3, n, rng).root_split() for _ in range(20)]
+    return out
+
+
+@pytest.mark.parametrize("n", [1, 2, 4, PARTITIONS_KEPT])
+def test_sampled_partitions_are_kept(n):
+    # for n <= PARTITIONS_KEPT, equal sampled partitions are one object,
+    # found again by its blocks, and equal to the validated partition of
+    # its blocks
+    seen = {}
+    for p in _sampled_partitions(n, 1) + _sampled_partitions(n, 2):
+        assert seen.setdefault(p.blocks, p) is p
+        assert _kept_partition(n, p.blocks) is p
+    for p in seen.values():
+        assert p == Partition.from_blocks(n, p.blocks) and p.n == n
+        assert hash(p) == hash((n, p.blocks))
+
+
+def test_kept_partitions_are_validated_once(monkeypatch):
+    # an empty table fills with what is sampled, validating each distinct
+    # partition once, at most Bell(n) of them for each n <= 9 and none above
+    monkeypatch.setattr(partitions, "_KEPT_PARTITIONS", {})
+    validated = []
+    check = Partition.validate
+    monkeypatch.setattr(Partition, "validate", lambda p: validated.append(p) or check(p))
+    for n in (3, 4, PARTITIONS_KEPT, PARTITIONS_KEPT + 1):
+        for seed in range(5):
+            _sampled_partitions(n, seed)
+    table = partitions._KEPT_PARTITIONS
+    times = Counter(map(id, validated))
+    assert [times[id(p)] for p in table.values()] == [1] * len(table)
+    sizes = [p.n for p in table.values()]
+    assert set(sizes) == {3, 4, PARTITIONS_KEPT}
+    for n in set(sizes):
+        assert sizes.count(n) <= len(all_partitions(n))
+
+
+def test_partitions_above_the_kept_size_are_not_kept():
+    # a partition of n = 10 is a fresh object, and nothing holds it once
+    # its caller lets go
+    s, rng = MassPartition((0.5, 0.3)), np.random.default_rng(0)
+    p = kingman_sample(s, PARTITIONS_KEPT + 1, rng)
+    assert _kept_partition(p.n, p.blocks) is not p
+    assert all(q.n <= PARTITIONS_KEPT for q in partitions._KEPT_PARTITIONS.values())
+    kept = weakref.ref(p)
+    del p
+    gc.collect()
+    assert kept() is None
+
+
 @pytest.mark.parametrize("n", range(1, 7))
 def test_lazy_attributes_match_fresh_values(n):
     # each value is computed on first use, kept in the instance dict and
@@ -74,6 +135,9 @@ def test_lazy_attributes_match_fresh_values(n):
         s = MassPartition(atoms)
         assert s.s0 == min(max(1.0 - sum(s.atoms), 0.0), 1.0)
         assert s.__dict__["s0"] == s.s0
+        assert "_hash" not in s.__dict__
+        assert hash(s) == hash(MassPartition(atoms)) == hash((s.atoms,))
+        assert s.__dict__["_hash"] == hash((s.atoms,))
 
 
 def test_restrict_partition_examples():
